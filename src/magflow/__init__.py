@@ -6,7 +6,6 @@ from .errors import (
     MagflowError,
     MaxIterations,
     NearZeroVector,
-    NoNegativeConfiguration,
     NonConvexFiber,
     NotSymmetric,
     ParseError,
@@ -15,11 +14,10 @@ from .errors import (
     UnsupportedLagrangian,
     ValidationError,
     ValleyCollapse,
-    ZeroForm,
 )
 from .fields import DriftField, ScalarField
 from .sphere_geom import Metric, SphericalTriangle, TwoForm, project_to_sphere, total_flux
-from .tonelli import FiberBounds, Lagrangian, MagneticSystem, e0, energy, fiber_bounds, legendre
+from .tonelli import FiberBounds, Lagrangian, MagneticSystem, e0, fiber_bounds
 from .flow import OrbitReport, State, Trajectory, certify_orbit, energy_drift, integrate, magnetic_el_field
 from .loop_space import (
     FreePeriodLoop,

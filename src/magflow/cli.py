@@ -117,6 +117,12 @@ class RunConfig:
         )
 
 
+def _finite(key: str, values):
+    if not np.all(np.isfinite(values)):
+        raise ValidationError(key, "must be finite")
+    return values
+
+
 def _parse_value(key: str, raw: str):
     tag = _SCHEMA[key][0]
     try:
@@ -132,7 +138,7 @@ def _parse_value(key: str, raw: str):
         if tag == "auto_float":
             if raw == "auto":
                 return "auto"
-            v = float(raw)
+            v = _finite(key, float(raw))
             if v <= 0:
                 raise ValidationError(key, "must be positive or 'auto'")
             return v
@@ -143,7 +149,7 @@ def _parse_value(key: str, raw: str):
                 raise ValidationError(key, f"must lie in [{lo}, {hi}]")
             return v
         if tag.startswith("float"):
-            v = float(raw)
+            v = _finite(key, float(raw))
             if tag == "float:>0" and v <= 0:
                 raise ValidationError(key, "must be positive")
             if tag == "float:open_pm1" and not -1.0 < v < 1.0:
@@ -153,15 +159,17 @@ def _parse_value(key: str, raw: str):
             parts = [float(t) for t in raw.split(",")]
             if len(parts) != 3:
                 raise ValidationError(key, "needs three comma-separated numbers")
-            return np.array(parts)
+            return _finite(key, np.array(parts))
         if tag == "grid":
             if raw == "":
                 return []
             if ":" in raw:
-                a, b, s = (float(t) for t in raw.split(":"))
+                a, b, s = _finite(key, [float(t) for t in raw.split(":")])
+                if s == 0.0:
+                    raise ValidationError(key, "grid step must be nonzero")
                 n = int(round((b - a) / s))
                 return [a + k * s for k in range(n + 1)]
-            return [float(t) for t in raw.split(",")]
+            return _finite(key, [float(t) for t in raw.split(",")])
         if tag == "labels":
             labels = []
             for tok in raw.split(";"):
@@ -467,7 +475,7 @@ def run_command(command: str, cfg: RunConfig, out_dir) -> int:
     except MaxIterations as exc:
         print(f"nonconvergence: {exc}", file=_sys.stderr)
         return 2
-    except MagflowError as exc:
+    except (MagflowError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
 

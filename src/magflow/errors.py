@@ -29,10 +29,6 @@ class StepTooLarge(MagflowError):
     """Node displacement between consecutive loops exceeds the sweep limit."""
 
 
-class ZeroForm(MagflowError):
-    """The combined magnetic 2-form vanishes identically (degenerate bound)."""
-
-
 class ValleyCollapse(MagflowError):
     """Descent entered the short-loop valley: the seed collapses to a point."""
 
@@ -54,10 +50,6 @@ class EndpointNotMinimal(MagflowError):
 
 class NotSymmetric(MagflowError):
     """System lacks the rotational symmetry required by the latitude oracle."""
-
-
-class NoNegativeConfiguration(MagflowError):
-    """No negative-action configuration found in the searched family."""
 
 
 class ParseError(MagflowError):

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepExplosion, UnsupportedLagrangian
+from .loop_space import FreePeriodLoop
 from .sphere_geom import angular_distance, project_to_sphere, tangent_project
 from .tonelli import MagneticSystem
 
@@ -215,24 +216,6 @@ class OrbitReport:
             raise ValueError("orbit report residuals must be finite")
 
 
-def _central_velocities(nodes: np.ndarray) -> np.ndarray:
-    n = len(nodes)
-    w = 0.5 * n * (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0))
-    return tangent_project(nodes, w)
-
-
-def _fourth_order_velocity(nodes: np.ndarray, idx: int) -> np.ndarray:
-    """5-point stencil derivative at one node (for accurate shooting starts)."""
-    n = len(nodes)
-    g = (
-        -nodes[(idx + 2) % n]
-        + 8.0 * nodes[(idx + 1) % n]
-        - 8.0 * nodes[(idx - 1) % n]
-        + nodes[(idx - 2) % n]
-    ) * (n / 12.0)
-    return tangent_project(nodes[idx], g)
-
-
 def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     """Transverse crossings of the closed geodesic polygon through the nodes.
 
@@ -279,7 +262,9 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     return count
 
 
-def certify_orbit(sys: MagneticSystem, candidate, e: float, h: float = 1e-3) -> OrbitReport:
+def certify_orbit(
+    sys: MagneticSystem, candidate: FreePeriodLoop, e: float, h: float = 1e-3
+) -> OrbitReport:
     """Shoot from a discrete loop for one period and measure orbit residuals.
 
     The initial velocity uses a 4th-order stencil (closure accuracy), while
@@ -291,9 +276,9 @@ def certify_orbit(sys: MagneticSystem, candidate, e: float, h: float = 1e-3) -> 
     p = float(candidate.p)
     if p <= 0:
         raise ValueError("candidate period must be positive")
-    w = _central_velocities(nodes)
+    w = candidate.velocities()
     mean_e = float(np.mean(sys.lagrangian.energy(nodes, w / p)))
-    v0 = _fourth_order_velocity(nodes, 0) / p
+    v0 = candidate.fourth_order_velocities()[0] / p
     s0 = State.of(nodes[0], v0)
     h_eff = min(h, p / 64.0, 0.1)
     traj = integrate(sys, s0, p, h_eff)

@@ -36,6 +36,7 @@ from .sphere_geom import (
     slerp,
     solid_angle,
     tangent_project,
+    triangles_flux,
 )
 from .tonelli import MagneticSystem
 
@@ -90,6 +91,17 @@ class FreePeriodLoop:
         """Central-difference derivatives w.r.t. the unit-circle parameter."""
         w = 0.5 * self.n * (np.roll(self.nodes, -1, axis=0) - np.roll(self.nodes, 1, axis=0))
         return tangent_project(self.nodes, w)
+
+    def fourth_order_velocities(self) -> np.ndarray:
+        """5-point-stencil derivatives w.r.t. the unit-circle parameter."""
+        nodes = self.nodes
+        w = (
+            -np.roll(nodes, -2, axis=0)
+            + 8.0 * np.roll(nodes, -1, axis=0)
+            - 8.0 * np.roll(nodes, 1, axis=0)
+            + np.roll(nodes, 2, axis=0)
+        ) * (self.n / 12.0)
+        return tangent_project(nodes, w)
 
     def with_period(self, p: float) -> "FreePeriodLoop":
         return replace(self, p=float(p))
@@ -204,18 +216,14 @@ def discrete_action_S(sys: MagneticSystem, e: float, loop: FreePeriodLoop) -> fl
     return float(loop.p * np.mean(vals) + loop.p * e)
 
 
-def mean_energy(sys: MagneticSystem, loop: FreePeriodLoop) -> float:
-    w = loop.velocities()
-    return float(np.mean(sys.lagrangian.energy(loop.nodes, w / loop.p)))
-
-
-def optimal_period(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> float:
-    """Period with mean discrete energy equal to e (the dS/dp = 0 condition)."""
+def _period_for_velocities(
+    sys: MagneticSystem, nodes: np.ndarray, w: np.ndarray, e: float
+) -> float:
+    """Period p at which the mean energy of the velocities w / p equals e."""
     lag = sys.lagrangian
-    w = loop.velocities()
     if lag.is_electromagnetic:
-        kin = float(np.mean(0.5 * lag.metric.norm_sq(loop.nodes, w)))
-        ubar = float(np.mean(lag.potential(loop.nodes)))
+        kin = float(np.mean(0.5 * lag.metric.norm_sq(nodes, w)))
+        ubar = float(np.mean(lag.potential(nodes)))
         if e <= ubar:
             raise ValueError(f"energy {e} does not exceed the mean potential {ubar:.6g}")
         if kin < 1e-30:
@@ -223,12 +231,17 @@ def optimal_period(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> float
         return float(np.sqrt(kin / (e - ubar)))
 
     def resid(p):
-        return e - float(np.mean(lag.energy(loop.nodes, w / p)))
+        return e - float(np.mean(lag.energy(nodes, w / p)))
 
     lo, hi = 1e-6, 1e6
     if resid(hi) <= 0.0:
         raise ValueError("no optimal period: energy below the rest level")
     return float(optimize.brentq(resid, lo, hi, xtol=1e-14, rtol=1e-15))
+
+
+def optimal_period(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> float:
+    """Period with mean discrete energy equal to e (the dS/dp = 0 condition)."""
+    return _period_for_velocities(sys, loop.nodes, loop.velocities(), e)
 
 
 def lifted_action_A(sys: MagneticSystem, e: float, ll: LiftedLoop) -> float:
@@ -243,27 +256,7 @@ def optimal_period_fourth(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -
     carries an O(N^-2) bias relative to the underlying curve; shooting
     certification of long stable orbits needs this sharper estimate.
     """
-    n = loop.n
-    nodes = loop.nodes
-    w = (
-        -np.roll(nodes, -2, axis=0)
-        + 8.0 * np.roll(nodes, -1, axis=0)
-        - 8.0 * np.roll(nodes, 1, axis=0)
-        + np.roll(nodes, 2, axis=0)
-    ) * (n / 12.0)
-    w = tangent_project(nodes, w)
-    lag = sys.lagrangian
-    if lag.is_electromagnetic:
-        kin = float(np.mean(0.5 * lag.metric.norm_sq(nodes, w)))
-        ubar = float(np.mean(lag.potential(nodes)))
-        if e <= ubar:
-            raise ValueError(f"energy {e} does not exceed the mean potential {ubar:.6g}")
-        return float(np.sqrt(kin / (e - ubar)))
-
-    def resid(p):
-        return e - float(np.mean(lag.energy(nodes, w / p)))
-
-    return float(optimize.brentq(resid, 1e-6, 1e6, xtol=1e-14, rtol=1e-15))
+    return _period_for_velocities(sys, loop.nodes, loop.fourth_order_velocities(), e)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +264,8 @@ def optimal_period_fourth(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -
 
 
 def _choose_apex(nodes: np.ndarray) -> np.ndarray:
+    """Cone apex for the nodes: the base point when it keeps a 0.2 rad
+    antipodal margin, otherwise the candidate with the largest margin."""
     margins = np.pi - np.array(
         [float(np.max(angular_distance(apex, nodes))) for apex in _APEX_CANDIDATES]
     )
@@ -300,9 +295,7 @@ def cone_flux(
     tris = np.stack(
         [np.broadcast_to(apex, nodes.shape), nodes, np.roll(nodes, -1, axis=0)], axis=1
     )
-    from .sphere_geom import _leaf_flux, _subdivide
-
-    return float(_leaf_flux(sys.form, _subdivide(tris, depth)))
+    return triangles_flux(sys.form, tris, depth)
 
 
 def lift_loop(sys: MagneticSystem, loop: FreePeriodLoop, depth: int | None = None) -> LiftedLoop:
@@ -477,12 +470,6 @@ def h1_precondition(loop: FreePeriodLoop, grad: LoopGradient) -> tuple[np.ndarra
     return tangent_project(loop.nodes, sol), float(np.sqrt(max(dual_sq, 0.0)))
 
 
-def gradient_dual_norm(sys: MagneticSystem, e: float, ll: LiftedLoop) -> float:
-    grad = action_gradient(sys, e, ll)
-    _, dual = h1_precondition(ll.loop, grad)
-    return dual
-
-
 # ---------------------------------------------------------------------------
 # the short-loop valley
 
@@ -522,8 +509,16 @@ def lifted_to_dict(ll: LiftedLoop) -> dict:
 
 
 def lifted_from_dict(data: dict) -> LiftedLoop:
-    loop = FreePeriodLoop(np.array(data["nodes"], dtype=float), float(data["p"]))
-    return LiftedLoop(loop, float(data["flux"]))
+    """Inverse of ``lifted_to_dict``; rejects non-finite values and nodes off
+    the unit sphere."""
+    nodes = np.array(data["nodes"], dtype=float)
+    p, flux = float(data["p"]), float(data["flux"])
+    if not (np.all(np.isfinite(nodes)) and np.isfinite(p) and np.isfinite(flux)):
+        raise ValueError("loop nodes, period and flux must be finite")
+    loop = FreePeriodLoop(nodes, p)
+    if np.max(np.abs(np.linalg.norm(loop.nodes, axis=-1) - 1.0)) > 1e-9:
+        raise ValueError("loop nodes must lie on the unit sphere")
+    return LiftedLoop(loop, flux)
 
 
 def save_lifted(ll: LiftedLoop, path) -> None:

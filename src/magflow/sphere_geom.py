@@ -2,8 +2,9 @@
 
 Provides projections, round/conformal metrics, 2-forms written as a density
 times the metric area form, and signed flux quadrature over spherical
-triangles (recursive midpoint subdivision with l'Huilier leaf areas) and over
-an icosahedral triangulation of the whole sphere.
+triangles (recursive midpoint subdivision whose leaves contribute the density
+at the centroid times the signed solid angle) and over an icosahedral
+triangulation of the whole sphere.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
@@ -22,7 +23,8 @@ BASE_POINT = np.array([-1.0, 0.0, 0.0])
 
 _MIN_NORM = 1e-9
 _ANTIPODAL_MARGIN = 1e-9
-_FLAT_AREA_CUTOFF = 1e-14
+# most leaf triangles held in memory at once by ``triangles_flux``
+LEAF_BATCH = 262144
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -144,11 +146,6 @@ class TwoForm:
         return self.round_density(q) * tri
 
 
-def two_form_eval(form: TwoForm, q: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """Functional alias for ``form(q, v, w)``."""
-    return form(q, v, w)
-
-
 def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Signed solid angle of the geodesic triangle (a, b, c).
 
@@ -161,31 +158,6 @@ def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     det = np.sum(a * cross3(b, c), axis=-1)
     denom = 1.0 + np.sum(a * b, axis=-1) + np.sum(b * c, axis=-1) + np.sum(c * a, axis=-1)
     return 2.0 * np.arctan2(det, denom)
-
-
-def signed_spherical_area(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Signed area by l'Huilier's excess formula, sign from <a, b x c>.
-
-    Near-degenerate triangles (excess below 1e-14) fall back to the signed
-    flat area against the centroid normal, which is numerically stable.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    c = np.asarray(c, dtype=float)
-    la = angular_distance(b, c)
-    lb = angular_distance(c, a)
-    lc = angular_distance(a, b)
-    s = 0.5 * (la + lb + lc)
-    t = np.tan(0.5 * s) * np.tan(0.5 * (s - la)) * np.tan(0.5 * (s - lb)) * np.tan(0.5 * (s - lc))
-    excess = 4.0 * np.arctan(np.sqrt(np.clip(t, 0.0, None)))
-    det = np.sum(a * cross3(b, c), axis=-1)
-    signed = np.where(det >= 0.0, excess, -excess)
-    # flat fallback: 0.5 * <n_hat, (b-a) x (c-a)>
-    centroid = (a + b + c) / 3.0
-    cn = np.linalg.norm(centroid, axis=-1, keepdims=True)
-    n_hat = centroid / np.where(cn > _MIN_NORM, cn, 1.0)
-    flat = 0.5 * np.sum(n_hat * cross3(b - a, c - a), axis=-1)
-    return np.where(excess < _FLAT_AREA_CUTOFF, flat, signed)
 
 
 @dataclass(frozen=True)
@@ -223,29 +195,37 @@ def _subdivide(tris: np.ndarray, depth: int) -> np.ndarray:
     return tris
 
 
-def _leaf_flux(form: TwoForm, tris: np.ndarray, chunk: int = 262144) -> float:
-    """Sum of f(centroid) * signed area over leaf triangles."""
+def triangles_flux(form: TwoForm, tris: np.ndarray, depth: int) -> float:
+    """Flux of the 2-form through oriented triangles, a (T, 3, 3) vertex array.
+
+    Each triangle is subdivided 4-way ``depth`` times; a leaf contributes the
+    density at its projected centroid times its signed solid angle.  Base
+    triangles are subdivided a batch at a time, so at most ``LEAF_BATCH``
+    leaves exist at once.
+    """
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    tris = np.asarray(tris, dtype=float)
+    while 4**depth > LEAF_BATCH:
+        tris, depth = _subdivide(tris, 1), depth - 1
+    per_batch = LEAF_BATCH // 4**depth
     total = 0.0
-    for lo in range(0, len(tris), chunk):
-        part = tris[lo : lo + chunk]
-        a, b, c = part[:, 0], part[:, 1], part[:, 2]
+    for lo in range(0, len(tris), per_batch):
+        leaves = _subdivide(tris[lo : lo + per_batch], depth)
+        a, b, c = leaves[:, 0], leaves[:, 1], leaves[:, 2]
         centroid = project_to_sphere(a + b + c)
-        total += float(np.sum(form.round_density(centroid) * signed_spherical_area(a, b, c)))
+        total += float(np.sum(form.round_density(centroid) * solid_angle(a, b, c)))
     return total
 
 
 def integrate_two_form_triangle(form: TwoForm, tri: SphericalTriangle, depth: int) -> float:
     """Flux of the 2-form through one oriented spherical triangle.
 
-    Recursive 4-way midpoint subdivision to ``depth``; leaves contribute the
-    density at the (projected) centroid times the signed spherical area.
-    Reversing the vertex order negates the result.
+    Uses ``triangles_flux`` on the single triangle; reversing the vertex
+    order negates the result.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
     tri.validate()
-    tris = tri.vertices()[None, :, :].astype(float)
-    return _leaf_flux(form, _subdivide(tris, depth))
+    return triangles_flux(form, tri.vertices()[None], depth)
 
 
 def icosahedron_faces() -> np.ndarray:
@@ -295,4 +275,4 @@ def total_flux(form: TwoForm, depth: int) -> float:
     """Flux of the 2-form through the whole sphere at the given grid depth."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    return _leaf_flux(form, icosphere_triangles(depth))
+    return triangles_flux(form, icosahedron_faces(), depth)

@@ -164,18 +164,6 @@ def default_extension_radius(potential: ScalarField, e_ref: float = 1.0) -> floa
     return 3.0 * float(np.sqrt(2.0 * max(e_ref, 0.0) + 2.0 * potential.sup_abs() + 1e-12))
 
 
-def lagrangian_eval(lag: Lagrangian, q: np.ndarray, v: np.ndarray):
-    return lag.value(q, v)
-
-
-def energy(lag: Lagrangian, q: np.ndarray, v: np.ndarray):
-    return lag.energy(q, v)
-
-
-def legendre(lag: Lagrangian, q: np.ndarray, v: np.ndarray):
-    return lag.legendre_vector(q, v)
-
-
 def _polish_max_on_sphere(fn, q0: np.ndarray) -> tuple[np.ndarray, float]:
     """Local maximization of fn over the sphere in an exp-chart around q0."""
     e1, e2 = tangent_basis(q0)

@@ -24,11 +24,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EndpointNotMinimal, MaxIterations, StepTooLarge, ValleyCollapse
+from .errors import EndpointNotMinimal, MagflowError, MaxIterations, StepTooLarge, ValleyCollapse
 from .flow import OrbitReport, certify_orbit, count_self_intersections
 from .loop_space import (
     FreePeriodLoop,
     LiftedLoop,
+    _choose_apex,
     action_gradient,
     cone_flux,
     deck_transform,
@@ -42,7 +43,6 @@ from .loop_space import (
     lifted_action_A,
     optimal_period,
     optimal_period_fourth,
-    resample_loop,
     valley_tau,
 )
 from .sphere_geom import angular_distance, project_to_sphere, slerp, tangent_basis
@@ -169,24 +169,15 @@ def transport_flux(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop
     """Carry the ledger onto a re-discretization of (nearly) the same curve.
 
     Uses the difference of cone fluxes computed with one shared apex, which
-    equals the thin-annulus sweep between the two polygonizations.
+    equals the thin-annulus sweep between the two polygonizations.  The apex
+    follows the canonical-lift rule on both node sets, so a fresh lift is
+    carried onto the fresh lift of the new loop whenever the base point is
+    admissible for both.
     """
-    both = np.concatenate([ll.nodes, new_loop.nodes])
-    from .loop_space import _APEX_CANDIDATES
-
-    margins = np.pi - np.array(
-        [float(np.max(angular_distance(apex, both))) for apex in _APEX_CANDIDATES]
-    )
-    apex = _APEX_CANDIDATES[int(np.argmax(margins))]
+    apex = _choose_apex(np.concatenate([ll.nodes, new_loop.nodes]))
     old_cone = cone_flux(sys, ll.loop, apex=apex)
     new_cone = cone_flux(sys, new_loop, apex=apex)
     return LiftedLoop(new_loop, ll.flux + (new_cone - old_cone))
-
-
-def resample_lifted(sys: MagneticSystem, ll: LiftedLoop, n_new: int) -> LiftedLoop:
-    if n_new == ll.loop.n:
-        return ll
-    return transport_flux(sys, ll, resample_loop(ll.loop, n_new))
 
 
 # ---------------------------------------------------------------------------
@@ -361,18 +352,21 @@ def deform_far(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop) ->
     return deform(sys, cur, new_loop)
 
 
-def _interpolate_on_chain(sys, e, chain, M):
-    """Resample a chain of lifted loops to M evenly spaced path nodes."""
+def _equal_arc(sys, chain, M):
+    """Resample a chain of lifted loops to M nodes evenly spaced in path
+    distance, keeping both ends.
+
+    Each interior node interpolates its bracketing chain nodes geodesically
+    and takes its ledger from the nearer one through ``deform_far``.
+    """
     dists = [_path_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
     cum = np.concatenate([[0.0], np.cumsum(dists)])
-    total = cum[-1]
-    targets = np.linspace(0.0, total, M)
+    targets = np.linspace(0.0, cum[-1], M)
     path = [chain[0]]
     for j in range(1, M - 1):
         k = int(np.searchsorted(cum, targets[j], side="right") - 1)
         k = min(k, len(chain) - 2)
-        seg = dists[k] if dists[k] > 1e-15 else 1.0
-        t = (targets[j] - cum[k]) / seg
+        t = (targets[j] - cum[k]) / (dists[k] if dists[k] > 1e-15 else 1.0)
         nodes = slerp(chain[k].nodes, chain[k + 1].nodes, np.full(chain[k].loop.n, t))
         p = (1.0 - t) * chain[k].p + t * chain[k + 1].p
         anchor = chain[k] if t <= 0.5 else chain[k + 1]
@@ -469,26 +463,12 @@ def refine_stationary(
     return loop, dual
 
 
-def _reparametrize(sys, e, path, climb):
+def _reparametrize(sys, path, climb):
     """Equal-arc respacing, holding endpoints and the climbing node fixed."""
     out = list(path)
     for lo, hi in ((0, climb), (climb, len(path) - 1)):
-        if hi - lo < 2:
-            continue
-        seg = path[lo : hi + 1]
-        dists = [_path_distance(seg[k], seg[k + 1]) for k in range(len(seg) - 1)]
-        cum = np.concatenate([[0.0], np.cumsum(dists)])
-        if cum[-1] < 1e-14:
-            continue
-        targets = np.linspace(0.0, cum[-1], len(seg))
-        for j in range(1, len(seg) - 1):
-            k = int(np.searchsorted(cum, targets[j], side="right") - 1)
-            k = min(k, len(seg) - 2)
-            t = (targets[j] - cum[k]) / (dists[k] if dists[k] > 1e-15 else 1.0)
-            nodes = slerp(seg[k].nodes, seg[k + 1].nodes, np.full(seg[k].loop.n, t))
-            p = (1.0 - t) * seg[k].p + t * seg[k + 1].p
-            anchor = seg[k] if t <= 0.5 else seg[k + 1]
-            out[lo + j] = deform_far(sys, anchor, FreePeriodLoop(nodes, p))
+        if hi - lo >= 2:
+            out[lo : hi + 1] = _equal_arc(sys, path[lo : hi + 1], hi - lo + 1)
     return out
 
 
@@ -533,7 +513,7 @@ def minimax_path(
 
     if initial_path is None:
         chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift, cfg)
-        path = _interpolate_on_chain(sys, e, chain, M)
+        path = _equal_arc(sys, chain, M)
     else:
         path = [LiftedLoop(u.loop, u.flux - flux_base) for u in initial_path]
         M = len(path)
@@ -592,7 +572,7 @@ def minimax_path(
         if band_ready:
             break
         if (sweep + 1) % cfg.reparam_every == 0:
-            path = _reparametrize(sys, e, path, int(np.argmax(actions)))
+            path = _reparametrize(sys, path, int(np.argmax(actions)))
             actions = [lifted_action_A(sys, e, u) for u in path]
         history.append(max(actions))
 
@@ -705,7 +685,7 @@ def scan_energy(
             rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e, cfg.certify_h)
             row["saddle_closure"] = rep.closure_residual
             row["saddle_energy_residual"] = rep.mean_energy_residual
-        except Exception as exc:  # noqa: BLE001 - rows must not kill the scan
+        except (MagflowError, ValueError, ArithmeticError) as exc:  # rows must not kill the scan
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
     return rows
@@ -814,7 +794,7 @@ def multiplicity_search(
             pair = (labels[i], labels[j])
             try:
                 mm = minimax_between_labels(sys, e, waists, labels[i], labels[j], cfg)
-            except Exception as exc:  # noqa: BLE001 - aggregate, return partial
+            except (MagflowError, ValueError, ArithmeticError) as exc:  # aggregate, return partial
                 failures.append({"pair": pair, "reason": f"{type(exc).__name__}: {exc}"})
                 continue
             if not mm.converged:

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from magflow import latitude_loop
 from magflow.cli import main, parse_config
 from magflow.errors import ParseError, ValidationError
 
@@ -17,6 +18,12 @@ def write(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def nan_node_loop():
+    nodes = latitude_loop(0.0, 32).nodes.copy()
+    nodes[3, 1] = np.nan
+    return nodes
 
 
 class TestParseConfig:
@@ -138,6 +145,32 @@ discretization.loop_nodes = 32
         code = main(["waist", "--config", cfg, "--out", str(tmp_path)])
         assert code == 1
         assert "sigma.foo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, line, loop_nodes",
+        [
+            ("waist", "run.energy = -1", None),
+            ("waist", "run.energy = nan", None),
+            ("waist", "run.energy = inf", None),
+            ("flow", "flow.q0 = 1,nan,0", None),
+            ("scan", "run.energy_grid = 0.1:0.2:0", None),
+            ("scan", "run.energy_grid = 0.1,inf", None),
+            ("orbit-check", "", 2.0 * latitude_loop(0.0, 32).nodes),
+            ("orbit-check", "", nan_node_loop()),
+        ],
+        ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "grid-step-0",
+             "grid-inf", "loop-radius-2", "loop-nan-node"],
+    )
+    def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop_nodes):
+        if loop_nodes is not None:
+            loop_path = tmp_path / "loop.json"
+            loop_path.write_text(json.dumps({"nodes": loop_nodes.tolist(), "p": 1.0, "flux": 0.0}))
+            line = f"run.loop_file = {loop_path}"
+        cfg = write(tmp_path, f"system.density = height(1.0, 0.0)\n{line}\n")
+        code = main([command, "--config", cfg, "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "error:" in err
 
     def test_orbit_check_roundtrip(self, tmp_path, capsys):
         cfg = write(

@@ -17,13 +17,21 @@ from magflow import (
     lift_loop,
     lifted_action_A,
     optimal_period,
+    perturb_normal,
     sweep_flux,
     valley_tau,
     zeta_loop,
 )
 from magflow.errors import StepTooLarge
-from magflow.loop_space import h1_solve, lifted_from_dict, lifted_to_dict, resample_loop
-from magflow.sphere_geom import project_to_sphere, tangent_basis
+from magflow.loop_space import cone_flux, h1_solve, lifted_from_dict, lifted_to_dict, resample_loop
+from magflow.sphere_geom import (
+    BASE_POINT,
+    LEAF_BATCH,
+    SphericalTriangle,
+    integrate_two_form_triangle,
+    project_to_sphere,
+    tangent_basis,
+)
 from tests.conftest import random_lifted, random_loop
 
 E = 0.02
@@ -106,6 +114,21 @@ class TestLift:
     def test_tiny_loop_lift_is_small(self, sys_shifted):
         ll = lift_loop(sys_shifted, constant_like_loop(np.array([0.0, 0.0, 1.0]), radius=1e-4))
         assert abs(ll.flux) < 1e-6
+
+    def test_batch_seam(self, sys_shifted):
+        # 100 apex triangles at depth 6 split into leaf batches of unequal size
+        assert 100 % (LEAF_BATCH // 4**6) != 0
+        loop = perturb_normal(latitude_loop(-0.5, 100), 0.05, 3)
+        nodes = loop.nodes
+        per_triangle = sum(
+            integrate_two_form_triangle(
+                sys_shifted.form, SphericalTriangle(BASE_POINT, nodes[i], nodes[(i + 1) % 100]), 6
+            )
+            for i in range(100)
+        )
+        assert cone_flux(sys_shifted, loop, 6, apex=BASE_POINT) == pytest.approx(
+            per_triangle, abs=1e-12
+        )
 
 
 class TestSweepFlux:

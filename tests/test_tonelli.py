@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from magflow import DriftField, Lagrangian, Metric, ScalarField, TwoForm, e0, energy, fiber_bounds, legendre
+from magflow import DriftField, Lagrangian, Metric, ScalarField, TwoForm, e0, fiber_bounds
 from magflow.errors import NonConvexFiber
 from magflow.sphere_geom import project_to_sphere, tangent_basis, tangent_project
-from magflow.tonelli import lagrangian_eval
 
 KINETIC = Lagrangian.kinetic()
 NORTH = np.array([0.0, 0.0, 1.0])
@@ -24,26 +23,26 @@ def random_states(rng, count, vmax=3.0):
 class TestEval:
     def test_kinetic_unit_speed(self):
         v = np.array([0.0, 1.0, 0.0])
-        assert lagrangian_eval(KINETIC, EX, v) == pytest.approx(0.5)
+        assert KINETIC.value(EX, v) == pytest.approx(0.5)
 
     def test_rest_value_is_minus_potential(self):
         lag = em(ScalarField.height(0.3, 0.0))
-        assert lagrangian_eval(lag, NORTH, np.zeros(3)) == pytest.approx(-0.3)
+        assert lag.value(NORTH, np.zeros(3)) == pytest.approx(-0.3)
 
     def test_kinetic_scaled(self):
         v = np.array([0.0, 2.0, 0.0])
-        assert lagrangian_eval(KINETIC, EX, v) == pytest.approx(2.0)
+        assert KINETIC.value(EX, v) == pytest.approx(2.0)
 
 
 class TestEnergy:
     @pytest.mark.parametrize("e_target", [0.02, 0.5])
     def test_kinetic_definition(self, e_target):
         v = np.sqrt(2.0 * e_target) * np.array([0.0, 1.0, 0.0])
-        assert energy(KINETIC, EX, v) == pytest.approx(e_target)
+        assert KINETIC.energy(EX, v) == pytest.approx(e_target)
 
     def test_rest_energy_is_potential(self):
         lag = em(ScalarField.height(0.3, 0.0))
-        assert energy(lag, NORTH, np.zeros(3)) == pytest.approx(0.3)
+        assert lag.energy(NORTH, np.zeros(3)) == pytest.approx(0.3)
 
     def test_drift_cancellation(self, rng):
         plain = em(ScalarField.height(0.3, 0.0))
@@ -67,7 +66,7 @@ class TestLegendre:
         assert np.allclose(lag.legendre_vector(q, v), expected, atol=1e-13)
 
     def test_zero_velocity(self):
-        assert np.allclose(legendre(KINETIC, EX, np.zeros(3)), np.zeros(3))
+        assert np.allclose(KINETIC.legendre_vector(EX, np.zeros(3)), np.zeros(3))
 
     def test_directional_derivative_consistency(self, rng):
         lag = Lagrangian.fiber_polynomial(0.4, 0.1, potential=ScalarField.height(0.2, 0.0))
