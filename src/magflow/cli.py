@@ -469,13 +469,13 @@ _DISPATCH = {
 def run_command(command: str, cfg: RunConfig, out_dir) -> int:
     """Dispatch a command; returns the process exit code."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     try:
+        out.mkdir(parents=True, exist_ok=True)
         return _DISPATCH[command](cfg, out)
     except MaxIterations as exc:
         print(f"nonconvergence: {exc}", file=_sys.stderr)
         return 2
-    except (MagflowError, ValueError) as exc:
+    except (MagflowError, ValueError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
 
@@ -492,7 +492,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
-    except MagflowError as exc:
+    except (MagflowError, ValueError, OSError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
     if args.seed is not None:

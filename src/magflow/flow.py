@@ -26,7 +26,15 @@ import numpy as np
 
 from .errors import StepExplosion, UnsupportedLagrangian
 from .loop_space import FreePeriodLoop
-from .sphere_geom import angular_distance, project_to_sphere, tangent_project
+from .sphere_geom import (
+    angular_distance,
+    cross3,
+    cyclic_shift,
+    dot3,
+    norm3,
+    project_to_sphere,
+    tangent_project,
+)
 from .tonelli import MagneticSystem
 
 _EXPLOSION_BOUND = 1e6
@@ -224,33 +232,31 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     """
     n = len(nodes)
     a = nodes
-    b = np.roll(nodes, -1, axis=0)
-    normals = np.cross(a, b)
-    nn = np.linalg.norm(normals, axis=-1, keepdims=True)
+    b = cyclic_shift(nodes, 1)
+    normals = cross3(a, b)
+    nn = norm3(normals)[:, None]
     normals = normals / np.where(nn > 1e-15, nn, 1.0)
-    cos_len = np.sum(a * b, axis=-1)
+    cos_len = dot3(a, b)
 
     count = 0
     for i in range(n):
         # strictly later segments, excluding the two adjacent ones
-        js = np.arange(i + 2, n if i > 0 else n - 1)
-        if js.size == 0:
+        lo, hi = i + 2, (n if i > 0 else n - 1)
+        if lo >= hi:
             continue
-        u = np.cross(normals[i], normals[js])
-        un = np.linalg.norm(u, axis=-1, keepdims=True)
+        u = cross3(normals[i], normals[lo:hi])
+        un = norm3(u)[:, None]
         parallel = un[:, 0] < 1e-12
         u = u / np.where(un > 1e-15, un, 1.0)
+        # the two antipodal intersection points +u and -u; negation is exact
+        ua, ub = u @ a[i], u @ b[i]
+        ja, jb = dot3(u, a[lo:hi]), dot3(u, b[lo:hi])
         for sign in (1.0, -1.0):
-            p = sign * u
-            in_i = (p @ a[i] >= cos_len[i]) & (p @ b[i] >= cos_len[i])
-            in_j = (np.sum(p * a[js], axis=-1) >= cos_len[js]) & (
-                np.sum(p * b[js], axis=-1) >= cos_len[js]
-            )
+            in_i = (sign * ua >= cos_len[i]) & (sign * ub >= cos_len[i])
+            in_j = (sign * ja >= cos_len[lo:hi]) & (sign * jb >= cos_len[lo:hi])
             count += int(np.sum(~parallel & in_i & in_j))
         # tangential near-miss: endpoints of one arc touching the other arc
-        for j_idx, j in enumerate(js):
-            if not parallel[j_idx]:
-                continue
+        for j in lo + np.flatnonzero(parallel):
             d = min(
                 float(angular_distance(a[i], a[j])),
                 float(angular_distance(a[i], b[j])),

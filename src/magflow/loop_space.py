@@ -32,6 +32,9 @@ from .sphere_geom import (
     BASE_POINT,
     angular_distance,
     cross3,
+    cyclic_shift,
+    dot3,
+    norm3,
     project_to_sphere,
     slerp,
     solid_angle,
@@ -79,8 +82,8 @@ class FreePeriodLoop:
         if not self.p > 0:
             raise ValueError("period must be positive")
         # non-antipodal consecutive nodes: |a + b| ~ the angular gap to pi
-        sums = nodes + np.roll(nodes, -1, axis=0)
-        if np.min(np.sum(sums * sums, axis=-1)) <= 1e-18:
+        sums = nodes + cyclic_shift(nodes, 1)
+        if np.min(dot3(sums, sums)) <= 1e-18:
             raise ValueError("consecutive nodes are (near-)antipodal")
 
     @property
@@ -89,17 +92,17 @@ class FreePeriodLoop:
 
     def velocities(self) -> np.ndarray:
         """Central-difference derivatives w.r.t. the unit-circle parameter."""
-        w = 0.5 * self.n * (np.roll(self.nodes, -1, axis=0) - np.roll(self.nodes, 1, axis=0))
+        w = 0.5 * self.n * (cyclic_shift(self.nodes, 1) - cyclic_shift(self.nodes, -1))
         return tangent_project(self.nodes, w)
 
     def fourth_order_velocities(self) -> np.ndarray:
         """5-point-stencil derivatives w.r.t. the unit-circle parameter."""
         nodes = self.nodes
         w = (
-            -np.roll(nodes, -2, axis=0)
-            + 8.0 * np.roll(nodes, -1, axis=0)
-            - 8.0 * np.roll(nodes, 1, axis=0)
-            + np.roll(nodes, 2, axis=0)
+            -cyclic_shift(nodes, 2)
+            + 8.0 * cyclic_shift(nodes, 1)
+            - 8.0 * cyclic_shift(nodes, -1)
+            + cyclic_shift(nodes, -2)
         ) * (self.n / 12.0)
         return tangent_project(nodes, w)
 
@@ -186,8 +189,8 @@ def perturb_normal(loop: FreePeriodLoop, amplitude: float, mode: int) -> FreePer
     """Bump the loop along its in-sphere normal with a cosine profile."""
     nodes = loop.nodes
     w = loop.velocities()
-    normal = np.cross(nodes, w)
-    nn = np.linalg.norm(normal, axis=-1, keepdims=True)
+    normal = cross3(nodes, w)
+    nn = norm3(normal)[:, None]
     normal = normal / np.where(nn > 1e-12, nn, 1.0)
     t = np.arange(loop.n) / loop.n
     bump = amplitude * np.cos(2.0 * np.pi * mode * t)
@@ -293,7 +296,7 @@ def cone_flux(
     if apex is None:
         apex = _choose_apex(nodes)
     tris = np.stack(
-        [np.broadcast_to(apex, nodes.shape), nodes, np.roll(nodes, -1, axis=0)], axis=1
+        [np.broadcast_to(apex, nodes.shape), nodes, cyclic_shift(nodes, 1)], axis=1
     )
     return triangles_flux(sys.form, tris, depth)
 
@@ -313,9 +316,9 @@ def _sweep_once(sys: MagneticSystem, old: np.ndarray, new: np.ndarray) -> float:
     """
     n = len(old)
     A = old
-    B = np.roll(old, -1, axis=0)
+    B = cyclic_shift(old, 1)
     D = new
-    C = np.roll(new, -1, axis=0)
+    C = cyclic_shift(new, 1)
     mids = project_to_sphere(
         np.stack([A + B + C + D, A + B, A + D, B + C, D + C])
     )
@@ -341,7 +344,7 @@ def sweep_flux(sys: MagneticSystem, old: FreePeriodLoop, new: FreePeriodLoop) ->
     if old.n != new.n:
         raise ValueError("loops must share the node count")
     diff = new.nodes - old.nodes
-    max_chord = float(np.sqrt(np.max(np.sum(diff * diff, axis=-1))))
+    max_chord = float(np.sqrt(np.max(dot3(diff, diff))))
     if max_chord > 2.0 * np.sin(MAX_SWEEP_STEP / 2.0):
         raise StepTooLarge(
             f"node displacement {2.0 * np.arcsin(min(max_chord / 2.0, 1.0)):.3f} rad "
@@ -369,22 +372,15 @@ def deform(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop) -> Lif
 
 
 def iterate(ll: LiftedLoop, m: int) -> LiftedLoop:
-    """m-fold iterate: nodes retraced m times, period and flux scaled by m."""
+    """m-fold iterate: nodes retraced m times (resampled to
+    ``MAX_ITERATE_NODES`` when longer), period and flux scaled by m."""
     if m < 1:
         raise ValueError("iterate order must be >= 1")
     if m == 1:
         return ll
-    loop = ll.loop
-    n_total = m * loop.n
-    if n_total <= MAX_ITERATE_NODES:
-        nodes = np.tile(loop.nodes, (m, 1))
-        new = FreePeriodLoop(nodes, m * loop.p)
-    else:
-        pos = np.arange(MAX_ITERATE_NODES) * (m * loop.n / MAX_ITERATE_NODES)
-        idx = np.floor(pos).astype(int) % loop.n
-        frac = pos - np.floor(pos)
-        nodes = slerp(loop.nodes[idx], loop.nodes[(idx + 1) % loop.n], frac)
-        new = FreePeriodLoop(nodes, m * loop.p)
+    new = FreePeriodLoop(np.tile(ll.nodes, (m, 1)), m * ll.p)
+    if new.n > MAX_ITERATE_NODES:
+        new = resample_loop(new, MAX_ITERATE_NODES)
     return LiftedLoop(new, m * ll.flux)
 
 
@@ -402,10 +398,10 @@ def deck_transform(sys: MagneticSystem, ll: LiftedLoop, k: int) -> LiftedLoop:
 def _flux_gradient(sys: MagneticSystem, nodes: np.ndarray) -> np.ndarray:
     """Differential of the sweep-flux rule at zero displacement."""
     a = nodes
-    b = np.roll(nodes, -1, axis=0)
+    b = cyclic_shift(nodes, 1)
     m = project_to_sphere(a + b)
-    cm = np.sum(m * a, axis=-1)
-    s3 = 1.0 + np.sum(a * b, axis=-1) + 2.0 * cm
+    cm = dot3(m, a)
+    s3 = 1.0 + dot3(a, b) + 2.0 * cm
     mxa = cross3(m, a)
     bxm = cross3(b, m)
     f = sys.form.round_density
@@ -413,7 +409,7 @@ def _flux_gradient(sys: MagneticSystem, nodes: np.ndarray) -> np.ndarray:
     c_self = mxa / (1.0 + cm)[:, None] + 2.0 * bxm / s3[:, None]
     c_next = bxm / (1.0 + cm)[:, None] + 2.0 * mxa / s3[:, None]
     g = fbar[:, None] * c_self
-    g += np.roll(fbar[:, None] * c_next, 1, axis=0)
+    g += cyclic_shift(fbar[:, None] * c_next, -1)
     return g
 
 
@@ -431,18 +427,18 @@ def action_gradient(sys: MagneticSystem, e: float, ll: LiftedLoop) -> LoopGradie
     n, p = loop.n, loop.p
     lag = sys.lagrangian
 
-    c = 0.5 * n * (np.roll(nodes, -1, axis=0) - np.roll(nodes, 1, axis=0))
+    c = 0.5 * n * (cyclic_shift(nodes, 1) - cyclic_shift(nodes, -1))
     w = tangent_project(nodes, c)
     v = w / p
     u = lag.ambient_dv(nodes, v)
     dq = lag.ambient_dq(nodes, v)
 
     grad = (p / n) * dq
-    qc = np.sum(nodes * c, axis=-1, keepdims=True)
-    uq = np.sum(u * nodes, axis=-1, keepdims=True)
+    qc = dot3(nodes, c)[:, None]
+    uq = dot3(u, nodes)[:, None]
     grad += (-(qc * u) - (uq * c)) / n
-    pu = u - np.sum(nodes * u, axis=-1, keepdims=True) * nodes
-    grad += 0.5 * (np.roll(pu, 1, axis=0) - np.roll(pu, -1, axis=0))
+    pu = u - dot3(nodes, u)[:, None] * nodes
+    grad += 0.5 * (cyclic_shift(pu, -1) - cyclic_shift(pu, 1))
     grad += _flux_gradient(sys, nodes)
 
     p_grad = e - float(np.mean(lag.energy(nodes, v)))
@@ -509,14 +505,23 @@ def lifted_to_dict(ll: LiftedLoop) -> dict:
 
 
 def lifted_from_dict(data: dict) -> LiftedLoop:
-    """Inverse of ``lifted_to_dict``; rejects non-finite values and nodes off
-    the unit sphere."""
-    nodes = np.array(data["nodes"], dtype=float)
-    p, flux = float(data["p"]), float(data["flux"])
+    """Inverse of ``lifted_to_dict``; rejects a payload that is not an object
+    with ``nodes``, ``p`` and ``flux``, non-finite values and nodes off the
+    unit sphere."""
+    if not isinstance(data, dict):
+        raise ValueError(f"loop payload must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in ("nodes", "p", "flux") if key not in data]
+    if missing:
+        raise ValueError(f"loop payload lacks {', '.join(missing)}")
+    try:
+        nodes = np.array(data["nodes"], dtype=float)
+        p, flux = float(data["p"]), float(data["flux"])
+    except TypeError as exc:
+        raise ValueError(f"loop nodes, period and flux must be numbers: {exc}") from exc
     if not (np.all(np.isfinite(nodes)) and np.isfinite(p) and np.isfinite(flux)):
         raise ValueError("loop nodes, period and flux must be finite")
     loop = FreePeriodLoop(nodes, p)
-    if np.max(np.abs(np.linalg.norm(loop.nodes, axis=-1) - 1.0)) > 1e-9:
+    if np.max(np.abs(norm3(loop.nodes) - 1.0)) > 1e-9:
         raise ValueError("loop nodes must lie on the unit sphere")
     return LiftedLoop(loop, flux)
 

@@ -8,6 +8,13 @@ triangulation of the whole sphere.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
+
+Last-axis vector algebra goes through ``cross3``, ``dot3`` and ``norm3``, and
+shifts along the node axis go through ``cyclic_shift``.  They give the same
+bits as numpy's cross product, last-axis sum of products, last-axis 2-norm
+and roll (``dot3`` can differ only in the sign of an exact zero whose three
+products are all -0.0), at a fraction of the per-call cost on the small
+arrays this package passes around.
 """
 
 from __future__ import annotations
@@ -39,10 +46,28 @@ def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def dot3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product on the last axis, summed left to right as numpy's sum does."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def norm3(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm on the last axis, bitwise equal to numpy's norm there."""
+    x0, x1, x2 = x[..., 0], x[..., 1], x[..., 2]
+    return np.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+
+
+def cyclic_shift(x: np.ndarray, k: int) -> np.ndarray:
+    """Rows shifted along the node axis: row i holds row (i + k) mod N, like
+    numpy's roll by -k on axis 0."""
+    k %= len(x)
+    return np.concatenate((x[k:], x[:k]))
+
+
 def project_to_sphere(x: np.ndarray) -> np.ndarray:
     """Radial projection x / |x|; rejects vectors with |x| <= 1e-9."""
     x = np.asarray(x, dtype=float)
-    n = np.linalg.norm(x, axis=-1, keepdims=True)
+    n = norm3(x)[..., None]
     if np.any(n <= _MIN_NORM):
         raise NearZeroVector(f"norm {float(n.min()):.3e} too small to project")
     return x / n
@@ -52,16 +77,14 @@ def tangent_project(q: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Component of v orthogonal to q (tangent to the sphere at q)."""
     q = np.asarray(q, dtype=float)
     v = np.asarray(v, dtype=float)
-    return v - np.sum(q * v, axis=-1, keepdims=True) * q
+    return v - dot3(q, v)[..., None] * q
 
 
 def angular_distance(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Geodesic angle between unit vectors, stable near 0 and pi."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    cross = np.linalg.norm(cross3(a, b), axis=-1)
-    dot = np.sum(a * b, axis=-1)
-    return np.arctan2(cross, dot)
+    return np.arctan2(norm3(cross3(a, b)), dot3(a, b))
 
 
 def slerp(a: np.ndarray, b: np.ndarray, t) -> np.ndarray:
@@ -85,7 +108,7 @@ def tangent_basis(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     idx = np.argmin(np.abs(q), axis=-1)
     np.put_along_axis(ref, idx[..., None], 1.0, axis=-1)
     e1 = cross3(ref, q)
-    e1 /= np.linalg.norm(e1, axis=-1, keepdims=True)
+    e1 /= norm3(e1)[..., None]
     e2 = cross3(q, e1)
     return e1, e2
 
@@ -116,7 +139,7 @@ class Metric:
 
     def dot(self, q: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """g_q(v, w) for tangent vectors in ambient coordinates."""
-        val = np.sum(np.asarray(v, dtype=float) * np.asarray(w, dtype=float), axis=-1)
+        val = dot3(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
         if self.is_round:
             return val
         return self.exp2u(q) * val
@@ -142,7 +165,7 @@ class TwoForm:
     def __call__(self, q: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         """sigma_q(v, w) = f(q) * dA_g(v, w) with dA(v, w) = <q, v x w>."""
         q = np.asarray(q, dtype=float)
-        tri = np.sum(q * cross3(v, w), axis=-1)
+        tri = dot3(q, cross3(v, w))
         return self.round_density(q) * tri
 
 
@@ -155,8 +178,8 @@ def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     c = np.asarray(c, dtype=float)
-    det = np.sum(a * cross3(b, c), axis=-1)
-    denom = 1.0 + np.sum(a * b, axis=-1) + np.sum(b * c, axis=-1) + np.sum(c * a, axis=-1)
+    det = dot3(a, cross3(b, c))
+    denom = 1.0 + dot3(a, b) + dot3(b, c) + dot3(c, a)
     return 2.0 * np.arctan2(det, denom)
 
 
@@ -178,20 +201,22 @@ class SphericalTriangle:
 
 
 def _subdivide(tris: np.ndarray, depth: int) -> np.ndarray:
-    """4-way geodesic midpoint subdivision of a (T, 3, 3) vertex array."""
+    """4-way geodesic midpoint subdivision of a (T, 3, 3) vertex array.
+
+    Each level is written straight into one (4T, 3, 3) array, in four
+    blocks: corner a, corner b, corner c, then the middle triangle.
+    """
     for _ in range(depth):
+        t = len(tris)
         a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
         ab = project_to_sphere(a + b)
         bc = project_to_sphere(b + c)
         ca = project_to_sphere(c + a)
-        tris = np.concatenate(
-            [
-                np.stack([a, ab, ca], axis=1),
-                np.stack([ab, b, bc], axis=1),
-                np.stack([ca, bc, c], axis=1),
-                np.stack([ab, bc, ca], axis=1),
-            ]
-        )
+        tris = np.empty((4 * t, 3, 3))
+        blocks = tris.reshape(4, t, 3, 3)
+        for blk, verts in zip(blocks, ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))):
+            for v, vert in enumerate(verts):
+                blk[:, v] = vert
     return tris
 
 

@@ -25,7 +25,9 @@ from .fields import DriftField, ScalarField
 from .sphere_geom import (
     Metric,
     TwoForm,
+    dot3,
     icosphere_vertices,
+    norm3,
     project_to_sphere,
     tangent_basis,
     tangent_project,
@@ -103,7 +105,7 @@ class Lagrangian:
         s = self.metric.norm_sq(q, v)
         out = self._phi(s) - self.potential(q)
         if not self.drift.is_zero:
-            out = out + np.sum(self.drift.vector(q) * v, axis=-1)
+            out = out + dot3(self.drift.vector(q), np.asarray(v, dtype=float))
         return out
 
     def energy(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -128,7 +130,7 @@ class Lagrangian:
         if not self.drift.is_zero:
             out = out + self.drift.jac_t_apply(q, v)
         if not self.metric.is_round:
-            s_e = np.sum(v * v, axis=-1)
+            s_e = dot3(v, v)
             e2u = self.metric.exp2u(q)
             s = e2u * s_e
             du = self.metric.conformal_exponent.grad(q)
@@ -233,7 +235,7 @@ def fiber_bounds(
     rng = rng or np.random.default_rng(0)
     q = project_to_sphere(rng.normal(size=(sample_count, 3)))
     dirs = tangent_project(q, rng.normal(size=(sample_count, 3)))
-    dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+    dirs /= norm3(dirs)[:, None]
     # speeds spanning rest states up to far beyond the extension radius
     speeds = np.concatenate(
         [

@@ -45,7 +45,16 @@ from .loop_space import (
     optimal_period_fourth,
     valley_tau,
 )
-from .sphere_geom import angular_distance, project_to_sphere, slerp, tangent_basis
+from .sphere_geom import (
+    angular_distance,
+    cross3,
+    cyclic_shift,
+    dot3,
+    norm3,
+    project_to_sphere,
+    slerp,
+    tangent_basis,
+)
 from .tonelli import MagneticSystem
 
 
@@ -130,7 +139,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
         accepted = False
         while step >= cfg.step_min:
             d = -step * direction
-            dmax = float(np.max(np.linalg.norm(d, axis=-1)))
+            dmax = float(np.max(norm3(d)))
             if dmax > cfg.max_step_rad:
                 d *= cfg.max_step_rad / dmax
             new_nodes = project_to_sphere(ll.nodes + d)
@@ -186,7 +195,7 @@ def transport_flux(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop
 
 def _loop_center(loop: FreePeriodLoop) -> np.ndarray:
     mean = np.mean(loop.nodes, axis=0)
-    circ = np.sum(np.cross(loop.nodes, np.roll(loop.nodes, -1, axis=0)), axis=0)
+    circ = np.sum(cross3(loop.nodes, cyclic_shift(loop.nodes, 1)), axis=0)
     candidates = []
     if np.linalg.norm(mean) > 1e-6:
         candidates.append(mean / np.linalg.norm(mean))
@@ -331,7 +340,8 @@ def build_connecting_chain(
 
 
 def _path_distance(u: LiftedLoop, v: LiftedLoop) -> float:
-    d2 = float(np.mean(np.sum((u.nodes - v.nodes) ** 2, axis=-1)))
+    diff = u.nodes - v.nodes
+    d2 = float(np.mean(dot3(diff, diff)))
     return math.sqrt(d2 + (u.p - v.p) ** 2)
 
 
@@ -482,7 +492,6 @@ def minimax_path(
     mult_a: int = 1,
     mult_b: int = 1,
     deck_shift: int = 0,
-    initial_path: list[LiftedLoop] | None = None,
 ) -> MinimaxResult:
     """Climbing-image elastic band between two local minimizers.
 
@@ -511,12 +520,8 @@ def minimax_path(
     end_a = LiftedLoop(end_a.loop, 0.0)
     end_b = LiftedLoop(end_b.loop, end_b.flux - flux_base)
 
-    if initial_path is None:
-        chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift, cfg)
-        path = _equal_arc(sys, chain, M)
-    else:
-        path = [LiftedLoop(u.loop, u.flux - flux_base) for u in initial_path]
-        M = len(path)
+    chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift, cfg)
+    path = _equal_arc(sys, chain, M)
 
     actions = [lifted_action_A(sys, e, u) for u in path]
     etas = np.full(M, cfg.band_step0)
@@ -550,7 +555,7 @@ def minimax_path(
                 step_nodes = direction - proj * tan_nodes
                 step_p = grad.p_grad - proj * tan_p
             d = -etas[j] * step_nodes
-            dmax = float(np.max(np.linalg.norm(d, axis=-1)))
+            dmax = float(np.max(norm3(d)))
             if dmax > cfg.max_step_rad:
                 d *= cfg.max_step_rad / dmax
             new_p = max(u.p - etas[j] * step_p, 1e-6)
@@ -699,7 +704,7 @@ def _primitive(loop: FreePeriodLoop, tol: float = 5e-3) -> FreePeriodLoop:
         if n % m != 0:
             continue
         shift = n // m
-        if float(np.max(angular_distance(loop.nodes, np.roll(loop.nodes, -shift, axis=0)))) < tol:
+        if float(np.max(angular_distance(loop.nodes, cyclic_shift(loop.nodes, shift)))) < tol:
             best = FreePeriodLoop(loop.nodes[:shift], loop.p / m)
             break
     return best
@@ -708,20 +713,18 @@ def _primitive(loop: FreePeriodLoop, tol: float = 5e-3) -> FreePeriodLoop:
 def _points_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Geodesic distance from each point to a closed geodesic polygon."""
     a = poly
-    b = np.roll(poly, -1, axis=0)
-    normal = np.cross(a, b)
-    nn = np.linalg.norm(normal, axis=-1, keepdims=True)
+    b = cyclic_shift(poly, 1)
+    normal = cross3(a, b)
+    nn = norm3(normal)[:, None]
     normal = normal / np.where(nn > 1e-15, nn, 1.0)
-    cos_len = np.sum(a * b, axis=-1)
+    cos_len = dot3(a, b)
     # distance to the full great circle of each segment
     sin_off = np.clip(points @ normal.T, -1.0, 1.0)
     to_circle = np.abs(np.arcsin(sin_off))
     foot = points[:, None, :] - sin_off[:, :, None] * normal[None, :, :]
-    fn = np.linalg.norm(foot, axis=-1, keepdims=True)
+    fn = norm3(foot)[..., None]
     foot = foot / np.where(fn > 1e-15, fn, 1.0)
-    inside = (np.sum(foot * a[None], axis=-1) >= cos_len[None]) & (
-        np.sum(foot * b[None], axis=-1) >= cos_len[None]
-    )
+    inside = (dot3(foot, a[None]) >= cos_len[None]) & (dot3(foot, b[None]) >= cos_len[None])
     to_ends = np.minimum(
         angular_distance(points[:, None, :], a[None]), angular_distance(points[:, None, :], b[None])
     )

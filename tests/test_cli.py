@@ -147,7 +147,7 @@ discretization.loop_nodes = 32
         assert "sigma.foo" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "command, line, loop_nodes",
+        "command, line, loop",
         [
             ("waist", "run.energy = -1", None),
             ("waist", "run.energy = nan", None),
@@ -157,16 +157,31 @@ discretization.loop_nodes = 32
             ("scan", "run.energy_grid = 0.1,inf", None),
             ("orbit-check", "", 2.0 * latitude_loop(0.0, 32).nodes),
             ("orbit-check", "", nan_node_loop()),
+            ("orbit-check", "run.loop_file = {tmp}/absent.json", None),
+            ("orbit-check", "run.loop_file = {tmp}", None),
+            ("orbit-check", "", {"nodes": latitude_loop(0.0, 32).nodes.tolist(), "flux": 0.0}),
+            ("orbit-check", "", {"nodes": latitude_loop(0.0, 32).nodes.tolist(), "p": 1.0}),
+            ("orbit-check", "", [1.0, 0.0, 0.0]),
+            ("waist", None, None),
         ],
         ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "grid-step-0",
-             "grid-inf", "loop-radius-2", "loop-nan-node"],
+             "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
+             "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
+             "config-missing"],
     )
-    def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop_nodes):
-        if loop_nodes is not None:
+    def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop):
+        # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload;
+        # line None: --config names a file that does not exist
+        if isinstance(loop, np.ndarray):
+            loop = {"nodes": loop.tolist(), "p": 1.0, "flux": 0.0}
+        if loop is not None:
             loop_path = tmp_path / "loop.json"
-            loop_path.write_text(json.dumps({"nodes": loop_nodes.tolist(), "p": 1.0, "flux": 0.0}))
+            loop_path.write_text(json.dumps(loop))
             line = f"run.loop_file = {loop_path}"
-        cfg = write(tmp_path, f"system.density = height(1.0, 0.0)\n{line}\n")
+        if line is None:
+            cfg = str(tmp_path / "absent.cfg")
+        else:
+            cfg = write(tmp_path, f"system.density = height(1.0, 0.0)\n{line.format(tmp=tmp_path)}\n")
         code = main([command, "--config", cfg, "--out", str(tmp_path)])
         err = capsys.readouterr().err
         assert code == 1

@@ -17,10 +17,34 @@ from magflow import (
 from magflow.errors import UnsupportedLagrangian
 from magflow.fields import DriftField
 from magflow.flow import count_self_intersections
-from magflow.sphere_geom import project_to_sphere
+from magflow.sphere_geom import angular_distance, project_to_sphere
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
+
+
+def crossings_reference(nodes: np.ndarray, tol: float = 1e-6) -> int:
+    """All-pairs count of arc crossings and tangential near-misses, one
+    segment pair at a time."""
+    n = len(nodes)
+    count = 0
+    for i in range(n):
+        for j in range(i + 2, n):
+            if i == 0 and j == n - 1:
+                continue  # the closing segment is adjacent to the first
+            ai, bi, aj, bj = nodes[i], nodes[(i + 1) % n], nodes[j], nodes[(j + 1) % n]
+            ni = np.cross(ai, bi) / np.linalg.norm(np.cross(ai, bi))
+            nj = np.cross(aj, bj) / np.linalg.norm(np.cross(aj, bj))
+            u = np.cross(ni, nj)
+            un = np.linalg.norm(u)
+            if un < 1e-12:
+                gap = min(float(angular_distance(x, y)) for x in (ai, bi) for y in (aj, bj))
+                count += gap < tol
+                continue
+            for p in (u / un, -u / un):
+                if min(p @ ai, p @ bi) >= ai @ bi and min(p @ aj, p @ bj) >= aj @ bj:
+                    count += 1
+    return count
 
 
 def state_distance(a: State, b: State) -> float:
@@ -178,4 +202,20 @@ class TestSelfIntersections:
         x = 0.6 * np.sin(t)
         y = 0.5 * np.sin(t) * np.cos(t)
         nodes = project_to_sphere(np.stack([x, y, np.ones_like(t)], axis=1))
-        assert count_self_intersections(nodes) >= 1
+        assert count_self_intersections(nodes) == crossings_reference(nodes) >= 1
+
+    def test_random_polygon_exact(self):
+        # random nodes near the north pole: a wiggly polygon with many crossings
+        rng = np.random.default_rng(7)
+        nodes = project_to_sphere(rng.normal(size=(40, 3)) * 0.3 + np.array([0.0, 0.0, 1.0]))
+        expected = crossings_reference(nodes)
+        assert expected > 50
+        assert count_self_intersections(nodes) == expected
+
+    def test_retraced_loops_exact(self):
+        # a 2-fold retraced loop puts every segment on top of its copy, which
+        # takes the parallel near-miss branch
+        circle = np.tile(latitude_loop(0.3, 64).nodes, (2, 1))
+        equator = np.tile(latitude_loop(0.0, 64).nodes, (2, 1))
+        assert count_self_intersections(circle) == crossings_reference(circle) == 88
+        assert count_self_intersections(equator) == crossings_reference(equator) == 192

@@ -23,13 +23,21 @@ from magflow import (
     zeta_loop,
 )
 from magflow.errors import StepTooLarge
-from magflow.loop_space import cone_flux, h1_solve, lifted_from_dict, lifted_to_dict, resample_loop
+from magflow.loop_space import (
+    MAX_ITERATE_NODES,
+    cone_flux,
+    h1_solve,
+    lifted_from_dict,
+    lifted_to_dict,
+    resample_loop,
+)
 from magflow.sphere_geom import (
     BASE_POINT,
     LEAF_BATCH,
     SphericalTriangle,
     integrate_two_form_triangle,
     project_to_sphere,
+    slerp,
     tangent_basis,
 )
 from tests.conftest import random_lifted, random_loop
@@ -228,6 +236,18 @@ class TestIterate:
         a6 = lifted_action_A(sys_z, E, it6)
         a23 = lifted_action_A(sys_z, E, iterate(iterate(ll, 2), 3))
         assert a23 == pytest.approx(a6, rel=1e-6)
+
+    @pytest.mark.parametrize("n, m", [(1500, 3), (1000, 5), (700, 7)])
+    def test_resampled_nodes_exact(self, n, m):
+        # above the cap the iterate samples the m-fold curve at
+        # MAX_ITERATE_NODES equal parameter steps, by geodesic interpolation
+        loop = latitude_loop(0.3, n)
+        pos = np.arange(MAX_ITERATE_NODES) * (m * n / MAX_ITERATE_NODES)
+        idx = np.floor(pos).astype(int) % n
+        ref = slerp(loop.nodes[idx], loop.nodes[(idx + 1) % n], pos - np.floor(pos))
+        it = iterate(LiftedLoop(loop, 0.25), m)
+        assert np.array_equal(it.nodes, ref)
+        assert it.p == m * loop.p and it.flux == m * 0.25
 
     def test_order_guard(self, sys_z, rng):
         with pytest.raises(ValueError):

@@ -6,8 +6,11 @@ from magflow.errors import DegenerateTriangle, NearZeroVector
 from magflow.sphere_geom import (
     _subdivide,
     angular_distance,
+    cyclic_shift,
+    dot3,
     icosahedron_faces,
     integrate_two_form_triangle,
+    norm3,
     solid_angle,
     tangent_project,
 )
@@ -24,6 +27,24 @@ def lhuilier_area(a, b, c):
     excess = 4.0 * np.arctan(np.sqrt(np.clip(t, 0.0, None)))
     det = np.sum(a * np.cross(b, c), axis=-1)
     return np.where(det >= 0.0, excess, -excess)
+
+
+def subdivide_reference(tris, depth):
+    """Reference 4-way midpoint subdivision built from stacks and one concatenate."""
+    for _ in range(depth):
+        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+        ab = project_to_sphere(a + b)
+        bc = project_to_sphere(b + c)
+        ca = project_to_sphere(c + a)
+        tris = np.concatenate(
+            [
+                np.stack([a, ab, ca], axis=1),
+                np.stack([ab, b, bc], axis=1),
+                np.stack([ca, bc, c], axis=1),
+                np.stack([ab, bc, ca], axis=1),
+            ]
+        )
+    return tris
 
 
 OCTANT = SphericalTriangle(
@@ -164,3 +185,41 @@ class TestAreaRoutines:
         b = project_to_sphere(a + 0.3 * rng.normal(size=(200, 3)))
         c = project_to_sphere(a + 0.3 * rng.normal(size=(200, 3)))
         assert np.allclose(lhuilier_area(a, b, c), solid_angle(a, b, c), atol=1e-10)
+
+
+class TestVectorHelpers:
+    """dot3, norm3 and cyclic_shift give the same bits as the numpy forms."""
+
+    SHAPES = [(512, 3), (7, 300, 3)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_dot3_matches_sum(self, shape):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(size=shape), rng.normal(size=shape)
+        assert np.array_equal(dot3(a, b), np.sum(a * b, axis=-1))
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_norm3_matches_linalg(self, shape):
+        x = np.random.default_rng(4).normal(size=shape)
+        assert np.array_equal(norm3(x), np.linalg.norm(x, axis=-1))
+
+    def test_broadcast_and_strided(self):
+        rng = np.random.default_rng(5)
+        q = rng.normal(size=3)
+        v = rng.normal(size=(300, 7, 3)).transpose(1, 0, 2)  # non-contiguous rows
+        assert np.array_equal(dot3(q, v), np.sum(q * v, axis=-1))
+        assert np.array_equal(dot3(v, q), np.sum(v * q, axis=-1))
+        assert np.array_equal(norm3(v), np.linalg.norm(v, axis=-1))
+        assert np.array_equal(norm3(q), np.linalg.norm(q, axis=-1))
+
+    @pytest.mark.parametrize("k", [-2, -1, 1, 2])
+    def test_cyclic_shift_matches_roll(self, k):
+        x = np.random.default_rng(6).normal(size=(64, 3))
+        shifted = cyclic_shift(x, k)
+        assert np.array_equal(shifted, np.roll(x, -k, axis=0))
+        assert np.array_equal(shifted[0], x[k % 64])
+
+    def test_subdivide_matches_reference(self):
+        tris = np.concatenate([icosahedron_faces(), OCTANT.vertices()[None]])
+        for depth in (0, 1, 3):
+            assert np.array_equal(_subdivide(tris, depth), subdivide_reference(tris, depth))
