@@ -3,18 +3,23 @@
 The electromagnetic equations of motion in ambient coordinates read
 
     dq/dt = v
-    dv/dt = -g(v,v) q  (curvature correction)
-            + conformal terms
+    dv/dt = -|v|^2 q  (curvature correction)
+            - 2 (P grad u . v) v + |v|^2 P grad u  (conformal terms)
             + e^{-2u} [ -P grad U + (f e^{2u} + h_W)(v x q) ]
 
-where f is the magnetic density (relative to the metric area form), h_W the
-round-form density of the exterior derivative of the drift 1-form, and P the
-tangent projection.  The sign of the Lorentz term, force = density * (v x q),
-is the one for which critical loops of the lifted free-period action are
-genuine trajectories; see the action gradient in ``loop_space``.
+where g = e^{2u} g_round is the metric, |v| the round norm, f the magnetic
+density (relative to the metric area form), h_W the round-form density of
+the exterior derivative of the drift 1-form, and P the tangent projection.
+The sign of the Lorentz term, force = density * (v x q), is the one for
+which critical loops of the lifted free-period action are genuine
+trajectories; see the action gradient in ``loop_space``.
 
 Integration is classical fixed-step RK4 with post-step reprojection of q to
-the sphere and v to the tangent plane.
+the sphere and v to the tangent plane.  One pure-Python scalar loop serves
+round and conformal metrics alike: the right-hand side is built once per
+call from the system's field evaluators, and its conformal terms run only
+for a non-round metric, so round-metric trajectories keep the bits of the
+plain round formula.
 """
 
 from __future__ import annotations
@@ -63,43 +68,21 @@ class Trajectory:
         return State(self.positions[-1], self.velocities[-1])
 
 
-def _field(sys: MagneticSystem, q: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _equations(sys: MagneticSystem):
+    """Scalar right-hand side and energy of the equations of motion.
+
+    Both take the six state components (qx, qy, qz, vx, vy, vz) as floats;
+    the right-hand side returns (dq, dv) as a 6-tuple.  The conformal block
+    runs only for a non-round metric, so round-metric states never pay for it.
+    """
     lag = sys.lagrangian
-    qh = q / np.linalg.norm(q)
-    vt = v - np.dot(qh, v) * qh
-    vv = np.dot(vt, vt)
-    dv = -vv * qh
-    grad_u_pot = lag.potential.grad(qh)
-    if lag.metric.is_round:
-        force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
-        dens = sys.density(qh) + lag.drift.exterior_density_round(qh)
-        force = force + dens * np.cross(vt, qh)
-    else:
-        e2u = float(lag.metric.exp2u(qh))
-        du = lag.metric.conformal_exponent.grad(qh)
-        dut = du - np.dot(qh, du) * qh
-        dv = dv - 2.0 * np.dot(dut, vt) * vt + vv * dut
-        force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
-        dens = sys.density(qh) * e2u + lag.drift.exterior_density_round(qh)
-        force = (force + dens * np.cross(vt, qh)) / e2u
-    return vt, dv + force
-
-
-def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dq, dv) of the equations of motion at a state."""
-    if not sys.lagrangian.is_electromagnetic:
-        raise UnsupportedLagrangian("flow field requires the electromagnetic kind")
-    return _field(sys, state.q, state.v)
-
-
-def _integrate_round_fast(sys: MagneticSystem, s0: State, T: float, n: int) -> Trajectory:
-    """Scalar RK4 loop specialized to the round electromagnetic case."""
-    dt = T / n
-    lag = sys.lagrangian
+    conformal = not lag.metric.is_round
     dens = sys.density.scalar_fn()
-    drift_a = lag.drift.coeffs[0] if lag.drift.kind == "azimuthal" else 0.0
-    grad_u = lag.potential.grad_fn()
+    drift_h = 2.0 * lag.drift.coeffs[0] if lag.drift.kind == "azimuthal" else 0.0
+    grad_pot = lag.potential.grad_fn()
     pot = lag.potential.scalar_fn()
+    u = lag.metric.conformal_exponent.scalar_fn()
+    grad_u = lag.metric.conformal_exponent.grad_fn()
 
     def rhs(qx, qy, qz, vx, vy, vz):
         qn = math.sqrt(qx * qx + qy * qy + qz * qz)
@@ -107,9 +90,21 @@ def _integrate_round_fast(sys: MagneticSystem, s0: State, T: float, n: int) -> T
         qv = qx * vx + qy * vy + qz * vz
         vx, vy, vz = vx - qv * qx, vy - qv * qy, vz - qv * qz
         vv = vx * vx + vy * vy + vz * vz
-        gx, gy, gz = grad_u(qx, qy, qz)
+        gx, gy, gz = grad_pot(qx, qy, qz)
+        h = drift_h * qz
+        if conformal:
+            # g = e^{2u} g_round: the potential and drift forces scale by
+            # e^{-2u}, and the Christoffel terms -2 (du.v) v + |v|^2 du join
+            # the gradient, whose normal part the projection below removes
+            w = math.exp(-2.0 * u(qx, qy, qz))
+            ux, uy, uz = grad_u(qx, qy, qz)
+            uv2 = 2.0 * (ux * vx + uy * vy + uz * vz)
+            gx = w * gx + uv2 * vx - vv * ux
+            gy = w * gy + uv2 * vy - vv * uy
+            gz = w * gz + uv2 * vz - vv * uz
+            h *= w
         gq = gx * qx + gy * qy + gz * qz
-        f = dens(qx, qy, qz) + 2.0 * drift_a * qz
+        f = dens(qx, qy, qz) + h
         # v x q cross product
         cx = vy * qz - vz * qy
         cy = vz * qx - vx * qz
@@ -123,6 +118,36 @@ def _integrate_round_fast(sys: MagneticSystem, s0: State, T: float, n: int) -> T
             -vv * qz - (gz - gq * qz) + f * cz,
         )
 
+    def energy(qx, qy, qz, vx, vy, vz):
+        vv = vx * vx + vy * vy + vz * vz
+        if conformal:
+            vv *= math.exp(2.0 * u(qx, qy, qz))
+        return 0.5 * vv + pot(qx, qy, qz)
+
+    return rhs, energy
+
+
+def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side (dq, dv) of the equations of motion at a state."""
+    if not sys.lagrangian.is_electromagnetic:
+        raise UnsupportedLagrangian("flow field requires the electromagnetic kind")
+    rhs, _ = _equations(sys)
+    out = rhs(*(float(c) for c in state.q), *(float(c) for c in state.v))
+    return np.array(out[:3]), np.array(out[3:])
+
+
+def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
+    """Integrate for time T with (approximately) step h, landing exactly at T."""
+    if not sys.lagrangian.is_electromagnetic:
+        raise UnsupportedLagrangian("flow field requires the electromagnetic kind")
+    if not (0.0 < h <= 0.1):
+        raise ValueError("step must satisfy 0 < h <= 1e-1")
+    if h > T:
+        raise ValueError("step must not exceed the total time")
+    n = max(1, int(round(T / h)))
+    dt = T / n
+    rhs, energy = _equations(sys)
+
     qx, qy, qz = (float(c) for c in s0.q)
     vx, vy, vz = (float(c) for c in s0.v)
     qs = np.empty((n + 1, 3))
@@ -130,7 +155,7 @@ def _integrate_round_fast(sys: MagneticSystem, s0: State, T: float, n: int) -> T
     es = np.empty(n + 1)
     qs[0] = (qx, qy, qz)
     vs[0] = (vx, vy, vz)
-    es[0] = 0.5 * (vx * vx + vy * vy + vz * vz) + pot(qx, qy, qz)
+    es[0] = energy(qx, qy, qz, vx, vy, vz)
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(n):
@@ -157,50 +182,13 @@ def _integrate_round_fast(sys: MagneticSystem, s0: State, T: float, n: int) -> T
         qx, qy, qz = qx / qn, qy / qn, qz / qn
         qv = qx * vx + qy * vy + qz * vz
         vx, vy, vz = vx - qv * qx, vy - qv * qy, vz - qv * qz
-        if abs(vx) > _EXPLOSION_BOUND or abs(vy) > _EXPLOSION_BOUND or abs(vz) > _EXPLOSION_BOUND:
-            raise StepExplosion(f"state norm exceeded {_EXPLOSION_BOUND:g} at step {k}")
+        # written so that NaN fails it too; a NaN position makes v NaN as well
+        if not (abs(vx) < _EXPLOSION_BOUND and abs(vy) < _EXPLOSION_BOUND and abs(vz) < _EXPLOSION_BOUND):
+            raise StepExplosion(f"velocity non-finite or above {_EXPLOSION_BOUND:g} at step {k}")
         qs[k + 1] = (qx, qy, qz)
         vs[k + 1] = (vx, vy, vz)
-        es[k + 1] = 0.5 * (vx * vx + vy * vy + vz * vz) + pot(qx, qy, qz)
+        es[k + 1] = energy(qx, qy, qz, vx, vy, vz)
     return Trajectory(np.linspace(0.0, T, n + 1), qs, vs, es)
-
-
-def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
-    """Integrate for time T with (approximately) step h, landing exactly at T."""
-    if not sys.lagrangian.is_electromagnetic:
-        raise UnsupportedLagrangian("flow field requires the electromagnetic kind")
-    if not (0.0 < h <= 0.1):
-        raise ValueError("step must satisfy 0 < h <= 1e-1")
-    if h > T:
-        raise ValueError("step must not exceed the total time")
-    n = max(1, int(round(T / h)))
-    if sys.metric.is_round:
-        return _integrate_round_fast(sys, s0, T, n)
-    dt = T / n
-    q = np.array(s0.q, dtype=float)
-    v = np.array(s0.v, dtype=float)
-    lag = sys.lagrangian
-
-    times = np.linspace(0.0, T, n + 1)
-    qs = np.empty((n + 1, 3))
-    vs = np.empty((n + 1, 3))
-    es = np.empty(n + 1)
-    qs[0], vs[0], es[0] = q, v, float(lag.energy(q, v))
-
-    for k in range(n):
-        k1q, k1v = _field(sys, q, v)
-        k2q, k2v = _field(sys, q + 0.5 * dt * k1q, v + 0.5 * dt * k1v)
-        k3q, k3v = _field(sys, q + 0.5 * dt * k2q, v + 0.5 * dt * k2v)
-        k4q, k4v = _field(sys, q + dt * k3q, v + dt * k3v)
-        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
-        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        q = q / np.linalg.norm(q)
-        v = v - np.dot(q, v) * q
-        if not (np.all(np.abs(q) < _EXPLOSION_BOUND) and np.all(np.abs(v) < _EXPLOSION_BOUND)):
-            raise StepExplosion(f"state norm exceeded {_EXPLOSION_BOUND:g} at step {k}")
-        qs[k + 1], vs[k + 1], es[k + 1] = q, v, float(lag.energy(q, v))
-
-    return Trajectory(times, qs, vs, es)
 
 
 def energy_drift(traj: Trajectory) -> float:

@@ -58,27 +58,40 @@ from .sphere_geom import (
 from .tonelli import MagneticSystem
 
 
+# descent line search: first step, floor, growth and shrink factors, and
+# the largest nodewise move of one step (radians; also caps band steps)
+STEP0 = 1.0
+STEP_MIN = 1e-12
+STEP_GROW = 1.3
+STEP_SHRINK = 0.5
+MAX_STEP_RAD = 0.25
+# band: sweeps before the climbing image engages, sweeps between equal-arc
+# respacings, climbing-image dual norm that hands over to Newton polish,
+# first per-image step, and the largest endpoint dual norm accepted
+CLIMB_WARMUP = 10
+REPARAM_EVERY = 5
+REFINE_TRIGGER = 1e-3
+BAND_STEP0 = 0.25
+ENDPOINT_TOL = 1e-4
+# largest shooting closure residual of a certified saddle
+CERTIFY_CLOSURE_TOL = 1e-4
+# two orbits coincide below this trace distance and relative period gap
+DEDUPE_HAUSDORFF = 1e-3
+DEDUPE_PERIOD = 1e-3
+# geodesic radius of the tiny loops where connecting chains change class
+TINY_RADIUS = 0.02
+# Newton polish: iteration budget and largest nodewise drift from the start
+MAX_NEWTON = 12
+MAX_NEWTON_MOVE = 0.25
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 20000
-    step0: float = 1.0
-    step_min: float = 1e-12
-    step_grow: float = 1.3
-    step_shrink: float = 0.5
-    max_step_rad: float = 0.25
     path_nodes: int = 12
     max_sweeps: int = 1500
-    climb_warmup: int = 10
-    reparam_every: int = 5
-    refine_trigger: float = 1e-3
-    band_step0: float = 0.25
-    endpoint_tol: float = 1e-4
     certify_h: float = 1e-3
-    certify_closure_tol: float = 1e-4
-    dedupe_hausdorff: float = 1e-3
-    dedupe_period: float = 1e-3
-    tiny_radius: float = 0.02
 
 
 @dataclass
@@ -124,7 +137,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
     if in_valley(sys, ll.loop, tau):
         raise ValleyCollapse("seed lies in the short-loop valley")
     action = lifted_action_A(sys, e, ll)
-    step = cfg.step0
+    step = STEP0
     history = [action]
 
     for it in range(cfg.max_iter):
@@ -137,27 +150,27 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
             return WaistResult(ll, report, action, dual, it, history)
 
         accepted = False
-        while step >= cfg.step_min:
+        while step >= STEP_MIN:
             d = -step * direction
             dmax = float(np.max(norm3(d)))
-            if dmax > cfg.max_step_rad:
-                d *= cfg.max_step_rad / dmax
+            if dmax > MAX_STEP_RAD:
+                d *= MAX_STEP_RAD / dmax
             new_nodes = project_to_sphere(ll.nodes + d)
             try:
                 new_loop = FreePeriodLoop(new_nodes, ll.p)
                 trial = deform(sys, ll, new_loop)
                 trial = _reduced_lift(sys, e, trial)
             except (StepTooLarge, ValueError):
-                step *= cfg.step_shrink
+                step *= STEP_SHRINK
                 continue
             trial_action = lifted_action_A(sys, e, trial)
             if trial_action <= action:
                 ll, action = trial, trial_action
                 history.append(action)
-                step = min(step * cfg.step_grow, 1e3)
+                step = min(step * STEP_GROW, 1e3)
                 accepted = True
                 break
-            step *= cfg.step_shrink
+            step *= STEP_SHRINK
         if not accepted:
             raise MaxIterations(
                 f"line search stalled at gradient norm {dual:.3e}", best=(ll, action, dual)
@@ -209,19 +222,12 @@ def _loop_center(loop: FreePeriodLoop) -> np.ndarray:
 
 
 def _tiny_loop(center: np.ndarray, radius: float, n: int, winding: int) -> FreePeriodLoop:
+    """Circle of geodesic radius ``radius`` about ``center``, run ``winding``
+    times, right-handed for positive winding."""
     e1, e2 = tangent_basis(center)
     ang = winding * 2.0 * np.pi * np.arange(n) / n
     d = np.cos(ang)[:, None] * e1 + np.sin(ang)[:, None] * e2
     nodes = np.cos(radius) * center + np.sin(radius) * d
-    return FreePeriodLoop(nodes, 1.0)
-
-
-def _polar_circle(axis: np.ndarray, alpha: float, n: int, handed: int) -> FreePeriodLoop:
-    """Circle at polar angle alpha about the axis, right-handed for +1."""
-    e1, e2 = tangent_basis(axis)
-    t = 2.0 * np.pi * np.arange(n) / n * handed
-    d = np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2
-    nodes = np.cos(alpha) * axis + np.sin(alpha) * d
     return FreePeriodLoop(nodes, 1.0)
 
 
@@ -257,7 +263,7 @@ def _wind_family(axis: np.ndarray, r0: float, n: int, sign: int, steps: int = 28
     handed = 1 if sign > 0 else -1
     for k in range(1, steps + 1):
         alpha = r0 + (np.pi - 2.0 * r0) * k / steps
-        out.append(_polar_circle(axis, alpha, n, handed))
+        out.append(_tiny_loop(axis, alpha, n, handed))
     # translate the tiny loop near -axis back to +axis along a meridian
     e1, _ = tangent_basis(axis)
     back = 14
@@ -276,7 +282,6 @@ def build_connecting_chain(
     mult_a: int = 1,
     mult_b: int = 1,
     deck_shift: int = 0,
-    cfg: SolverConfig = SolverConfig(),
 ) -> list[LiftedLoop]:
     """Chain of small deformation steps from end_a to end_b through the valley.
 
@@ -287,7 +292,7 @@ def build_connecting_chain(
     if end_a.loop.n != end_b.loop.n:
         raise ValueError("endpoints must share the node count")
     n = end_a.loop.n
-    r0 = cfg.tiny_radius
+    r0 = TINY_RADIUS
     chain = [_reduced_lift(sys, e, end_a)]
 
     c_a = _loop_center(end_a.loop)
@@ -398,8 +403,6 @@ def refine_stationary(
     e: float,
     loop: FreePeriodLoop,
     tol: float = 1e-6,
-    max_newton: int = 12,
-    max_move: float = 0.25,
 ) -> tuple[FreePeriodLoop, float]:
     """Polish any stationary point (minimizer or saddle) of the lifted action.
 
@@ -430,7 +433,7 @@ def refine_stationary(
 
     g = raw_grad(loop)
     dual = dual_norm_of(g)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         if dual <= tol:
             break
 
@@ -458,7 +461,7 @@ def refine_stationary(
         alpha = 1.0
         while alpha > 1e-4:
             cand = retract(loop, step, alpha)
-            if float(np.max(angular_distance(cand.nodes, start_nodes))) > max_move:
+            if float(np.max(angular_distance(cand.nodes, start_nodes))) > MAX_NEWTON_MOVE:
                 alpha *= 0.5
                 continue
             g2 = raw_grad(cand)
@@ -506,7 +509,7 @@ def minimax_path(
     for name, end in (("end_a", end_a), ("end_b", end_b)):
         grad = action_gradient(sys, e, end)
         _, dual = h1_precondition(end.loop, grad)
-        if dual > cfg.endpoint_tol:
+        if dual > ENDPOINT_TOL:
             raise EndpointNotMinimal(f"{name} has gradient norm {dual:.3e}")
 
     if np.array_equal(end_a.nodes, end_b.nodes) and end_a.p == end_b.p and end_a.flux == end_b.flux:
@@ -520,17 +523,17 @@ def minimax_path(
     end_a = LiftedLoop(end_a.loop, 0.0)
     end_b = LiftedLoop(end_b.loop, end_b.flux - flux_base)
 
-    chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift, cfg)
+    chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift)
     path = _equal_arc(sys, chain, M)
 
     actions = [lifted_action_A(sys, e, u) for u in path]
-    etas = np.full(M, cfg.band_step0)
+    etas = np.full(M, BAND_STEP0)
     history: list[float] = []
     saddle_dual = np.inf
 
     for sweep in range(cfg.max_sweeps):
         climb = int(np.argmax(actions))
-        climbing_active = sweep >= cfg.climb_warmup and 0 < climb < M - 1
+        climbing_active = sweep >= CLIMB_WARMUP and 0 < climb < M - 1
         band_ready = False
         for j in range(1, M - 1):
             u = path[j]
@@ -538,7 +541,7 @@ def minimax_path(
             direction, dual = h1_precondition(u.loop, grad)
             if j == climb:
                 saddle_dual = dual
-                if climbing_active and dual <= cfg.refine_trigger:
+                if climbing_active and dual <= REFINE_TRIGGER:
                     band_ready = True
                     break
             tan_nodes = path[j + 1].nodes - path[j - 1].nodes
@@ -556,8 +559,8 @@ def minimax_path(
                 step_p = grad.p_grad - proj * tan_p
             d = -etas[j] * step_nodes
             dmax = float(np.max(norm3(d)))
-            if dmax > cfg.max_step_rad:
-                d *= cfg.max_step_rad / dmax
+            if dmax > MAX_STEP_RAD:
+                d *= MAX_STEP_RAD / dmax
             new_p = max(u.p - etas[j] * step_p, 1e-6)
             try:
                 new_loop = FreePeriodLoop(project_to_sphere(u.nodes + d), new_p)
@@ -576,7 +579,7 @@ def minimax_path(
                 etas[j] *= 0.5
         if band_ready:
             break
-        if (sweep + 1) % cfg.reparam_every == 0:
+        if (sweep + 1) % REPARAM_EVERY == 0:
             path = _reparametrize(sys, path, int(np.argmax(actions)))
             actions = [lifted_action_A(sys, e, u) for u in path]
         history.append(max(actions))
@@ -646,13 +649,13 @@ def default_seed_builder(sys: MagneticSystem, e: float, z0: float = 0.0, amplitu
     return build
 
 
-def minimax_between_labels(sys, e, waists_by_mult, label_a, label_b, cfg, M=None):
+def minimax_between_labels(sys, e, waists_by_mult, label_a, label_b, cfg):
     m0, n0 = label_a
     m1, n1 = label_b
     end_a = _endpoint_for_label(sys, e, waists_by_mult, m0, n0)
     end_b = _endpoint_for_label(sys, e, waists_by_mult, m1, n1)
     return minimax_path(
-        sys, e, end_a, end_b, M=M, cfg=cfg, mult_a=m0, mult_b=m1, deck_shift=n1 - n0
+        sys, e, end_a, end_b, cfg=cfg, mult_a=m0, mult_b=m1, deck_shift=n1 - n0
     )
 
 
@@ -807,7 +810,7 @@ def multiplicity_search(
                 continue
             rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e, cfg.certify_h)
             rep = replace(rep, gradient_norm=mm.saddle_gradient_norm)
-            if rep.closure_residual > cfg.certify_closure_tol:
+            if rep.closure_residual > CERTIFY_CLOSURE_TOL:
                 failures.append(
                     {"pair": pair, "reason": f"certification failed (closure {rep.closure_residual:.2e})"}
                 )
@@ -828,7 +831,7 @@ def multiplicity_search(
         for kept in distinct:
             hd = hausdorff_distance(rec.primitive.nodes, kept.primitive.nodes)
             pr = abs(rec.primitive.p / kept.primitive.p - 1.0)
-            if hd < cfg.dedupe_hausdorff and pr < cfg.dedupe_period:
+            if hd < DEDUPE_HAUSDORFF and pr < DEDUPE_PERIOD:
                 dup = kept
                 break
         if dup is None:

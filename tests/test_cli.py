@@ -153,6 +153,7 @@ discretization.loop_nodes = 32
             ("waist", "run.energy = nan", None),
             ("waist", "run.energy = inf", None),
             ("flow", "flow.q0 = 1,nan,0", None),
+            ("flow", "flow.v0 = 0,1e200,0", None),
             ("scan", "run.energy_grid = 0.1:0.2:0", None),
             ("scan", "run.energy_grid = 0.1,inf", None),
             ("orbit-check", "", 2.0 * latitude_loop(0.0, 32).nodes),
@@ -164,7 +165,7 @@ discretization.loop_nodes = 32
             ("orbit-check", "", [1.0, 0.0, 0.0]),
             ("waist", None, None),
         ],
-        ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "grid-step-0",
+        ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "v0-overflow", "grid-step-0",
              "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
              "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
              "config-missing"],

@@ -14,10 +14,10 @@ from magflow import (
     magnetic_el_field,
     optimal_period,
 )
-from magflow.errors import UnsupportedLagrangian
+from magflow.errors import StepExplosion, UnsupportedLagrangian
 from magflow.fields import DriftField
-from magflow.flow import count_self_intersections
-from magflow.sphere_geom import angular_distance, project_to_sphere
+from magflow.flow import Trajectory, count_self_intersections
+from magflow.sphere_geom import Metric, angular_distance, project_to_sphere
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -45,6 +45,69 @@ def crossings_reference(nodes: np.ndarray, tol: float = 1e-6) -> int:
                 if min(p @ ai, p @ bi) >= ai @ bi and min(p @ aj, p @ bj) >= aj @ bj:
                     count += 1
     return count
+
+
+def field_reference(sys: MagneticSystem, q: np.ndarray, v: np.ndarray):
+    """Right-hand side (dq, dv) in numpy vector form, one state at a time."""
+    lag = sys.lagrangian
+    qh = q / np.linalg.norm(q)
+    vt = v - np.dot(qh, v) * qh
+    vv = np.dot(vt, vt)
+    dv = -vv * qh
+    grad_u_pot = lag.potential.grad(qh)
+    if lag.metric.is_round:
+        force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
+        dens = sys.density(qh) + lag.drift.exterior_density_round(qh)
+        force = force + dens * np.cross(vt, qh)
+    else:
+        e2u = float(lag.metric.exp2u(qh))
+        du = lag.metric.conformal_exponent.grad(qh)
+        dut = du - np.dot(qh, du) * qh
+        dv = dv - 2.0 * np.dot(dut, vt) * vt + vv * dut
+        force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
+        dens = sys.density(qh) * e2u + lag.drift.exterior_density_round(qh)
+        force = (force + dens * np.cross(vt, qh)) / e2u
+    return vt, dv + force
+
+
+def rk4_reference(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
+    """Fixed-step RK4 on numpy state vectors with ``field_reference``."""
+    n = max(1, int(round(T / h)))
+    dt = T / n
+    q = np.array(s0.q, dtype=float)
+    v = np.array(s0.v, dtype=float)
+    lag = sys.lagrangian
+    qs = np.empty((n + 1, 3))
+    vs = np.empty((n + 1, 3))
+    es = np.empty(n + 1)
+    qs[0], vs[0], es[0] = q, v, float(lag.energy(q, v))
+    for k in range(n):
+        k1q, k1v = field_reference(sys, q, v)
+        k2q, k2v = field_reference(sys, q + 0.5 * dt * k1q, v + 0.5 * dt * k1v)
+        k3q, k3v = field_reference(sys, q + 0.5 * dt * k2q, v + 0.5 * dt * k2v)
+        k4q, k4v = field_reference(sys, q + dt * k3q, v + dt * k3v)
+        q = q + (dt / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+        v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        q = q / np.linalg.norm(q)
+        v = v - np.dot(q, v) * q
+        qs[k + 1], vs[k + 1], es[k + 1] = q, v, float(lag.energy(q, v))
+    return Trajectory(np.linspace(0.0, T, n + 1), qs, vs, es)
+
+
+def reference_system(name: str) -> MagneticSystem:
+    """Round, conformal, and potential-plus-azimuthal-drift test systems."""
+    if name == "round":
+        return MagneticSystem.kinetic(ScalarField.height(1.0, 0.2))
+    if name == "conformal":
+        metric = Metric.conformal(ScalarField.linear(0.1, -0.05, 0.15, 0.0))
+        lag = Lagrangian.electromagnetic(
+            metric, ScalarField.zonal_poly(0.0, 0.1, 0.2), DriftField.azimuthal(0.2)
+        )
+        return MagneticSystem(lag, ScalarField.linear(0.3, 0.1, 0.7, 0.1))
+    lag = Lagrangian.electromagnetic(
+        potential=ScalarField.zonal_poly(0.1, 0.2, -0.3), drift=DriftField.azimuthal(0.35)
+    )
+    return MagneticSystem(lag, ScalarField.zonal_poly(0.2, 0.5, 0.1))
 
 
 def state_distance(a: State, b: State) -> float:
@@ -80,6 +143,17 @@ class TestField:
         bad = MagneticSystem(lag, ScalarField.constant(1.0))
         with pytest.raises(UnsupportedLagrangian):
             magnetic_el_field(bad, State.of(EX, EY))
+
+    @pytest.mark.parametrize("name", ["round", "conformal", "potential-drift"])
+    def test_matches_reference(self, rng, name):
+        sys = reference_system(name)
+        for _ in range(50):
+            q = project_to_sphere(rng.normal(size=3))
+            v = rng.normal(size=3)
+            dq, dv = magnetic_el_field(sys, State.of(q, v))
+            rq, rv = field_reference(sys, q, v)
+            assert np.max(np.abs(dq - rq)) <= 1e-13
+            assert np.max(np.abs(dv - rv)) <= 1e-13
 
 
 class TestIntegrate:
@@ -120,13 +194,28 @@ class TestIntegrate:
             integrate(sys_const, State.of(EX, EY), 0.05, 0.1)
 
     def test_conformal_path_runs(self):
-        from magflow.sphere_geom import Metric
-
         metric = Metric.conformal(ScalarField.height(0.1, 0.0))
         lag = Lagrangian.electromagnetic(metric)
         sysc = MagneticSystem(lag, ScalarField.constant(0.5))
         traj = integrate(sysc, State.of(EX, 0.5 * EY), 5.0, 1e-2)
         assert energy_drift(traj) < 1e-6
+
+    @pytest.mark.parametrize("name", ["conformal", "potential-drift"])
+    def test_matches_reference_loop(self, name):
+        sys = reference_system(name)
+        s0 = State.of(np.array([0.6, 0.0, 0.8]), np.array([0.1, 0.7, -0.2]))
+        traj = integrate(sys, s0, 5.0, 1e-3)
+        ref = rk4_reference(sys, s0, 5.0, 1e-3)
+        assert len(traj.times) == 5001
+        assert np.max(np.abs(traj.positions - ref.positions)) <= 1e-12
+        assert np.max(np.abs(traj.velocities - ref.velocities)) <= 1e-12
+        assert np.max(np.abs(traj.energy_series - ref.energy_series)) <= 1e-12
+
+    @pytest.mark.parametrize("name", ["round", "conformal"])
+    def test_non_finite_state_explodes(self, name):
+        # 1e200 squared overflows to inf and the state turns NaN
+        with pytest.raises(StepExplosion):
+            integrate(reference_system(name), State.of(EX, 1e200 * EY), 1.0, 1e-2)
 
 
 class TestEnergyDrift:

@@ -25,6 +25,8 @@ from magflow import (
 )
 from magflow.errors import EndpointNotMinimal, MaxIterations, ValleyCollapse
 from magflow.variational import (
+    DEDUPE_HAUSDORFF,
+    DEDUPE_PERIOD,
     _primitive,
     build_connecting_chain,
     default_seed_builder,
@@ -274,10 +276,9 @@ class TestMultiplicity:
 
     def test_waist_and_iterate_dedupe(self, sys_shifted):
         # records whose primitives coincide collapse to one orbit
-        cfg = SolverConfig()
         loop = latitude_loop(-0.2521, 96)
         loop = loop.with_period(optimal_period(sys_shifted, loop, E))
         prim_a = _primitive(loop)
         prim_b = _primitive(iterate(LiftedLoop(loop, 0.0), 2).loop)
-        assert hausdorff_distance(prim_a.nodes, prim_b.nodes) < cfg.dedupe_hausdorff
-        assert abs(prim_a.p / prim_b.p - 1.0) < cfg.dedupe_period
+        assert hausdorff_distance(prim_a.nodes, prim_b.nodes) < DEDUPE_HAUSDORFF
+        assert abs(prim_a.p / prim_b.p - 1.0) < DEDUPE_PERIOD
