@@ -42,6 +42,9 @@ COMMANDS = (
     "orbit-check",
 )
 
+# most steps an energy grid may have (each grid energy is a full solve)
+MAX_GRID_STEPS = 10_000
+
 _SCHEMA: dict[str, tuple[str, str]] = {
     # key: (type tag, default-as-string or "" for required-by-command)
     "system.metric": ("choice:round,conformal", "round"),
@@ -50,8 +53,8 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "system.potential": ("scalar_field", "constant(0.0)"),
     "system.drift": ("drift_field", "none"),
     "system.extension_radius": ("auto_float", "auto"),
-    "system.quad_depth": ("int:2,10", "6"),
-    "system.lift_depth": ("int:2,9", "6"),
+    "system.quad_depth": ("int:2,6", "4"),
+    "system.lift_depth": ("int:2,6", "4"),
     "discretization.loop_nodes": ("int:16,8192", "128"),
     "discretization.path_nodes": ("int:8,256", "12"),
     "discretization.path_loop_nodes": ("int:16,8192", "512"),
@@ -123,6 +126,17 @@ def _finite(key: str, values):
     return values
 
 
+def _grid_steps(key: str, span: float, step: float) -> float:
+    """span / step, rejected when the step points away from the end of the
+    span or the grid would have more than MAX_GRID_STEPS steps."""
+    steps = span / step
+    if steps < 0.0:
+        raise ValidationError(key, "grid step points away from the end of the grid")
+    if steps > MAX_GRID_STEPS:
+        raise ValidationError(key, f"grid has more than {MAX_GRID_STEPS} steps")
+    return steps
+
+
 def _parse_value(key: str, raw: str):
     tag = _SCHEMA[key][0]
     try:
@@ -167,7 +181,7 @@ def _parse_value(key: str, raw: str):
                 a, b, s = _finite(key, [float(t) for t in raw.split(":")])
                 if s == 0.0:
                     raise ValidationError(key, "grid step must be nonzero")
-                n = int(round((b - a) / s))
+                n = int(round(_grid_steps(key, b - a, s)))
                 return [a + k * s for k in range(n + 1)]
             return _finite(key, [float(t) for t in raw.split(",")])
         if tag == "labels":
@@ -409,7 +423,8 @@ def _cmd_critical_values(cfg: RunConfig, out: Path) -> int:
         method = "symmetric-latitude-oracle"
     except MagflowError:
         step = cfg["run.grid_step"]
-        grid = [e0_val + step * k for k in range(1, int(cfg["run.e_max"] / step) + 1)]
+        n = int(_grid_steps("run.grid_step", cfg["run.e_max"], step))
+        grid = [e0_val + step * k for k in range(1, n + 1)]
         res = cv.e1_lower_bound_general(system, grid, cfg.solver())
         method = "general-descent"
     cert = None

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as sp_integrate
 from scipy import optimize
 
 from .errors import MaxIterations, NotSymmetric, ValleyCollapse
@@ -27,7 +26,7 @@ from .loop_space import (
     lifted_action_A,
     optimal_period,
 )
-from .tonelli import DEFAULT_GRID_DEPTH, MagneticSystem
+from .tonelli import MagneticSystem, e0
 from .variational import SolverConfig, find_waist
 
 
@@ -51,9 +50,9 @@ class E1Result:
     negative_found: bool
 
 
-def compute_e0(sys: MagneticSystem, grid_depth: int = DEFAULT_GRID_DEPTH) -> float:
+def compute_e0(sys: MagneticSystem) -> float:
     """Ceiling of the rest energy: max of E(., 0) over the sphere."""
-    return sys.e0(grid_depth)
+    return e0(sys.lagrangian)
 
 
 def _require_symmetric(sys: MagneticSystem) -> None:
@@ -74,11 +73,11 @@ def _require_symmetric(sys: MagneticSystem) -> None:
 
 
 def cap_flux(sys: MagneticSystem, z0: float) -> float:
-    """Flux through the region below the latitude z0: 2*pi*int_{-1}^{z0} f."""
-    val, _ = sp_integrate.quad(
-        lambda z: sys.density.zonal_profile(np.array(z)), -1.0, z0, limit=200
-    )
-    return 2.0 * np.pi * float(val)
+    """Flux through the region below the latitude z0: 2*pi*int_{-1}^{z0} f,
+    exactly, term by term from the density's polynomial in z."""
+    coef = sys.density.zonal_polynomial.coef
+    area = sum(c * (z0 ** (k + 1) + (-1.0) ** k) / (k + 1) for k, c in enumerate(coef))
+    return 2.0 * np.pi * float(area)
 
 
 def latitude_circle_action(sys: MagneticSystem, e: float, z0: float) -> float:
@@ -132,7 +131,7 @@ def e1_lower_bound_symmetric(
     negative anywhere in the window.
     """
     _require_symmetric(sys)
-    e0_val = sys.e0()
+    e0_val = compute_e0(sys)
     lo = e0_val + 1e-9
 
     def admissible(e):
@@ -201,7 +200,7 @@ def e1_lower_bound_general(
     """Largest grid energy where some seed descends to an embedded loop of
     negative lifted action; per-seed failures are tolerated."""
     e_grid = sorted(e_grid, reverse=True)
-    e0_val = sys.e0()
+    e0_val = compute_e0(sys)
     for e in e_grid:
         if e <= e0_val:
             continue

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -90,11 +91,7 @@ class ScalarField:
             ax, ay, az, c = self.coeffs
             return ax * q[..., 0] + ay * q[..., 1] + az * q[..., 2] + c
         if self.kind == "zonal_poly":
-            z = q[..., 2]
-            out = np.zeros_like(z)
-            for ck in reversed(self.coeffs):
-                out = out * z + ck
-            return out
+            return self.zonal_polynomial(q[..., 2])
         raise ValidationError(self.kind, "unknown scalar field kind")
 
     def grad(self, q: np.ndarray) -> np.ndarray:
@@ -107,11 +104,7 @@ class ScalarField:
             g[..., 0], g[..., 1], g[..., 2] = self.coeffs[0], self.coeffs[1], self.coeffs[2]
             return g
         if self.kind == "zonal_poly":
-            z = q[..., 2]
-            dp = np.zeros_like(z)
-            for k in range(len(self.coeffs) - 1, 0, -1):
-                dp = dp * z + k * self.coeffs[k]
-            g[..., 2] = dp
+            g[..., 2] = self.zonal_polynomial.deriv()(q[..., 2])
             return g
         raise ValidationError(self.kind, "unknown scalar field kind")
 
@@ -160,24 +153,36 @@ class ScalarField:
             return self.coeffs[0] == 0.0 and self.coeffs[1] == 0.0
         return True
 
-    def zonal_profile(self, z: np.ndarray) -> np.ndarray:
-        """Value as a function of z alone (requires ``is_zonal``)."""
+    @cached_property
+    def zonal_polynomial(self) -> np.polynomial.Polynomial:
+        """The field as a polynomial in z (requires ``is_zonal``)."""
         if not self.is_zonal:
             raise ValidationError(self.spec(), "field is not zonal")
-        q = np.zeros(np.shape(z) + (3,))
-        q[..., 2] = z
-        return self(q)
-
-    def sup_abs(self) -> float:
-        """Exact-ish sup of |f| over the sphere (dense z-grid for zonal polys)."""
-        if self.kind == "constant":
-            return abs(self.coeffs[0])
         if self.kind == "linear":
+            return np.polynomial.Polynomial((self.coeffs[3], self.coeffs[2]))
+        return np.polynomial.Polynomial(self.coeffs)
+
+    def zonal_profile(self, z: np.ndarray) -> np.ndarray:
+        """Value as a function of z alone (requires ``is_zonal``)."""
+        return self.zonal_polynomial(z)
+
+    def bounds(self) -> tuple[float, float]:
+        """Exact (min, max) of the field over the sphere.
+
+        A zonal field is a polynomial p(z) on [-1, 1], so its extrema lie at
+        z = +-1 or at real roots of p'.  The real part of every root of p' is
+        tried, clipped to [-1, 1]: each such z is a point of the sphere, so
+        the spare candidates cannot move the result, and no root is lost to a
+        tolerance on its imaginary part.
+        """
+        if not self.is_zonal:
             ax, ay, az, c = self.coeffs
             r = float(np.sqrt(ax * ax + ay * ay + az * az))
-            return max(abs(c + r), abs(c - r))
-        z = np.linspace(-1.0, 1.0, 20001)
-        return float(np.max(np.abs(self.zonal_profile(z))))
+            return c - r, c + r
+        poly = self.zonal_polynomial
+        z = np.concatenate(([-1.0, 1.0], np.clip(poly.deriv().roots().real, -1.0, 1.0)))
+        vals = poly(z)
+        return float(vals.min()), float(vals.max())
 
     def spec(self) -> str:
         args = ", ".join(repr(c) for c in self.coeffs)

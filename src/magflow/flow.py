@@ -43,6 +43,8 @@ from .sphere_geom import (
 from .tonelli import MagneticSystem
 
 _EXPLOSION_BOUND = 1e6
+# most RK4 steps one ``integrate`` call may take (its arrays then hold 560 MB)
+MAX_STEPS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -144,6 +146,8 @@ def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
         raise ValueError("step must satisfy 0 < h <= 1e-1")
     if h > T:
         raise ValueError("step must not exceed the total time")
+    if T / h > MAX_STEPS:
+        raise ValueError(f"time / step exceeds {MAX_STEPS} RK4 steps")
     n = max(1, int(round(T / h)))
     dt = T / n
     rhs, energy = _equations(sys)

@@ -8,9 +8,11 @@ free period p.  The free-period action of a loop at energy e is
 with velocities w_i by central differences (chordal, tangent-projected,
 scaled by N).  The cover is realized by a scalar flux ledger: a lifted loop
 carries the magnetic flux accumulated along its deformation history from the
-base point, and the lifted action is A_e = S_e + flux.  Deck transformations
-and loop iteration act on the ledger by pure arithmetic, which makes the
-corresponding action identities exact.
+base point, and the lifted action is A_e = S_e + flux.  A fresh loop is
+lifted by the flux through the great-arc cone from a fixed apex
+(``cone_flux``, with the Gauss-Legendre rule of ``triangles_flux``).  Deck
+transformations and loop iteration act on the ledger by pure arithmetic,
+which makes the corresponding action identities exact.
 
 Deformation flux is quadrature over the swept annulus: each node-pair quad is
 fanned into four spherical triangles around its center (so a sweep and its
@@ -516,8 +518,8 @@ def lifted_from_dict(data: dict) -> LiftedLoop:
     try:
         nodes = np.array(data["nodes"], dtype=float)
         p, flux = float(data["p"]), float(data["flux"])
-    except TypeError as exc:
-        raise ValueError(f"loop nodes, period and flux must be numbers: {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise ValueError(f"loop nodes, period and flux must be finite numbers: {exc}") from exc
     if not (np.all(np.isfinite(nodes)) and np.isfinite(p) and np.isfinite(flux)):
         raise ValueError("loop nodes, period and flux must be finite")
     loop = FreePeriodLoop(nodes, p)

@@ -2,9 +2,10 @@
 
 Provides projections, round/conformal metrics, 2-forms written as a density
 times the metric area form, and signed flux quadrature over spherical
-triangles (recursive midpoint subdivision whose leaves contribute the density
-at the centroid times the signed solid angle) and over an icosahedral
-triangulation of the whole sphere.
+triangles and over the whole sphere (the 20 icosahedron faces).  The one
+flux rule is Gauss-Legendre in geodesic polar coordinates about a triangle's
+first vertex, with 2^depth nodes per axis; for smooth densities it converges
+spectrally, to rounding at depth 4 on the loops this package lifts.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
@@ -30,8 +31,6 @@ BASE_POINT = np.array([-1.0, 0.0, 0.0])
 
 _MIN_NORM = 1e-9
 _ANTIPODAL_MARGIN = 1e-9
-# most leaf triangles held in memory at once by ``triangles_flux``
-LEAF_BATCH = 262144
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,47 +199,54 @@ class SphericalTriangle:
         return np.stack([self.a, self.b, self.c])
 
 
-def _subdivide(tris: np.ndarray, depth: int) -> np.ndarray:
-    """4-way geodesic midpoint subdivision of a (T, 3, 3) vertex array.
-
-    Each level is written straight into one (4T, 3, 3) array, in four
-    blocks: corner a, corner b, corner c, then the middle triangle.
-    """
-    for _ in range(depth):
-        t = len(tris)
-        a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-        ab = project_to_sphere(a + b)
-        bc = project_to_sphere(b + c)
-        ca = project_to_sphere(c + a)
-        tris = np.empty((4 * t, 3, 3))
-        blocks = tris.reshape(4, t, 3, 3)
-        for blk, verts in zip(blocks, ((a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca))):
-            for v, vert in enumerate(verts):
-                blk[:, v] = vert
-    return tris
-
-
 def triangles_flux(form: TwoForm, tris: np.ndarray, depth: int) -> float:
     """Flux of the 2-form through oriented triangles, a (T, 3, 3) vertex array.
 
-    Each triangle is subdivided 4-way ``depth`` times; a leaf contributes the
-    density at its projected centroid times its signed solid angle.  Base
-    triangles are subdivided a batch at a time, so at most ``LEAF_BATCH``
-    leaves exist at once.
+    Each triangle is integrated in geodesic polar coordinates about its first
+    vertex a: the far edge b -> c is the constant-speed great arc e(t), and
+    the flux is the integral over t in [0, 1] of
+
+        psi'(t) * int_0^Theta(t) f(cos(th) a + sin(th) d(t)) sin(th) d(th),
+
+    with Theta(t) the angle from a to e(t), d(t) the unit direction from a
+    towards e(t), and psi' = det[a, e, e'] / sin^2(Theta), which for the
+    great arc of angle w is w det[a, b, c] / (sin(w) sin^2(Theta)).  Both
+    integrals use 2^depth Gauss-Legendre nodes, so a triangle costs 4^depth
+    density evaluations; the t-nodes are visited one at a time, so at most
+    T * 2^depth points exist at once.  The edge points of mirrored t-nodes
+    are formed from the same two coefficients and summed in pairs, so
+    reversing (a, b, c) to (a, c, b) negates the flux exactly.
     """
-    if depth < 0:
-        raise ValueError("depth must be >= 0")
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
     tris = np.asarray(tris, dtype=float)
-    while 4**depth > LEAF_BATCH:
-        tris, depth = _subdivide(tris, 1), depth - 1
-    per_batch = LEAF_BATCH // 4**depth
-    total = 0.0
-    for lo in range(0, len(tris), per_batch):
-        leaves = _subdivide(tris[lo : lo + per_batch], depth)
-        a, b, c = leaves[:, 0], leaves[:, 1], leaves[:, 2]
-        centroid = project_to_sphere(a + b + c)
-        total += float(np.sum(form.round_density(centroid) * solid_angle(a, b, c)))
-    return total
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    n, half = 2**depth, 2 ** (depth - 1)
+    x, w = np.polynomial.legendre.leggauss(n)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    t = s[:half, None]
+    omega = angular_distance(b, c)
+    # e(t) is proportional to sin((1 - t) w) b + sin(t w) c; sinc keeps a
+    # zero-length edge finite
+    near = t * np.sinc(t * omega / np.pi)
+    far = (1.0 - t) * np.sinc((1.0 - t) * omega / np.pi)
+    scale = dot3(a, cross3(b, c)) / np.sinc(omega / np.pi)
+    g = np.empty((n, len(tris)))
+    for j in range(n):
+        wb, wc = (far[j], near[j]) if j < half else (near[n - 1 - j], far[n - 1 - j])
+        e = project_to_sphere(wb[:, None] * b + wc[:, None] * c)
+        cos_max = dot3(a, e)
+        u = e - cos_max[:, None] * a
+        sin_max = norm3(u)
+        theta_max = np.arctan2(sin_max, cos_max)
+        ok = sin_max > 0.0
+        d = np.divide(u, sin_max[:, None], out=np.zeros_like(u), where=ok[:, None])
+        # psi' times the theta_max of the substitution th = s * theta_max
+        jac = np.divide(theta_max, sin_max * sin_max, out=np.zeros_like(theta_max), where=ok)
+        th = s[:, None] * theta_max
+        q = np.cos(th)[..., None] * a + np.sin(th)[..., None] * d
+        g[j] = scale * jac * (ws @ (form.round_density(q) * np.sin(th)))
+    return float(np.sum(ws[:half] @ (g[:half] + g[::-1][:half])))
 
 
 def integrate_two_form_triangle(form: TwoForm, tri: SphericalTriangle, depth: int) -> float:
@@ -283,21 +289,9 @@ def icosahedron_faces() -> np.ndarray:
     return v[np.array(faces)]
 
 
-def icosphere_triangles(depth: int) -> np.ndarray:
-    """Icosahedral triangulation refined ``depth`` times, shape (20*4^d, 3, 3)."""
-    return _subdivide(icosahedron_faces(), depth)
-
-
-def icosphere_vertices(depth: int) -> np.ndarray:
-    """Deduplicated vertex set of the refined icosahedral grid."""
-    tris = icosphere_triangles(depth).reshape(-1, 3)
-    rounded = np.round(tris, 12)
-    _, idx = np.unique(rounded, axis=0, return_index=True)
-    return tris[np.sort(idx)]
-
-
 def total_flux(form: TwoForm, depth: int) -> float:
-    """Flux of the 2-form through the whole sphere at the given grid depth."""
+    """Flux of the 2-form through the whole sphere: ``triangles_flux`` over
+    the 20 icosahedron faces, each about its first vertex."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
     return triangles_flux(form, icosahedron_faces(), depth)

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from .errors import NonConvexFiber
 from .fields import DriftField, ScalarField
@@ -26,16 +25,13 @@ from .sphere_geom import (
     Metric,
     TwoForm,
     dot3,
-    icosphere_vertices,
     norm3,
     project_to_sphere,
-    tangent_basis,
     tangent_project,
     total_flux,
 )
 
-DEFAULT_GRID_DEPTH = 4
-DEFAULT_QUAD_DEPTH = 6
+DEFAULT_QUAD_DEPTH = 4
 
 
 @dataclass(frozen=True)
@@ -163,48 +159,13 @@ def default_extension_radius(potential: ScalarField, e_ref: float = 1.0) -> floa
     Chosen as 3*sqrt(2*e_ref + 2*max|U|) so every studied energy level stays
     well inside the unmodified region.
     """
-    return 3.0 * float(np.sqrt(2.0 * max(e_ref, 0.0) + 2.0 * potential.sup_abs() + 1e-12))
+    sup_u = max(map(abs, potential.bounds()))
+    return 3.0 * float(np.sqrt(2.0 * max(e_ref, 0.0) + 2.0 * sup_u + 1e-12))
 
 
-def _polish_max_on_sphere(fn, q0: np.ndarray) -> tuple[np.ndarray, float]:
-    """Local maximization of fn over the sphere in an exp-chart around q0."""
-    e1, e2 = tangent_basis(q0)
-
-    def chart(t):
-        r = np.hypot(t[0], t[1])
-        if r < 1e-14:
-            return q0
-        d = (t[0] * e1 + t[1] * e2) / r
-        return np.cos(r) * q0 + np.sin(r) * d
-
-    res = optimize.minimize(
-        lambda t: -fn(chart(t)),
-        np.zeros(2),
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": 400},
-    )
-    q = chart(res.x)
-    return q, float(fn(q))
-
-
-def e0(lag: Lagrangian, grid_depth: int = DEFAULT_GRID_DEPTH) -> float:
-    """max E(., 0) over the sphere: grid scan plus local polish.
-
-    E(q, 0) = U(q) for both Lagrangian kinds, but the scan evaluates the
-    energy function itself so custom kinds need no special casing.
-    """
-    if grid_depth < 2:
-        raise ValueError("grid_depth must be >= 2")
-    verts = icosphere_vertices(grid_depth)
-    zeros = np.zeros_like(verts)
-    vals = lag.energy(verts, zeros)
-    best = int(np.argmax(vals))
-
-    def fn(q):
-        return float(lag.energy(q, np.zeros(3)))
-
-    _, val = _polish_max_on_sphere(fn, verts[best])
-    return max(float(vals[best]), val)
+def e0(lag: Lagrangian) -> float:
+    """max E(., 0) over the sphere, exactly: E(q, 0) = U(q) for both kinds."""
+    return lag.potential.bounds()[1]
 
 
 @dataclass(frozen=True)
@@ -277,7 +238,7 @@ class MagneticSystem:
     lagrangian: Lagrangian
     density: ScalarField
     quad_depth: int = DEFAULT_QUAD_DEPTH
-    lift_depth: int = 6
+    lift_depth: int = DEFAULT_QUAD_DEPTH
     rng_seed: int = 0
     _total_flux: float | None = field(default=None, repr=False)
     _fiber_bounds: FiberBounds | None = field(default=None, repr=False)
@@ -316,6 +277,3 @@ class MagneticSystem:
             rng = rng or np.random.default_rng(self.rng_seed)
             self._fiber_bounds = fiber_bounds(self.lagrangian, self.form, sample_count, rng)
         return self._fiber_bounds
-
-    def e0(self, grid_depth: int = DEFAULT_GRID_DEPTH) -> float:
-        return e0(self.lagrangian, grid_depth)

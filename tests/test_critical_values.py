@@ -91,6 +91,13 @@ class TestLatitudeAction:
         # 2*pi*int_{-1}^{0} z dz = -pi
         assert cap_flux(sys_z, 0.0) == pytest.approx(-np.pi, abs=1e-12)
 
+    def test_cap_flux_matches_quadrature(self):
+        profile = ScalarField.zonal_poly(0.1, -0.5, 0.2, 0.9, -0.3)
+        sysq = MagneticSystem.kinetic(profile)
+        for z0 in (-0.99, -0.3, 0.0, 0.5, 0.999):
+            flux, _ = sp_integrate.quad(profile.zonal_profile, -1.0, z0)
+            assert cap_flux(sysq, z0) == pytest.approx(2.0 * np.pi * flux, abs=1e-13)
+
     def test_requires_symmetry(self):
         asym = MagneticSystem.kinetic(ScalarField.linear(0.3, 0.0, 1.0, 0.0))
         with pytest.raises(NotSymmetric):

@@ -10,6 +10,7 @@ from magflow import (
     deck_transform,
     deform,
     discrete_action_S,
+    great_circle_loop,
     h1_precondition,
     in_valley,
     iterate,
@@ -25,6 +26,7 @@ from magflow import (
 from magflow.errors import StepTooLarge
 from magflow.loop_space import (
     MAX_ITERATE_NODES,
+    _choose_apex,
     cone_flux,
     h1_solve,
     lifted_from_dict,
@@ -33,13 +35,15 @@ from magflow.loop_space import (
 )
 from magflow.sphere_geom import (
     BASE_POINT,
-    LEAF_BATCH,
+    Metric,
     SphericalTriangle,
+    angular_distance,
     integrate_two_form_triangle,
     project_to_sphere,
     slerp,
     tangent_basis,
 )
+from magflow.tonelli import Lagrangian
 from tests.conftest import random_lifted, random_loop
 
 E = 0.02
@@ -51,6 +55,44 @@ def constant_like_loop(q, n=16, p=1.0, radius=1e-7):
     t = 2.0 * np.pi * np.arange(n) / n
     d = np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2
     return FreePeriodLoop(project_to_sphere(q + radius * d), p)
+
+
+def line_flux_of_height(nodes, m=32):
+    """Exact flux of f = z through any surface bounded by the polygon.
+
+    The 1-form (x dy - y dx) / 2 is smooth on the whole sphere and its
+    differential is z dA, so its line integral along the polygon's great
+    arcs (Gauss-Legendre in the arc parameter) is an independent reference
+    for the cone flux of f = z.
+    """
+    x, w = np.polynomial.legendre.leggauss(m)
+    t, w = 0.5 * (x + 1.0), 0.5 * w
+    a, b = nodes[:, None], np.roll(nodes, -1, axis=0)[:, None]
+    om = angular_distance(nodes, np.roll(nodes, -1, axis=0))[:, None, None]
+    tt = t[None, :, None]
+    pts = (np.sin((1.0 - tt) * om) * a + np.sin(tt * om) * b) / np.sin(om)
+    vel = om * (-np.cos((1.0 - tt) * om) * a + np.cos(tt * om) * b) / np.sin(om)
+    return float(np.sum(0.5 * (pts[..., 0] * vel[..., 1] - pts[..., 1] * vel[..., 0]) @ w))
+
+
+def circle_through_base(n=96, radius=0.5):
+    """Small circle whose node 0 is the base point, the default cone apex."""
+    center = np.array([-np.cos(radius), 0.0, np.sin(radius)])
+    e1 = BASE_POINT - np.dot(BASE_POINT, center) * center
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(center, e1)
+    t = 2.0 * np.pi * np.arange(n) / n
+    ring = np.cos(t)[:, None] * e1 + np.sin(t)[:, None] * e2
+    return FreePeriodLoop(np.cos(radius) * center + np.sin(radius) * ring, 1.0)
+
+
+ORACLE_LOOPS = {
+    "perturbed-latitude": lambda: perturb_normal(latitude_loop(0.3, 128), 0.05, 3),
+    "random": lambda: random_loop(np.random.default_rng(1), 512),
+    "through-apex": circle_through_base,
+    # a great circle through the base point's antipode forces a fallback apex
+    "fallback-apex": lambda: great_circle_loop(np.array([0.0, 1.0, 0.3]), 200),
+}
 
 
 class TestLoopContainers:
@@ -124,8 +166,7 @@ class TestLift:
         assert abs(ll.flux) < 1e-6
 
     def test_batch_seam(self, sys_shifted):
-        # 100 apex triangles at depth 6 split into leaf batches of unequal size
-        assert 100 % (LEAF_BATCH // 4**6) != 0
+        # the cone flux is the sum of its apex triangles' fluxes
         loop = perturb_normal(latitude_loop(-0.5, 100), 0.05, 3)
         nodes = loop.nodes
         per_triangle = sum(
@@ -137,6 +178,24 @@ class TestLift:
         assert cone_flux(sys_shifted, loop, 6, apex=BASE_POINT) == pytest.approx(
             per_triangle, abs=1e-12
         )
+
+    @pytest.mark.parametrize("name", list(ORACLE_LOOPS))
+    def test_cone_flux_matches_line_integral(self, sys_z, name):
+        loop = ORACLE_LOOPS[name]()
+        apex = _choose_apex(loop.nodes)
+        if name == "through-apex":
+            assert np.allclose(loop.nodes[0], apex, atol=1e-15)
+        if name == "fallback-apex":
+            assert not np.array_equal(apex, BASE_POINT)
+        assert cone_flux(sys_z, loop) == pytest.approx(line_flux_of_height(loop.nodes), abs=1e-13)
+
+    def test_conformal_depths_agree(self, rng):
+        # the system of the conformal full-stack descent: its density f e^{2u}
+        # is not a polynomial, and depth 4 already agrees with depth 6
+        metric = Metric.conformal(ScalarField.height(0.15, 0.0))
+        sysc = MagneticSystem(Lagrangian.electromagnetic(metric), ScalarField.height(1.0, 0.0))
+        for loop in (ORACLE_LOOPS["perturbed-latitude"](), random_loop(rng, 256)):
+            assert cone_flux(sysc, loop, 4) == pytest.approx(cone_flux(sysc, loop, 6), abs=1e-13)
 
 
 class TestSweepFlux:
@@ -322,9 +381,6 @@ class TestActionGradient:
         assert num / den < 1e-5
 
     def test_matches_fd_with_conformal_metric(self, rng):
-        from magflow.sphere_geom import Metric
-        from magflow.tonelli import Lagrangian
-
         metric = Metric.conformal(ScalarField.height(0.2, 0.0))
         lag = Lagrangian.electromagnetic(metric, potential=ScalarField.height(0.1, 0.0))
         sys_conf = MagneticSystem(lag, ScalarField.height(1.0, 0.2))

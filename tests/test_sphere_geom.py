@@ -4,7 +4,6 @@ import pytest
 from magflow import Metric, ScalarField, SphericalTriangle, TwoForm, project_to_sphere, total_flux
 from magflow.errors import DegenerateTriangle, NearZeroVector
 from magflow.sphere_geom import (
-    _subdivide,
     angular_distance,
     cyclic_shift,
     dot3,
@@ -13,6 +12,7 @@ from magflow.sphere_geom import (
     norm3,
     solid_angle,
     tangent_project,
+    triangles_flux,
 )
 
 
@@ -126,28 +126,40 @@ class TestTriangleFlux:
             integrate_two_form_triangle(form, tri, 2)
 
     def test_child_additivity(self):
-        # the parent at depth d+1 sums exactly the four children at depth d
+        # the parent equals the sum of its four midpoint children to rounding
         form = TwoForm(ScalarField.height(1.0, 0.2))
-        parent = integrate_two_form_triangle(form, OCTANT, 3)
-        children = _subdivide(OCTANT.vertices()[None], 1)
+        parent = integrate_two_form_triangle(form, OCTANT, 4)
+        children = subdivide_reference(OCTANT.vertices()[None], 1)
         total = sum(
-            integrate_two_form_triangle(form, SphericalTriangle(*child), 2)
+            integrate_two_form_triangle(form, SphericalTriangle(*child), 4)
             for child in children
         )
-        assert total == pytest.approx(parent, abs=1e-12)
+        assert total == pytest.approx(parent, abs=1e-13)
 
     def test_subdivision_consistency(self):
+        # spectral convergence in the depth: the error against depth 6 falls
+        # by orders of magnitude per level and reaches rounding at depth 4
         form = TwoForm(ScalarField.zonal_poly(0.2, -0.4, 0.0, 1.1))
         tri = SphericalTriangle(
             project_to_sphere(np.array([0.9, 0.1, 0.3])),
             project_to_sphere(np.array([-0.2, 0.8, 0.4])),
             project_to_sphere(np.array([0.1, 0.2, 0.95])),
         )
-        vals = [integrate_two_form_triangle(form, tri, d) for d in range(0, 5)]
-        diffs = np.abs(np.diff(vals))
-        assert np.all(diffs[1:] < diffs[:-1])
-        # roughly one order of accuracy gained per subdivision: factor ~4
-        assert diffs[-1] < diffs[0] / 4.0 ** (len(diffs) - 2)
+        ref = integrate_two_form_triangle(form, tri, 6)
+        errs = [abs(integrate_two_form_triangle(form, tri, d) - ref) for d in (1, 2, 3, 4)]
+        assert errs[1] < errs[0] / 100.0 and errs[2] < errs[1] / 100.0
+        assert errs[3] < 1e-14
+
+    def test_reversal_negates_exactly(self, rng):
+        form = TwoForm(ScalarField.zonal_poly(0.3, -1.0, 0.5, 0.7))
+        tris = project_to_sphere(rng.normal(size=(40, 3, 3)))
+        for depth in (1, 3, 4):
+            fwd = triangles_flux(form, tris, depth)
+            assert triangles_flux(form, tris[:, [0, 2, 1]], depth) == -fwd
+
+    def test_depth_guard(self):
+        with pytest.raises(ValueError):
+            triangles_flux(TwoForm(ScalarField.constant(1.0)), OCTANT.vertices()[None], 0)
 
 
 class TestTotalFlux:
@@ -169,6 +181,17 @@ class TestTotalFlux:
     def test_depth_guard(self):
         with pytest.raises(ValueError):
             total_flux(TwoForm(ScalarField.constant(1.0)), 1)
+
+    @pytest.mark.parametrize(
+        "coeffs", [(0.3,), (0.2, -0.4, 0.0, 1.1), (0.1, -0.5, 0.2, 0.9, -0.3, 0.25)]
+    )
+    def test_zonal_polynomial_exact(self, coeffs):
+        # the flux of p(z) dA is 2 pi times the integral of p over [-1, 1]
+        poly = np.polynomial.Polynomial(coeffs).integ()
+        exact = 2.0 * np.pi * (poly(1.0) - poly(-1.0))
+        assert total_flux(TwoForm(ScalarField.zonal_poly(*coeffs)), 4) == pytest.approx(
+            exact, abs=1e-13
+        )
 
 
 class TestAreaRoutines:
@@ -218,8 +241,3 @@ class TestVectorHelpers:
         shifted = cyclic_shift(x, k)
         assert np.array_equal(shifted, np.roll(x, -k, axis=0))
         assert np.array_equal(shifted[0], x[k % 64])
-
-    def test_subdivide_matches_reference(self):
-        tris = np.concatenate([icosahedron_faces(), OCTANT.vertices()[None]])
-        for depth in (0, 1, 3):
-            assert np.array_equal(_subdivide(tris, depth), subdivide_reference(tris, depth))

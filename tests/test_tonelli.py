@@ -83,18 +83,25 @@ class TestLegendre:
 
 class TestE0:
     def test_kinetic(self):
-        assert e0(KINETIC, 3) == pytest.approx(0.0, abs=1e-12)
+        assert e0(KINETIC) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear_potential(self):
-        assert e0(em(ScalarField.height(0.3, 0.0)), 4) == pytest.approx(0.3, abs=1e-9)
+        assert e0(em(ScalarField.height(0.3, 0.0))) == pytest.approx(0.3, abs=1e-9)
 
     def test_quadratic_potential_with_drift(self):
         lag = em(ScalarField.zonal_poly(0.0, 0.0, 0.3), DriftField.azimuthal(1.3))
-        assert e0(lag, 4) == pytest.approx(0.3, abs=1e-9)
+        assert e0(lag) == pytest.approx(0.3, abs=1e-9)
+
+    def test_interior_maximum_exact(self):
+        # U = z - z^2 peaks inside (-1, 1), at z = 1/2
+        assert e0(em(ScalarField.zonal_poly(0.0, 1.0, -1.0))) == pytest.approx(0.25, abs=1e-15)
+
+    def test_non_zonal_linear_potential(self):
+        assert e0(em(ScalarField.linear(0.3, 0.4, 0.0, 0.1))) == pytest.approx(0.6, abs=1e-15)
 
     def test_upper_bounds_rest_energies(self, rng):
         lag = em(ScalarField.zonal_poly(0.1, -0.2, 0.3))
-        bound = e0(lag, 4)
+        bound = e0(lag)
         q = project_to_sphere(rng.normal(size=(10000, 3)))
         vals = lag.energy(q, np.zeros_like(q))
         assert np.all(vals <= bound + 1e-9)

@@ -73,6 +73,19 @@ class TestFindWaist:
         assert np.ptp(res.lifted.nodes[:, 2]) < 1e-3  # latitude-type circle
         assert np.mean(res.lifted.nodes[:, 2]) == pytest.approx(z_star, abs=1e-3)
 
+    @pytest.mark.parametrize("system", ["sys_z", "sys_shifted"])
+    def test_ledger_matches_fresh_lift(self, request, system):
+        # the descent carries the ledger by sweeps; a fresh cone lift of the
+        # final loop must agree modulo the total flux, up to the sweeps'
+        # accumulated quadrature error (7e-6 and 1.6e-5 after 306 and 386
+        # steps)
+        sys = request.getfixturevalue(system)
+        res = find_waist(sys, E, default_seed_builder(sys, E)(128), FAST)
+        diff = res.lifted.flux - lift_loop(sys, res.lifted.loop).flux
+        total = sys.total_flux()
+        k = round(diff / total) if abs(total) > 1e-12 else 0
+        assert abs(diff - k * total) <= 1e-4
+
     def test_valley_seed_rejected(self, sys_shifted):
         tiny = latitude_loop(0.999, 32)
         seed = lift_loop(sys_shifted, tiny.with_period(0.01))
