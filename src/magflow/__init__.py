@@ -10,7 +10,6 @@ from .errors import (
     NotSymmetric,
     ParseError,
     StepExplosion,
-    StepTooLarge,
     UnsupportedLagrangian,
     ValidationError,
     ValleyCollapse,

@@ -25,10 +25,6 @@ class StepExplosion(MagflowError):
     """Trajectory state grew beyond the allowed bound during integration."""
 
 
-class StepTooLarge(MagflowError):
-    """Node displacement between consecutive loops exceeds the sweep limit."""
-
-
 class ValleyCollapse(MagflowError):
     """Descent entered the short-loop valley: the seed collapses to a point."""
 

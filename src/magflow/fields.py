@@ -31,9 +31,12 @@ def _parse_args(name: str, argstr: str | None) -> tuple[float, ...]:
     if argstr is None or argstr.strip() == "":
         return ()
     try:
-        return tuple(float(tok) for tok in argstr.split(","))
+        args = tuple(float(tok) for tok in argstr.split(","))
     except ValueError as exc:
         raise ValidationError(name, f"bad numeric argument list '{argstr}'") from exc
+    if not all(np.isfinite(args)):
+        raise ValidationError(name, f"non-finite numeric argument in '{argstr}'")
+    return args
 
 
 @dataclass(frozen=True)

@@ -14,9 +14,12 @@ lifted by the flux through the great-arc cone from a fixed apex
 transformations and loop iteration act on the ledger by pure arithmetic,
 which makes the corresponding action identities exact.
 
-Deformation flux is quadrature over the swept annulus: each node-pair quad is
-fanned into four spherical triangles around its center (so a sweep and its
-reversal cancel exactly) weighted by a tensor-Simpson average of the density.
+The ledger moves only through ``deform``, which carries it across any
+nodewise move in geodesic substeps of at most 0.1 rad and refuses a node move
+within one substep of antipodal.  Each substep's flux is quadrature over the
+swept annulus: each node-pair quad is fanned into four spherical triangles
+around its center (so a sweep and its reversal cancel exactly) weighted by a
+tensor-Simpson average of the density.
 The action gradient differentiates that exact discrete rule, so central
 finite differences of the lifted action reproduce it to truncation error.
 """
@@ -29,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy import optimize
 
-from .errors import StepTooLarge
 from .sphere_geom import (
     BASE_POINT,
     angular_distance,
@@ -46,7 +48,6 @@ from .sphere_geom import (
 from .tonelli import MagneticSystem
 
 MAX_ITERATE_NODES = 4096
-MAX_SWEEP_STEP = 0.5
 _SUBSTEP = 0.1
 _MIN_NODES = 16
 VALLEY_TAU_CAP = 0.1
@@ -340,35 +341,30 @@ def _sweep_once(sys: MagneticSystem, old: np.ndarray, new: np.ndarray) -> float:
 def sweep_flux(sys: MagneticSystem, old: FreePeriodLoop, new: FreePeriodLoop) -> float:
     """Flux swept by deforming ``old`` into ``new`` node-by-node.
 
-    Large deformations are split into geodesic substeps; each substep uses
-    the antisymmetric fan quadrature of ``_sweep_once``.
+    The move is split into ceil(max_disp / ``_SUBSTEP``) geodesic substeps,
+    with max_disp the largest nodewise angle; each substep uses the
+    antisymmetric fan quadrature of ``_sweep_once``.  A node move within
+    ``_SUBSTEP`` of antipodal raises ``ValueError``: its geodesic is not
+    well defined.
     """
     if old.n != new.n:
         raise ValueError("loops must share the node count")
     diff = new.nodes - old.nodes
     max_chord = float(np.sqrt(np.max(dot3(diff, diff))))
-    if max_chord > 2.0 * np.sin(MAX_SWEEP_STEP / 2.0):
-        raise StepTooLarge(
-            f"node displacement {2.0 * np.arcsin(min(max_chord / 2.0, 1.0)):.3f} rad "
-            f"exceeds {MAX_SWEEP_STEP}"
-        )
     if max_chord == 0.0:
         return 0.0
-    max_disp = 2.0 * np.arcsin(max_chord / 2.0)
-    k = max(1, int(np.ceil(max_disp / _SUBSTEP)))
-    total = 0.0
-    prev = old.nodes
-    for j in range(1, k + 1):
-        cur = slerp(old.nodes, new.nodes, np.full(old.n, j / k)) if j < k else new.nodes
-        total += _sweep_once(sys, prev, cur)
-        prev = cur
-    return total
+    max_disp = 2.0 * np.arcsin(min(max_chord / 2.0, 1.0))
+    if max_disp > np.pi - _SUBSTEP:
+        raise ValueError(f"node move of {max_disp:.3f} rad is too close to antipodal")
+    k = int(np.ceil(max_disp / _SUBSTEP))
+    mids = [slerp(old.nodes, new.nodes, np.full(old.n, j / k)) for j in range(1, k)]
+    stations = [old.nodes, *mids, new.nodes]
+    return sum(_sweep_once(sys, a, b) for a, b in zip(stations[:-1], stations[1:]))
 
 
 def deform(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop) -> LiftedLoop:
-    """Path lifting: carry the ledger along a small deformation step.
-
-    Period changes carry no flux.
+    """Path lifting: carry the ledger along the nodewise geodesic move to
+    ``new_loop``, however long.  Period changes carry no flux.
     """
     return LiftedLoop(new_loop, ll.flux + sweep_flux(sys, ll.loop, new_loop))
 

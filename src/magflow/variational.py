@@ -12,6 +12,11 @@ adjust covering multiplicity and deck winding there (where all such classes
 meet cheaply), and expand to the other endpoint, so the band starts in the
 correct cover class by construction.
 
+Every move of a lifted loop (descent trial, band image update, equal-arc
+resampling, chain link, Newton polish) carries its ledger through
+``loop_space.deform``; descent trials and band updates share one capped,
+reprojected trial step.
+
 ``scan_energy`` and ``multiplicity_search`` orchestrate these over energy
 grids and (iterate, deck) label sets and certify every converged output by
 shooting along the flow.
@@ -24,7 +29,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import EndpointNotMinimal, MagflowError, MaxIterations, StepTooLarge, ValleyCollapse
+from .errors import EndpointNotMinimal, MagflowError, MaxIterations, ValleyCollapse
 from .flow import OrbitReport, certify_orbit, count_self_intersections
 from .loop_space import (
     FreePeriodLoop,
@@ -125,6 +130,20 @@ def _reduced_lift(sys: MagneticSystem, e: float, ll: LiftedLoop) -> LiftedLoop:
     return LiftedLoop(ll.loop.with_period(p), ll.flux)
 
 
+def _dual_norm(sys: MagneticSystem, e: float, ll: LiftedLoop) -> float:
+    """H^1 dual norm of the lifted-action gradient at ``ll``."""
+    return h1_precondition(ll.loop, action_gradient(sys, e, ll))[1]
+
+
+def _trial_step(sys: MagneticSystem, ll: LiftedLoop, d: np.ndarray, p: float) -> LiftedLoop:
+    """Move the nodes by ``d`` (scaled down to at most ``MAX_STEP_RAD``
+    nodewise), reproject, set the period to ``p`` and carry the ledger."""
+    dmax = float(np.max(norm3(d)))
+    if dmax > MAX_STEP_RAD:
+        d = d * (MAX_STEP_RAD / dmax)
+    return deform(sys, ll, FreePeriodLoop(project_to_sphere(ll.nodes + d), p))
+
+
 def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfig = SolverConfig()):
     """Descend the lifted action to a local minimizer and certify it.
 
@@ -151,16 +170,9 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
 
         accepted = False
         while step >= STEP_MIN:
-            d = -step * direction
-            dmax = float(np.max(norm3(d)))
-            if dmax > MAX_STEP_RAD:
-                d *= MAX_STEP_RAD / dmax
-            new_nodes = project_to_sphere(ll.nodes + d)
             try:
-                new_loop = FreePeriodLoop(new_nodes, ll.p)
-                trial = deform(sys, ll, new_loop)
-                trial = _reduced_lift(sys, e, trial)
-            except (StepTooLarge, ValueError):
+                trial = _reduced_lift(sys, e, _trial_step(sys, ll, -step * direction, ll.p))
+            except ValueError:
                 step *= STEP_SHRINK
                 continue
             trial_action = lifted_action_A(sys, e, trial)
@@ -178,8 +190,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
         if in_valley(sys, ll.loop, tau):
             raise ValleyCollapse(f"descent entered the valley at iteration {it}")
 
-    grad = action_gradient(sys, e, ll)
-    _, dual = h1_precondition(ll.loop, grad)
+    dual = _dual_norm(sys, e, ll)
     raise MaxIterations(f"no convergence in {cfg.max_iter} iterations", best=(ll, action, dual))
 
 
@@ -231,29 +242,13 @@ def _tiny_loop(center: np.ndarray, radius: float, n: int, winding: int) -> FreeP
     return FreePeriodLoop(nodes, 1.0)
 
 
-def _chain_append(sys, e, chain, loop):
-    prev = chain[-1]
-    nxt = deform(sys, prev, loop)
-    chain.append(_reduced_lift(sys, e, nxt))
-
-
-def _shrink_family(loop: FreePeriodLoop, center: np.ndarray, r0: float, steps: int):
-    """Loops contracting toward the center until the max radius is ~r0."""
-    max_r = float(np.max(angular_distance(center, loop.nodes)))
-    t_final = 1.0 - r0 / max_r
-    out = []
-    for k in range(1, steps + 1):
-        t = t_final * k / steps
-        out.append(FreePeriodLoop(slerp(loop.nodes, center, np.full(loop.n, t)), loop.p))
-    return out
-
-
-def _blend_family(a: FreePeriodLoop, b: FreePeriodLoop, steps: int):
-    out = []
-    for k in range(1, steps + 1):
-        t = k / steps
-        out.append(FreePeriodLoop(slerp(a.nodes, b.nodes, np.full(a.n, t)), 1.0))
-    return out
+def _blend_family(a: np.ndarray, b: np.ndarray, steps: int, reach: float = 1.0):
+    """Loops slerped from the nodes ``a`` toward ``b`` (nodes, or one point)
+    at the fractions reach * k / steps, k = 1..steps."""
+    return [
+        FreePeriodLoop(slerp(a, b, np.full(len(a), reach * k / steps)), 1.0)
+        for k in range(1, steps + 1)
+    ]
 
 
 def _wind_family(axis: np.ndarray, r0: float, n: int, sign: int, steps: int = 28):
@@ -293,37 +288,38 @@ def build_connecting_chain(
         raise ValueError("endpoints must share the node count")
     n = end_a.loop.n
     r0 = TINY_RADIUS
-    chain = [_reduced_lift(sys, e, end_a)]
 
-    c_a = _loop_center(end_a.loop)
-    for loop in _shrink_family(end_a.loop, c_a, r0, steps=14):
-        _chain_append(sys, e, chain, loop)
+    def shrink(loop: FreePeriodLoop, center: np.ndarray) -> list[FreePeriodLoop]:
+        # contract toward the center until the largest radius is r0
+        reach = 1.0 - r0 / float(np.max(angular_distance(center, loop.nodes)))
+        return _blend_family(loop.nodes, center, 14, reach)
+
+    def carry(start: LiftedLoop, loops: list[FreePeriodLoop]) -> list[LiftedLoop]:
+        # the ledger follows each loop through deform, at the optimal period
+        out = [start]
+        for loop in loops:
+            out.append(_reduced_lift(sys, e, deform(sys, out[-1], loop)))
+        return out
+
+    c_a, c_b = _loop_center(end_a.loop), _loop_center(end_b.loop)
+    loops = shrink(end_a.loop, c_a)
     tiny_a = _tiny_loop(c_a, r0, n, mult_a)
-    for loop in _blend_family(chain[-1].loop, tiny_a, 4):
-        _chain_append(sys, e, chain, loop)
-
+    loops += _blend_family(loops[-1].nodes, tiny_a.nodes, 4)
     if mult_a != 1:
-        for loop in _blend_family(tiny_a, _tiny_loop(c_a, r0, n, 1), 6):
-            _chain_append(sys, e, chain, loop)
+        loops += _blend_family(tiny_a.nodes, _tiny_loop(c_a, r0, n, 1).nodes, 6)
     for _ in range(abs(deck_shift)):
-        for loop in _wind_family(c_a, r0, n, deck_shift):
-            _chain_append(sys, e, chain, loop)
-    c_b = _loop_center(end_b.loop)
+        loops += _wind_family(c_a, r0, n, deck_shift)
     if float(angular_distance(c_a, c_b)) > 1e-9:
         steps = max(2, int(np.ceil(float(angular_distance(c_a, c_b)) / 0.25)))
         centers = slerp(c_a, c_b, np.arange(1, steps + 1) / steps)
-        for ck in centers:
-            _chain_append(sys, e, chain, _tiny_loop(ck, r0, n, 1))
+        loops += [_tiny_loop(ck, r0, n, 1) for ck in centers]
     if mult_b != 1:
-        for loop in _blend_family(_tiny_loop(c_b, r0, n, 1), _tiny_loop(c_b, r0, n, mult_b), 6):
-            _chain_append(sys, e, chain, loop)
-
-    expand = _shrink_family(end_b.loop, c_b, r0, steps=14)[::-1]
-    for loop in _blend_family(chain[-1].loop, expand[0], 4):
-        _chain_append(sys, e, chain, loop)
-    for loop in expand[1:]:
-        _chain_append(sys, e, chain, loop)
-    _chain_append(sys, e, chain, end_b.loop)
+        tiny_b = _tiny_loop(c_b, r0, n, 1)
+        loops += _blend_family(tiny_b.nodes, _tiny_loop(c_b, r0, n, mult_b).nodes, 6)
+    expand = shrink(end_b.loop, c_b)[::-1]
+    loops += _blend_family(loops[-1].nodes, expand[0].nodes, 4)
+    loops += expand[1:] + [end_b.loop]
+    chain = carry(_reduced_lift(sys, e, end_a), loops)
 
     # the chain must land on the requested cover point; correct any residual
     # integer winding defensively
@@ -332,11 +328,9 @@ def build_connecting_chain(
     if abs(total) > 1e-9:
         k = int(round(gap / total))
         if k != 0:
-            for _ in range(abs(k)):
-                for loop in _wind_family(c_b, r0, n, k):
-                    _chain_append(sys, e, chain, loop)
-            for loop in _blend_family(chain[-1].loop, end_b.loop, 6):
-                _chain_append(sys, e, chain, loop)
+            loops = [loop for _ in range(abs(k)) for loop in _wind_family(c_b, r0, n, k)]
+            loops += _blend_family(loops[-1].nodes, end_b.nodes, 6)
+            chain += carry(chain[-1], loops)[1:]
             gap = end_b.flux - chain[-1].flux
     if abs(gap) > 0.02 * max(1.0, abs(total)) + 0.02:
         raise ValueError(f"connecting chain missed the cover class by {gap:.3e}")
@@ -350,29 +344,12 @@ def _path_distance(u: LiftedLoop, v: LiftedLoop) -> float:
     return math.sqrt(d2 + (u.p - v.p) ** 2)
 
 
-def deform_far(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop) -> LiftedLoop:
-    """Ledger transport over an arbitrary nodewise distance.
-
-    Splits the move into geodesic stages short enough for ``deform``.
-    """
-    gap = float(np.max(angular_distance(ll.nodes, new_loop.nodes)))
-    if gap <= 0.4:
-        return deform(sys, ll, new_loop)
-    stages = int(np.ceil(gap / 0.4))
-    cur = ll
-    for k in range(1, stages):
-        nodes = slerp(ll.nodes, new_loop.nodes, np.full(ll.loop.n, k / stages))
-        p = ll.p + (new_loop.p - ll.p) * k / stages
-        cur = deform(sys, cur, FreePeriodLoop(nodes, p))
-    return deform(sys, cur, new_loop)
-
-
 def _equal_arc(sys, chain, M):
     """Resample a chain of lifted loops to M nodes evenly spaced in path
     distance, keeping both ends.
 
     Each interior node interpolates its bracketing chain nodes geodesically
-    and takes its ledger from the nearer one through ``deform_far``.
+    and takes its ledger from the nearer one through ``deform``.
     """
     dists = [_path_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
     cum = np.concatenate([[0.0], np.cumsum(dists)])
@@ -385,7 +362,7 @@ def _equal_arc(sys, chain, M):
         nodes = slerp(chain[k].nodes, chain[k + 1].nodes, np.full(chain[k].loop.n, t))
         p = (1.0 - t) * chain[k].p + t * chain[k + 1].p
         anchor = chain[k] if t <= 0.5 else chain[k + 1]
-        path.append(deform_far(sys, anchor, FreePeriodLoop(nodes, p)))
+        path.append(deform(sys, anchor, FreePeriodLoop(nodes, p)))
     path.append(chain[-1])
     return path
 
@@ -490,7 +467,6 @@ def minimax_path(
     e: float,
     end_a: LiftedLoop,
     end_b: LiftedLoop,
-    M: int | None = None,
     cfg: SolverConfig = SolverConfig(),
     mult_a: int = 1,
     mult_b: int = 1,
@@ -503,12 +479,11 @@ def minimax_path(
     returned value (max action over the relaxed band) is an upper bound for
     the true minimax of the connecting family.
     """
-    M = M or cfg.path_nodes
+    M = cfg.path_nodes
     if M < 8:
         raise ValueError("need at least 8 path nodes")
     for name, end in (("end_a", end_a), ("end_b", end_b)):
-        grad = action_gradient(sys, e, end)
-        _, dual = h1_precondition(end.loop, grad)
+        dual = _dual_norm(sys, e, end)
         if dual > ENDPOINT_TOL:
             raise EndpointNotMinimal(f"{name} has gradient norm {dual:.3e}")
 
@@ -557,15 +532,9 @@ def minimax_path(
             else:
                 step_nodes = direction - proj * tan_nodes
                 step_p = grad.p_grad - proj * tan_p
-            d = -etas[j] * step_nodes
-            dmax = float(np.max(norm3(d)))
-            if dmax > MAX_STEP_RAD:
-                d *= MAX_STEP_RAD / dmax
-            new_p = max(u.p - etas[j] * step_p, 1e-6)
             try:
-                new_loop = FreePeriodLoop(project_to_sphere(u.nodes + d), new_p)
-                trial = deform(sys, u, new_loop)
-            except (StepTooLarge, ValueError):
+                trial = _trial_step(sys, u, -etas[j] * step_nodes, max(u.p - etas[j] * step_p, 1e-6))
+            except ValueError:
                 etas[j] *= 0.5
                 continue
             trial_action = lifted_action_A(sys, e, trial)
@@ -589,16 +558,12 @@ def minimax_path(
     converged = False
     if 0 < climb < M - 1:
         refined_loop, saddle_dual = refine_stationary(sys, e, path[climb].loop, tol=cfg.tol)
-        if saddle_dual <= cfg.tol:
-            try:
-                path[climb] = deform(sys, path[climb], refined_loop)
-                actions[climb] = lifted_action_A(sys, e, path[climb])
-                converged = True
-            except StepTooLarge:
-                converged = False
+        converged = saddle_dual <= cfg.tol
+        if converged:  # MAX_NEWTON_MOVE bounds this move
+            path[climb] = deform(sys, path[climb], refined_loop)
+            actions[climb] = lifted_action_A(sys, e, path[climb])
     else:
-        grad = action_gradient(sys, e, path[climb])
-        _, saddle_dual = h1_precondition(path[climb].loop, grad)
+        saddle_dual = _dual_norm(sys, e, path[climb])
     climb = int(np.argmax(actions))
     value = float(max(actions)) + flux_base
     history = [h + flux_base for h in history] + [value]
@@ -682,9 +647,7 @@ def scan_energy(
             waists = prepare_waists(sys, e, labels, seeds, path_n, cfg)
             waist = waists[1] if 1 in waists else next(iter(waists.values()))
             row["waist_action"] = lifted_action_A(sys, e, waist)
-            row["waist_gradient_norm"] = float(
-                h1_precondition(waist.loop, action_gradient(sys, e, waist))[1]
-            )
+            row["waist_gradient_norm"] = _dual_norm(sys, e, waist)
             row["waist_self_intersections"] = count_self_intersections(waist.nodes)
             mm = minimax_between_labels(sys, e, waists, labels[0], labels[1], cfg)
             row["minimax_value"] = mm.value
@@ -782,9 +745,7 @@ def multiplicity_search(
     base_mult = min(waists)
     waist = waists[base_mult]
     wrep = certify_orbit(sys, waist.loop, e, cfg.certify_h)
-    wrep = replace(
-        wrep, gradient_norm=h1_precondition(waist.loop, action_gradient(sys, e, waist))[1]
-    )
+    wrep = replace(wrep, gradient_norm=_dual_norm(sys, e, waist))
     records.append(
         OrbitRecord(
             source="waist",

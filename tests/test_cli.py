@@ -169,12 +169,14 @@ discretization.loop_nodes = 32
             ("scan", "run.energy_grid = 0:1:1e-15", None),
             ("critical-values", "system.drift = azimuthal(0.1)\nrun.grid_step = 1e-9", None),
             ("flow", "flow.time = 1e13", None),
+            ("critical-values", "system.potential = zonal_poly(nan, 1.0)", None),
+            ("critical-values", "system.density = height(inf, 0.0)", None),
         ],
         ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "v0-overflow", "grid-step-0",
              "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
              "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
              "config-missing", "grid-reversed", "grid-step-away", "grid-oversized",
-             "descent-grid-oversized", "flow-steps-oversized"],
+             "descent-grid-oversized", "flow-steps-oversized", "potential-nan", "density-inf"],
     )
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop):
         # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload;

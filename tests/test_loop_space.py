@@ -23,7 +23,6 @@ from magflow import (
     valley_tau,
     zeta_loop,
 )
-from magflow.errors import StepTooLarge
 from magflow.loop_space import (
     MAX_ITERATE_NODES,
     _choose_apex,
@@ -214,11 +213,33 @@ class TestSweepFlux:
         assert abs(fwd) > 1e-4
         assert fwd + back == pytest.approx(0.0, abs=1e-10)
 
-    def test_step_guard(self, sys_shifted):
+    def test_near_antipodal_move_refused(self, sys_shifted):
+        # each node moves to within 0.05 rad of its antipode
+        a = latitude_loop(0.0, 64)
+        b = FreePeriodLoop(-latitude_loop(0.05, 64).nodes, a.p)
+        with pytest.raises(ValueError, match="antipodal"):
+            deform(sys_shifted, lift_loop(sys_shifted, a), b)
+
+    def test_long_sweep_equals_chained_deforms(self, sys_shifted):
+        # a 1.12-rad move takes 12 substeps, each one chained deform
         a = latitude_loop(0.0, 64)
         b = latitude_loop(0.9, 64)
-        with pytest.raises(StepTooLarge):
-            sweep_flux(sys_shifted, a, b)
+        ll = lift_loop(sys_shifted, a)
+        cur = ll
+        for j in range(1, 13):
+            nodes = slerp(a.nodes, b.nodes, np.full(64, j / 12)) if j < 12 else b.nodes
+            cur = deform(sys_shifted, cur, FreePeriodLoop(nodes, a.p))
+        assert deform(sys_shifted, ll, b).flux == pytest.approx(cur.flux, abs=1e-12)
+
+    def test_long_deform_matches_finer_chain(self, sys_shifted):
+        a = latitude_loop(-0.5, 64)
+        b = latitude_loop(0.5, 64)  # nodewise ~1.05 rad apart: 11 substeps
+        ll = lift_loop(sys_shifted, a)
+        cur = ll
+        for k in range(1, 9):
+            nodes = slerp(a.nodes, b.nodes, np.full(64, k / 8))
+            cur = deform(sys_shifted, cur, FreePeriodLoop(nodes, a.p))
+        assert deform(sys_shifted, ll, b).flux == pytest.approx(cur.flux, abs=1e-6)
 
     def test_zeta_family_covers_sphere(self, sys_shifted):
         # sweeping the deck-generator family accumulates the total flux
