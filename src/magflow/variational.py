@@ -6,11 +6,13 @@ ledger follows every accepted step, and a valley guard aborts seeds that
 collapse toward constant loops.
 
 ``minimax_path`` relaxes an elastic band of lifted loops between two local
-minimizers with a climbing-image treatment of the running maximum.  Initial
-bands are built through the valley: shrink one endpoint to a tiny loop,
-adjust covering multiplicity and deck winding there (where all such classes
-meet cheaply), and expand to the other endpoint, so the band starts in the
-correct cover class by construction.
+minimizers with a climbing-image treatment of the running maximum.  The band
+only has to find the saddle's basin: when the climbing image engages, Newton
+polish (``refine_stationary``) takes over and the band stops once it reaches
+the tolerance.  Initial bands are built through the valley: shrink one
+endpoint to a tiny loop, adjust covering multiplicity and deck winding there
+(where all such classes meet cheaply), and expand to the other endpoint, so
+the band starts in the correct cover class by construction.
 
 Every move of a lifted loop (descent trial, band image update, equal-arc
 resampling, chain link, Newton polish) carries its ledger through
@@ -70,12 +72,11 @@ STEP_MIN = 1e-12
 STEP_GROW = 1.3
 STEP_SHRINK = 0.5
 MAX_STEP_RAD = 0.25
-# band: sweeps before the climbing image engages, sweeps between equal-arc
-# respacings, climbing-image dual norm that hands over to Newton polish,
-# first per-image step, and the largest endpoint dual norm accepted
+# band: sweeps before the climbing image engages (and first hands over to
+# Newton polish), sweeps between equal-arc respacings, first per-image step,
+# and the largest endpoint dual norm accepted
 CLIMB_WARMUP = 10
 REPARAM_EVERY = 5
-REFINE_TRIGGER = 1e-3
 BAND_STEP0 = 0.25
 ENDPOINT_TOL = 1e-4
 # largest shooting closure residual of a certified saddle
@@ -118,6 +119,7 @@ class MinimaxResult:
     history: list[float]
     saddle: LiftedLoop
     path: list[LiftedLoop] = field(repr=False, default_factory=list)
+    stop_reason: str = "sweep budget"  # or "polished", "identical endpoints"
 
 
 # ---------------------------------------------------------------------------
@@ -475,9 +477,16 @@ def minimax_path(
     """Climbing-image elastic band between two local minimizers.
 
     Interior nodes descend along the action gradient orthogonally to the
-    band tangent; the running argmax ascends along the tangent instead.  The
-    returned value (max action over the relaxed band) is an upper bound for
-    the true minimax of the connecting family.
+    band tangent; the running argmax ascends along the tangent instead.
+    From sweep ``CLIMB_WARMUP`` on, the climbing image is handed to
+    ``refine_stationary``; the band stops (``stop_reason`` "polished") as
+    soon as that reaches ``cfg.tol``.  A failed polish is discarded and
+    tried again once the climbing image's dual norm has halved; after
+    ``cfg.max_sweeps`` ("sweep budget") the running maximum is polished
+    once more.  ``saddle``, ``argmax_index``, ``value`` and
+    ``saddle_gradient_norm`` all describe one image: the polished one when
+    ``converged``, else the band maximum, whose action is an upper bound
+    for the true minimax of the connecting family.
     """
     M = cfg.path_nodes
     if M < 8:
@@ -489,7 +498,7 @@ def minimax_path(
 
     if np.array_equal(end_a.nodes, end_b.nodes) and end_a.p == end_b.p and end_a.flux == end_b.flux:
         value = lifted_action_A(sys, e, end_a)
-        return MinimaxResult(value, 0, 0.0, True, [value], end_a, [end_a, end_b])
+        return MinimaxResult(value, 0, 0.0, True, [value], end_a, [end_a, end_b], "identical endpoints")
 
     # run the whole band in a ledger relative to end_a: deck-shifting both
     # endpoints then reproduces the identical computation, so minimax values
@@ -504,21 +513,21 @@ def minimax_path(
     actions = [lifted_action_A(sys, e, u) for u in path]
     etas = np.full(M, BAND_STEP0)
     history: list[float] = []
-    saddle_dual = np.inf
+    polished = None
+    retry_dual = np.inf  # climbing-image dual norm that warrants a Newton try
 
     for sweep in range(cfg.max_sweeps):
         climb = int(np.argmax(actions))
         climbing_active = sweep >= CLIMB_WARMUP and 0 < climb < M - 1
-        band_ready = False
         for j in range(1, M - 1):
             u = path[j]
             grad = action_gradient(sys, e, u)
             direction, dual = h1_precondition(u.loop, grad)
-            if j == climb:
-                saddle_dual = dual
-                if climbing_active and dual <= REFINE_TRIGGER:
-                    band_ready = True
+            if j == climb and climbing_active and dual <= retry_dual:
+                polished = refine_stationary(sys, e, u.loop, tol=cfg.tol)
+                if polished[1] <= cfg.tol:
                     break
+                polished, retry_dual = None, 0.5 * dual
             tan_nodes = path[j + 1].nodes - path[j - 1].nodes
             tan_p = path[j + 1].p - path[j - 1].p
             tnorm = math.sqrt(_flat_dot(tan_nodes, tan_p, tan_nodes, tan_p))
@@ -546,29 +555,32 @@ def minimax_path(
                 etas[j] = min(etas[j] * 1.2, 2.0)
             else:
                 etas[j] *= 0.5
-        if band_ready:
+        if polished is not None:
             break
         if (sweep + 1) % REPARAM_EVERY == 0:
             path = _reparametrize(sys, path, int(np.argmax(actions)))
             actions = [lifted_action_A(sys, e, u) for u in path]
         history.append(max(actions))
 
-    # local polish of the running maximum to a genuine stationary point
-    climb = int(np.argmax(actions))
-    converged = False
-    if 0 < climb < M - 1:
-        refined_loop, saddle_dual = refine_stationary(sys, e, path[climb].loop, tol=cfg.tol)
-        converged = saddle_dual <= cfg.tol
-        if converged:  # MAX_NEWTON_MOVE bounds this move
-            path[climb] = deform(sys, path[climb], refined_loop)
-            actions[climb] = lifted_action_A(sys, e, path[climb])
+    stop_reason = "polished"
+    if polished is None:
+        # the sweep budget ran out: polish the running maximum once more
+        stop_reason = "sweep budget"
+        climb = int(np.argmax(actions))
+        if 0 < climb < M - 1:
+            polished = refine_stationary(sys, e, path[climb].loop, tol=cfg.tol)
+    # the saddle is image climb, polished only if Newton reached tol there
+    converged = polished is not None and polished[1] <= cfg.tol
+    if converged:  # MAX_NEWTON_MOVE bounds this move
+        path[climb] = deform(sys, path[climb], polished[0])
+        actions[climb] = lifted_action_A(sys, e, path[climb])
+        saddle_dual = polished[1]
     else:
         saddle_dual = _dual_norm(sys, e, path[climb])
-    climb = int(np.argmax(actions))
-    value = float(max(actions)) + flux_base
+    value = float(actions[climb]) + flux_base
     history = [h + flux_base for h in history] + [value]
     path = [LiftedLoop(u.loop, u.flux + flux_base) for u in path]
-    return MinimaxResult(value, climb, float(saddle_dual), converged, history, path[climb], path)
+    return MinimaxResult(value, climb, float(saddle_dual), converged, history, path[climb], path, stop_reason)
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,13 @@ from magflow import (
     perturb_normal,
     refine_stationary,
 )
+from magflow import variational
 from magflow.errors import EndpointNotMinimal, MaxIterations, ValleyCollapse
 from magflow.variational import (
+    CLIMB_WARMUP,
     DEDUPE_HAUSDORFF,
     DEDUPE_PERIOD,
+    _dual_norm,
     _primitive,
     build_connecting_chain,
     default_seed_builder,
@@ -191,6 +194,7 @@ class TestMinimax:
         ll = lift_loop(sys_z, loop)
         res = minimax_path(sys_z, E, ll, ll, cfg=SolverConfig(path_nodes=8))
         assert res.converged
+        assert res.stop_reason == "identical endpoints"
         assert res.value == lifted_action_A(sys_z, E, ll)
 
     def test_endpoint_must_be_minimal(self, sys_z, rng):
@@ -215,6 +219,11 @@ class TestMinimax:
         assert mm.value >= max(ends)
         assert mm.converged
         assert mm.saddle_gradient_norm <= cfg.tol
+        # Newton takes over from the band as soon as the climbing image engages
+        assert mm.stop_reason == "polished"
+        assert len(mm.history) - 1 == CLIMB_WARMUP
+        assert mm.saddle is mm.path[mm.argmax_index]
+        assert mm.saddle_gradient_norm == pytest.approx(_dual_norm(sys_z, E, mm.saddle), rel=1e-12)
         # the saddle is the doubled small circle: value ~ 4*pi*e
         assert mm.value == pytest.approx(4.0 * np.pi * E, abs=5e-3)
         # the band carries the ledger by sweeps (defect 7.6e-4 measured)
@@ -231,9 +240,43 @@ class TestMinimax:
         shifted = minimax_between_labels(sys_shifted, E, waists, (1, 2), (1, 3), cfg)
         total = sys_shifted.total_flux()
         assert shifted.value - base.value == pytest.approx(2.0 * total, abs=1e-6)
+        assert (shifted.converged, shifted.stop_reason) == (base.converged, base.stop_reason)
+        assert len(shifted.history) == len(base.history)
         # the band carries the ledger by sweeps (defect 1.8e-3 measured)
         for mm in (base, shifted):
             assert ledger_defect(sys_shifted, mm.saddle) <= 5e-3
+            # an unpolished saddle reports its own gradient norm too
+            assert mm.saddle_gradient_norm == pytest.approx(
+                _dual_norm(sys_shifted, E, mm.saddle), rel=1e-12
+            )
+
+    def test_failed_polish_falls_back_to_band(self, sys_z, monkeypatch):
+        # the first Newton hand-off fails: the band keeps climbing and polishes
+        # again, in the loop once the climbing image's dual norm has halved, or
+        # after the sweep budget
+        real = variational.refine_stationary
+        tries = []
+
+        def fail_first(sys, e, loop, tol):
+            tries.append(_dual_norm(sys, e, LiftedLoop(loop, 0.0)))
+            loop, dual = real(sys, e, loop, tol=tol)
+            return (loop, 1.0) if len(tries) == 1 else (loop, dual)
+
+        monkeypatch.setattr(variational, "refine_stationary", fail_first)
+        seeds = default_seed_builder(sys_z, E)
+        waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], seeds, 128, SolverConfig())
+        for max_sweeps, reason in ((CLIMB_WARMUP + 5, "sweep budget"), (800, "polished")):
+            tries.clear()
+            cfg = SolverConfig(path_nodes=12, max_sweeps=max_sweeps)
+            mm = minimax_between_labels(sys_z, E, waists, (1, 0), (2, 0), cfg)
+            assert len(tries) == 2
+            assert mm.stop_reason == reason
+            assert CLIMB_WARMUP < len(mm.history) - 1 <= max_sweeps
+            if reason == "polished":  # 480 sweeps measured
+                assert tries[1] <= 0.5 * tries[0]
+            assert mm.converged
+            assert mm.saddle_gradient_norm <= cfg.tol
+            assert mm.value == pytest.approx(4.0 * np.pi * E, abs=5e-3)
 
 
 class TestDedupe:
