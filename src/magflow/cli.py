@@ -1,10 +1,11 @@
 """Command-line front end: config parsing, dispatch, deterministic output.
 
 Configs are flat ``section.key = value`` text files with ``#`` comments and a
-strict schema: unknown keys are errors.  Every command writes one JSON
-summary to stdout (schema_version 1, keys sorted, so identical runs are
-byte-identical) and CSV artifacts under ``--out``.  Exit codes: 0 success,
-2 nonconvergence, 1 any other error.
+strict schema: unknown keys are errors, deprecated keys are ignored with one
+warning line on stderr.  Every command writes one JSON summary to stdout
+(schema_version 1, keys sorted, so identical runs are byte-identical) and CSV
+artifacts under ``--out``.  Exit codes: 0 success, 2 nonconvergence, 1 any
+other error.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,6 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "solver.tol": ("float:>0", "1e-6"),
     "solver.max_iter": ("int:1,1000000", "20000"),
     "solver.max_sweeps": ("int:1,100000", "1500"),
-    "solver.certify_h": ("float:>0", "1e-3"),
     "run.energy": ("float", "0.02"),
     "run.energy_grid": ("grid", ""),
     "run.labels": ("labels", "(1,0);(2,0)"),
@@ -76,6 +76,11 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "flow.time": ("float:>0", "10.0"),
     "flow.step": ("float:>0", "1e-3"),
     "rng.seed": ("int:0,18446744073709551615", "0"),
+}
+
+# keys still accepted but ignored, with one stderr warning each: key -> reason
+_DEPRECATED: dict[str, str] = {
+    "solver.certify_h": "certification picks its RK4 step by step doubling",
 }
 
 
@@ -115,7 +120,6 @@ class RunConfig:
             tol=self["solver.tol"],
             max_iter=self["solver.max_iter"],
             max_sweeps=self["solver.max_sweeps"],
-            certify_h=self["solver.certify_h"],
             path_nodes=self["discretization.path_nodes"],
         )
 
@@ -211,6 +215,9 @@ def parse_config(path) -> RunConfig:
         if "=" not in stripped:
             raise ParseError(f"line {line_no}: expected 'key = value'", line_no)
         key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key in _DEPRECATED:
+            print(f"warning: {key} is ignored; {_DEPRECATED[key]}", file=_sys.stderr)
+            continue
         if key not in _SCHEMA:
             raise ValidationError(key)
         cfg.values[key] = _parse_value(key, raw)
@@ -316,8 +323,9 @@ def _cmd_minimax(cfg: RunConfig, out: Path) -> int:
         system, e, labels[:2], seeds, cfg["discretization.path_loop_nodes"], solver
     )
     mm = vr.minimax_between_labels(system, e, waists, labels[0], labels[1], solver)
-    rep = certify_orbit(
-        system, vr.polish_candidate(system, mm.saddle.loop, e), e, solver.certify_h
+    rep = replace(
+        certify_orbit(system, vr.polish_candidate(system, mm.saddle.loop, e), e),
+        gradient_norm=mm.saddle_gradient_norm,
     )
     saddle_path = out / "saddle_loop.json"
     save_lifted(mm.saddle, saddle_path)
@@ -456,7 +464,7 @@ def _cmd_orbit_check(cfg: RunConfig, out: Path) -> int:
     system = cfg.system()
     e = cfg["run.energy"]
     ll = load_lifted(cfg["run.loop_file"])
-    rep = certify_orbit(system, ll.loop, e, cfg["solver.certify_h"])
+    rep = certify_orbit(system, ll.loop, e)
     _emit(
         {
             "schema_version": 1,

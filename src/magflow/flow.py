@@ -20,6 +20,10 @@ round and conformal metrics alike: the right-hand side is built once per
 call from the system's field evaluators, and its conformal terms run only
 for a non-round metric, so round-metric trajectories keep the bits of the
 plain round formula.
+
+Certification (``certify_orbit``) shoots a candidate loop for one period
+with that integrator and picks the number of steps by step doubling against
+``SHOOT_BUDGET``, 1/1000 of the closure bound ``CERTIFY_CLOSURE_TOL``.
 """
 
 from __future__ import annotations
@@ -45,6 +49,13 @@ from .tonelli import MagneticSystem
 _EXPLOSION_BOUND = 1e6
 # most RK4 steps one ``integrate`` call may take (its arrays then hold 560 MB)
 MAX_STEPS = 10_000_000
+# largest shooting closure residual of a certified orbit, and the error
+# budget of the RK4 shot that measures it (step doubling stops below it)
+CERTIFY_CLOSURE_TOL = 1e-4
+SHOOT_BUDGET = CERTIFY_CLOSURE_TOL / 1000
+# certification's coarsest RK4 step and fewest steps per period
+SHOOT_H0 = 2e-2
+SHOOT_MIN_STEPS = 64
 
 
 @dataclass(frozen=True)
@@ -195,6 +206,11 @@ def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
     return Trajectory(np.linspace(0.0, T, n + 1), qs, vs, es)
 
 
+def state_distance(a: State, b: State) -> float:
+    """Euclidean distance of two states in (q, v) space."""
+    return float(np.sqrt(np.sum((a.q - b.q) ** 2) + np.sum((a.v - b.v) ** 2)))
+
+
 def energy_drift(traj: Trajectory) -> float:
     """max |E_t - E_0| / max(1, |E_0|) along a trajectory."""
     if traj.energy_series.size == 0:
@@ -260,15 +276,20 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     return count
 
 
-def certify_orbit(
-    sys: MagneticSystem, candidate: FreePeriodLoop, e: float, h: float = 1e-3
-) -> OrbitReport:
+def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> OrbitReport:
     """Shoot from a discrete loop for one period and measure orbit residuals.
 
     The initial velocity uses a 4th-order stencil (closure accuracy), while
     the mean-energy residual keeps the 2nd-order central differences that the
     action discretization itself uses, so a converged waist reports the same
     residual that its period equation drove to zero.
+
+    The RK4 step is chosen by step doubling: shoot with n and 2n steps per
+    period, starting from n = max(SHOOT_MIN_STEPS, p / SHOOT_H0), and take
+    |y_2n - y_n| / 15 as the error of the finer end state (the Richardson
+    estimate of a 4th-order method).  While that exceeds ``SHOOT_BUDGET``,
+    the finer run becomes the coarse one and n doubles again, until the next
+    run would pass ``MAX_STEPS``.  The closure residual is the finest run's.
     """
     nodes = np.asarray(candidate.nodes, dtype=float)
     p = float(candidate.p)
@@ -278,13 +299,17 @@ def certify_orbit(
     mean_e = float(np.mean(sys.lagrangian.energy(nodes, w / p)))
     v0 = candidate.fourth_order_velocities()[0] / p
     s0 = State.of(nodes[0], v0)
-    h_eff = min(h, p / 64.0, 0.1)
-    traj = integrate(sys, s0, p, h_eff)
-    sf = traj.final_state
-    closure = float(np.sqrt(np.sum((sf.q - s0.q) ** 2) + np.sum((sf.v - s0.v) ** 2)))
+    n = max(SHOOT_MIN_STEPS, math.ceil(p / SHOOT_H0))
+    coarse = integrate(sys, s0, p, p / n).final_state
+    while True:
+        n *= 2
+        fine = integrate(sys, s0, p, p / n).final_state
+        if state_distance(fine, coarse) / 15.0 <= SHOOT_BUDGET or 2 * n > MAX_STEPS:
+            break
+        coarse = fine
     return OrbitReport(
         gradient_norm=0.0,
         mean_energy_residual=mean_e - e,
-        closure_residual=closure,
+        closure_residual=state_distance(fine, s0),
         self_intersections=count_self_intersections(nodes),
     )

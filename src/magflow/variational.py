@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EndpointNotMinimal, MagflowError, MaxIterations, ValleyCollapse
-from .flow import OrbitReport, certify_orbit, count_self_intersections
+from .flow import CERTIFY_CLOSURE_TOL, OrbitReport, certify_orbit, count_self_intersections
 from .loop_space import (
     FreePeriodLoop,
     LiftedLoop,
@@ -79,8 +79,6 @@ CLIMB_WARMUP = 10
 REPARAM_EVERY = 5
 BAND_STEP0 = 0.25
 ENDPOINT_TOL = 1e-4
-# largest shooting closure residual of a certified saddle
-CERTIFY_CLOSURE_TOL = 1e-4
 # two orbits coincide below this trace distance and relative period gap
 DEDUPE_HAUSDORFF = 1e-3
 DEDUPE_PERIOD = 1e-3
@@ -97,7 +95,6 @@ class SolverConfig:
     max_iter: int = 20000
     path_nodes: int = 12
     max_sweeps: int = 1500
-    certify_h: float = 1e-3
 
 
 @dataclass
@@ -165,9 +162,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
         grad = action_gradient(sys, e, ll)
         direction, dual = h1_precondition(ll.loop, grad)
         if dual <= cfg.tol:
-            report = replace(
-                certify_orbit(sys, ll.loop, e, cfg.certify_h), gradient_norm=dual
-            )
+            report = replace(certify_orbit(sys, ll.loop, e), gradient_norm=dual)
             return WaistResult(ll, report, action, dual, it, history)
 
         accepted = False
@@ -665,7 +660,7 @@ def scan_energy(
             row["minimax_value"] = mm.value
             row["minimax_converged"] = mm.converged
             row["saddle_gradient_norm"] = mm.saddle_gradient_norm
-            rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e, cfg.certify_h)
+            rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e)
             row["saddle_closure"] = rep.closure_residual
             row["saddle_energy_residual"] = rep.mean_energy_residual
         except (MagflowError, ValueError, ArithmeticError) as exc:  # rows must not kill the scan
@@ -756,7 +751,7 @@ def multiplicity_search(
     waists = prepare_waists(sys, e, labels, seeds, path_n, cfg)
     base_mult = min(waists)
     waist = waists[base_mult]
-    wrep = certify_orbit(sys, waist.loop, e, cfg.certify_h)
+    wrep = certify_orbit(sys, waist.loop, e)
     wrep = replace(wrep, gradient_norm=_dual_norm(sys, e, waist))
     records.append(
         OrbitRecord(
@@ -781,7 +776,7 @@ def multiplicity_search(
                     {"pair": pair, "reason": f"nonconvergence (saddle grad {mm.saddle_gradient_norm:.2e})"}
                 )
                 continue
-            rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e, cfg.certify_h)
+            rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e)
             rep = replace(rep, gradient_norm=mm.saddle_gradient_norm)
             if rep.closure_residual > CERTIFY_CLOSURE_TOL:
                 failures.append(

@@ -243,6 +243,10 @@ class TestSchemaStability:
             "schema_version", "command", "energy", "action", "gradient_norm",
             "period", "iterations", "report", "loop_file",
         },
+        "minimax": {
+            "schema_version", "command", "energy", "labels", "value", "converged",
+            "saddle_gradient_norm", "report", "loop_file",
+        },
         "critical-values": {
             "schema_version", "command", "e0", "e1_lower_bound",
             "negative_configuration_found", "method", "certificate",
@@ -258,17 +262,40 @@ system.density = height(1.0, 0.0)
 run.energy = 0.02
 run.seed_amplitude = 0.02
 discretization.loop_nodes = 64
+discretization.path_loop_nodes = 128
 solver.max_iter = 6000
 flow.time = 1.0
 """,
         )
-        for command in ("flow", "waist", "critical-values"):
+        for command in ("flow", "waist", "minimax", "critical-values"):
             code = main([command, "--config", cfg, "--out", str(tmp_path)])
             assert code == 0
             payload = json.loads(capsys.readouterr().out)
             assert set(payload) == self.EXPECTED[command]
             if "report" in payload:
                 assert set(payload["report"]) == self.REPORT_KEYS
+            if command == "minimax":
+                assert payload["report"]["gradient_norm"] == payload["saddle_gradient_norm"]
+
+
+class TestDeprecatedKeys:
+    def test_certify_h_warns_and_is_ignored(self, tmp_path, capsys):
+        base = """
+system.density = height(1.0, 0.0)
+run.energy = 0.02
+run.seed_amplitude = 0.02
+discretization.loop_nodes = 64
+solver.max_iter = 6000
+"""
+        outputs = []
+        for name, text in (("plain.cfg", base), ("deprecated.cfg", base + "solver.certify_h = 1e-2\n")):
+            code = main(["waist", "--config", write(tmp_path, text, name), "--out", str(tmp_path)])
+            assert code == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0].err == ""
+        warning = outputs[1].err.splitlines()
+        assert len(warning) == 1 and warning[0].startswith("warning: solver.certify_h is ignored;")
+        assert outputs[1].out.encode() == outputs[0].out.encode()
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,9 +16,10 @@ from magflow import (
     magnetic_el_field,
     optimal_period,
 )
+from magflow import flow
 from magflow.errors import StepExplosion, UnsupportedLagrangian
 from magflow.fields import DriftField
-from magflow.flow import Trajectory, count_self_intersections
+from magflow.flow import Trajectory, count_self_intersections, state_distance
 from magflow.sphere_geom import Metric, angular_distance, project_to_sphere
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -108,10 +111,6 @@ def reference_system(name: str) -> MagneticSystem:
         potential=ScalarField.zonal_poly(0.1, 0.2, -0.3), drift=DriftField.azimuthal(0.35)
     )
     return MagneticSystem(lag, ScalarField.zonal_poly(0.2, 0.5, 0.1))
-
-
-def state_distance(a: State, b: State) -> float:
-    return float(np.sqrt(np.sum((a.q - b.q) ** 2) + np.sum((a.v - b.v) ** 2)))
 
 
 class TestField:
@@ -279,6 +278,58 @@ class TestCertify:
         loop = latitude_loop(0.0, 32)
         with pytest.raises(ValueError):
             certify_orbit(sys_z, FreePeriodLoop(loop.nodes, 1.0).with_period(-1.0), 0.02)
+
+    @staticmethod
+    def fixed_step_closure(sys, loop, h):
+        """Closure residual of one fixed-step shot from the loop's first node."""
+        s0 = State.of(loop.nodes[0], loop.fourth_order_velocities()[0] / loop.p)
+        return state_distance(integrate(sys, s0, loop.p, h).final_state, s0)
+
+    @staticmethod
+    def spy_on_integrate(monkeypatch):
+        """Record the step count of every ``flow.integrate`` call."""
+        steps = []
+
+        def spy(sys, s0, T, h):
+            traj = integrate(sys, s0, T, h)
+            steps.append(len(traj.times) - 1)
+            return traj
+
+        monkeypatch.setattr(flow, "integrate", spy)
+        return steps
+
+    def test_step_doubling_matches_fine_reference(self, sys_z):
+        loop = latitude_loop(0.0, 128)
+        loop = loop.with_period(optimal_period(sys_z, loop, 0.02))
+        rep = certify_orbit(sys_z, loop, 0.02)
+        assert abs(rep.closure_residual - self.fixed_step_closure(sys_z, loop, 1e-4)) <= 1e-7
+
+    def test_strong_field_refines(self, monkeypatch):
+        sys = MagneticSystem.kinetic(ScalarField.height(60.0, 0.0))
+        loop = latitude_loop(0.3, 128)
+        loop = loop.with_period(optimal_period(sys, loop, 2.0))
+        steps = self.spy_on_integrate(monkeypatch)
+        rep = certify_orbit(sys, loop, 2.0)
+        assert len(steps) - 2 >= 3  # doublings beyond the first coarse/fine pair
+        assert steps == [steps[0] * 2**k for k in range(len(steps))]
+        assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 1e-4)) <= 1e-7
+
+    def test_smooth_orbit_stops_after_one_pair(self, sys_z, monkeypatch):
+        loop = latitude_loop(0.0, 128)
+        loop = loop.with_period(optimal_period(sys_z, loop, 0.02))
+        steps = self.spy_on_integrate(monkeypatch)
+        certify_orbit(sys_z, loop, 0.02)
+        n = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.SHOOT_H0))
+        assert steps == [n, 2 * n]
+
+    def test_doubling_stops_at_step_cap(self, monkeypatch):
+        sys = MagneticSystem.kinetic(ScalarField.height(60.0, 0.0))
+        loop = latitude_loop(0.3, 128)
+        loop = loop.with_period(optimal_period(sys, loop, 2.0))
+        monkeypatch.setattr(flow, "MAX_STEPS", 1000)
+        steps = self.spy_on_integrate(monkeypatch)
+        certify_orbit(sys, loop, 2.0)
+        assert steps == [150, 300, 600]  # a fourth run would take 1200 steps
 
 
 class TestSelfIntersections:
