@@ -12,7 +12,6 @@ accuracy.
 import numpy as np
 
 from magflow import MagneticSystem, ScalarField, SolverConfig, certify_orbit
-from magflow.loop_space import lifted_action_A
 from magflow.variational import (
     default_seed_builder,
     minimax_between_labels,
@@ -26,7 +25,7 @@ cfg = SolverConfig()
 
 seeds = default_seed_builder(system, e)
 waists = prepare_waists(system, e, [(1, 0), (2, 0)], seeds, 512, cfg)
-a1 = lifted_action_A(system, e, waists[1])
+a1 = waists[1].action
 print(f"waist action {a1:+.6f}; double-cover endpoint action {2 * a1:+.6f}")
 
 mm = minimax_between_labels(system, e, waists, (1, 0), (2, 0), cfg)

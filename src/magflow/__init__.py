@@ -6,17 +6,15 @@ from .errors import (
     MagflowError,
     MaxIterations,
     NearZeroVector,
-    NonConvexFiber,
     NotSymmetric,
     ParseError,
     StepExplosion,
-    UnsupportedLagrangian,
     ValidationError,
     ValleyCollapse,
 )
 from .fields import DriftField, ScalarField
 from .sphere_geom import Metric, SphericalTriangle, TwoForm, project_to_sphere, total_flux
-from .tonelli import FiberBounds, Lagrangian, MagneticSystem, e0, fiber_bounds
+from .tonelli import Lagrangian, MagneticSystem, e0
 from .flow import OrbitReport, State, Trajectory, certify_orbit, energy_drift, integrate, magnetic_el_field
 from .loop_space import (
     FreePeriodLoop,

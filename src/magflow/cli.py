@@ -31,7 +31,7 @@ from .loop_space import (
     save_lifted,
 )
 from .sphere_geom import Metric
-from .tonelli import Lagrangian, MagneticSystem, default_extension_radius
+from .tonelli import Lagrangian, MagneticSystem
 
 COMMANDS = (
     "flow",
@@ -53,7 +53,6 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "system.density": ("scalar_field", "height(1.0, 0.0)"),
     "system.potential": ("scalar_field", "constant(0.0)"),
     "system.drift": ("drift_field", "none"),
-    "system.extension_radius": ("auto_float", "auto"),
     "system.quad_depth": ("int:2,6", "4"),
     "system.lift_depth": ("int:2,6", "4"),
     "discretization.loop_nodes": ("int:16,8192", "128"),
@@ -75,12 +74,13 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "flow.v0": ("vec3", "0,1,0"),
     "flow.time": ("float:>0", "10.0"),
     "flow.step": ("float:>0", "1e-3"),
-    "rng.seed": ("int:0,18446744073709551615", "0"),
 }
 
 # keys still accepted but ignored, with one stderr warning each: key -> reason
 _DEPRECATED: dict[str, str] = {
     "solver.certify_h": "certification picks its RK4 step by step doubling",
+    "system.extension_radius": "the Lagrangian is quadratic in the velocity everywhere",
+    "rng.seed": "no solver draws random numbers",
 }
 
 
@@ -97,22 +97,12 @@ class RunConfig:
             if self["system.metric"] == "round"
             else Metric.conformal(self["system.conformal_exponent"])
         )
-        potential = self["system.potential"]
-        ext = self["system.extension_radius"]
-        if ext == "auto":
-            ext = default_extension_radius(potential, e_ref=max(1.0, self["run.energy"]))
-        lag = Lagrangian.electromagnetic(
-            metric=metric,
-            potential=potential,
-            drift=self["system.drift"],
-            extension_radius=float(ext),
-        )
+        lag = Lagrangian.electromagnetic(metric, self["system.potential"], self["system.drift"])
         return MagneticSystem(
             lag,
             self["system.density"],
             quad_depth=self["system.quad_depth"],
             lift_depth=self["system.lift_depth"],
-            rng_seed=self["rng.seed"],
         )
 
     def solver(self) -> vr.SolverConfig:
@@ -153,13 +143,6 @@ def _parse_value(key: str, raw: str):
             return ScalarField.parse(raw)
         if tag == "drift_field":
             return DriftField.parse(raw)
-        if tag == "auto_float":
-            if raw == "auto":
-                return "auto"
-            v = _finite(key, float(raw))
-            if v <= 0:
-                raise ValidationError(key, "must be positive or 'auto'")
-            return v
         if tag.startswith("int:"):
             lo, hi = (int(t) for t in tag.split(":", 1)[1].split(","))
             v = int(raw)
@@ -511,15 +494,13 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", required=True, help="flat key/value config file")
     parser.add_argument("--out", default=".", help="directory for CSV/JSON artifacts")
-    parser.add_argument("--seed", type=int, default=None, help="override rng.seed")
+    parser.add_argument("--seed", type=int, help="accepted and ignored; no solver draws random numbers")
     args = parser.parse_args(argv)
     try:
         cfg = parse_config(args.config)
     except (MagflowError, ValueError, OSError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.values["rng.seed"] = int(args.seed)
     return run_command(args.command, cfg, args.out)
 
 

@@ -66,8 +66,6 @@ def _require_symmetric(sys: MagneticSystem) -> None:
         problems.append("potential is not zonal")
     if not lag.drift.is_zero:
         problems.append("drift term present")
-    if not lag.is_electromagnetic:
-        problems.append("Lagrangian is not electromagnetic")
     if problems:
         raise NotSymmetric("; ".join(problems))
 

@@ -13,14 +13,6 @@ class DegenerateTriangle(MagflowError):
     """Spherical triangle with (near-)antipodal vertices."""
 
 
-class NonConvexFiber(MagflowError):
-    """A sampled fiber Hessian of the Lagrangian is not positive definite."""
-
-
-class UnsupportedLagrangian(MagflowError):
-    """Operation only implemented for the electromagnetic Lagrangian kind."""
-
-
 class StepExplosion(MagflowError):
     """Trajectory state grew beyond the allowed bound during integration."""
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import StepExplosion, UnsupportedLagrangian
+from .errors import StepExplosion
 from .loop_space import FreePeriodLoop
 from .sphere_geom import (
     angular_distance,
@@ -142,8 +142,6 @@ def _equations(sys: MagneticSystem):
 
 def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (dq, dv) of the equations of motion at a state."""
-    if not sys.lagrangian.is_electromagnetic:
-        raise UnsupportedLagrangian("flow field requires the electromagnetic kind")
     rhs, _ = _equations(sys)
     out = rhs(*(float(c) for c in state.q), *(float(c) for c in state.v))
     return np.array(out[:3]), np.array(out[3:])
@@ -151,8 +149,6 @@ def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np
 
 def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
     """Integrate for time T with (approximately) step h, landing exactly at T."""
-    if not sys.lagrangian.is_electromagnetic:
-        raise UnsupportedLagrangian("flow field requires the electromagnetic kind")
     if not (0.0 < h <= 0.1):
         raise ValueError("step must satisfy 0 < h <= 1e-1")
     if h > T:

@@ -30,7 +30,6 @@ import json
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import optimize
 
 from .sphere_geom import (
     BASE_POINT,
@@ -227,22 +226,13 @@ def _period_for_velocities(
 ) -> float:
     """Period p at which the mean energy of the velocities w / p equals e."""
     lag = sys.lagrangian
-    if lag.is_electromagnetic:
-        kin = float(np.mean(0.5 * lag.metric.norm_sq(nodes, w)))
-        ubar = float(np.mean(lag.potential(nodes)))
-        if e <= ubar:
-            raise ValueError(f"energy {e} does not exceed the mean potential {ubar:.6g}")
-        if kin < 1e-30:
-            return 1e-6
-        return float(np.sqrt(kin / (e - ubar)))
-
-    def resid(p):
-        return e - float(np.mean(lag.energy(nodes, w / p)))
-
-    lo, hi = 1e-6, 1e6
-    if resid(hi) <= 0.0:
-        raise ValueError("no optimal period: energy below the rest level")
-    return float(optimize.brentq(resid, lo, hi, xtol=1e-14, rtol=1e-15))
+    kin = float(np.mean(0.5 * lag.metric.norm_sq(nodes, w)))
+    ubar = float(np.mean(lag.potential(nodes)))
+    if e <= ubar:
+        raise ValueError(f"energy {e} does not exceed the mean potential {ubar:.6g}")
+    if kin < 1e-30:
+        return 1e-6
+    return float(np.sqrt(kin / (e - ubar)))
 
 
 def optimal_period(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> float:
@@ -478,16 +468,17 @@ def in_valley(sys: MagneticSystem, loop: FreePeriodLoop, tau: float) -> bool:
 
 
 def valley_tau(sys: MagneticSystem) -> float:
-    """Valley radius 2*h1 / sup|dW_flat + sigma|, capped at 0.1.
+    """Valley radius 2*h1 / S = 1 / S, capped at 0.1.
 
-    Half the positivity threshold of the lower action bound; the cap covers
-    the degenerate case of a vanishing combined form.
+    h1 = 1/2 is the fiber convexity of the kinetic term and S the bound of
+    |dW_flat + sigma|_g from ``MagneticSystem.fiber_bounds``.  Half the
+    positivity threshold of the lower action bound; the cap covers the
+    degenerate case of a vanishing combined form.
     """
-    fb = sys.fiber_bounds()
-    sup = fb.sup_norm_dlambda_plus_sigma
+    sup = sys.fiber_bounds()
     if sup <= 1e-15:
         return VALLEY_TAU_CAP
-    return float(min(VALLEY_TAU_CAP, 2.0 * fb.h1 / sup))
+    return float(min(VALLEY_TAU_CAP, 1.0 / sup))
 
 
 # ---------------------------------------------------------------------------

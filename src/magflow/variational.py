@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EndpointNotMinimal, MagflowError, MaxIterations, ValleyCollapse
-from .flow import CERTIFY_CLOSURE_TOL, OrbitReport, certify_orbit, count_self_intersections
+from .flow import CERTIFY_CLOSURE_TOL, OrbitReport, certify_orbit
 from .loop_space import (
     FreePeriodLoop,
     LiftedLoop,
@@ -588,21 +588,19 @@ def polish_candidate(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> Fre
 
 
 def _endpoint_for_label(sys, e, waists_by_mult, m, n):
-    ll = iterate(waists_by_mult[m], m)
+    ll = iterate(waists_by_mult[m].lifted, m)
     return deck_transform(sys, ll, n)
 
 
-def prepare_waists(sys, e, labels, seed_builder, path_n, cfg) -> dict[int, LiftedLoop]:
-    """Converge one waist per covering multiplicity at path_n/m nodes."""
+def prepare_waists(sys, e, labels, seed_builder, path_n, cfg) -> dict[int, WaistResult]:
+    """Converge and certify one waist per covering multiplicity at path_n/m nodes."""
     mults = sorted({m for (m, _) in labels})
-    out: dict[int, LiftedLoop] = {}
+    out: dict[int, WaistResult] = {}
     for m in mults:
         if path_n % m != 0:
             raise ValueError(f"path node count {path_n} not divisible by multiplicity {m}")
         n_m = path_n // m
-        seed = seed_builder(n_m)
-        res = find_waist(sys, e, seed, cfg)
-        out[m] = res.lifted
+        out[m] = find_waist(sys, e, seed_builder(n_m), cfg)
     return out
 
 
@@ -653,9 +651,9 @@ def scan_energy(
             seeds = default_seed_builder(sys, e, seed_z0, seed_amplitude, seed_mode)
             waists = prepare_waists(sys, e, labels, seeds, path_n, cfg)
             waist = waists[1] if 1 in waists else next(iter(waists.values()))
-            row["waist_action"] = lifted_action_A(sys, e, waist)
-            row["waist_gradient_norm"] = _dual_norm(sys, e, waist)
-            row["waist_self_intersections"] = count_self_intersections(waist.nodes)
+            row["waist_action"] = waist.action
+            row["waist_gradient_norm"] = waist.gradient_norm
+            row["waist_self_intersections"] = waist.report.self_intersections
             mm = minimax_between_labels(sys, e, waists, labels[0], labels[1], cfg)
             row["minimax_value"] = mm.value
             row["minimax_converged"] = mm.converged
@@ -749,17 +747,14 @@ def multiplicity_search(
 
     seeds = default_seed_builder(sys, e, seed_z0, seed_amplitude, seed_mode)
     waists = prepare_waists(sys, e, labels, seeds, path_n, cfg)
-    base_mult = min(waists)
-    waist = waists[base_mult]
-    wrep = certify_orbit(sys, waist.loop, e)
-    wrep = replace(wrep, gradient_norm=_dual_norm(sys, e, waist))
+    waist = waists[min(waists)]
     records.append(
         OrbitRecord(
             source="waist",
-            lifted=waist,
-            action=lifted_action_A(sys, e, waist),
-            report=wrep,
-            primitive=_primitive(waist.loop),
+            lifted=waist.lifted,
+            action=waist.action,
+            report=waist.report,
+            primitive=_primitive(waist.lifted.loop),
         )
     )
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from magflow import latitude_loop
-from magflow.cli import main, parse_config
+from magflow.cli import _DEPRECATED, main, parse_config
 from magflow.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -72,7 +72,6 @@ class TestParseConfig:
         cfg = parse_config(write(tmp_path, MINIMAL))
         system = cfg.system()
         assert system.density.coeffs[2] == 1.0
-        assert system.lagrangian.is_electromagnetic
 
 
 class TestCommands:
@@ -279,23 +278,35 @@ flow.time = 1.0
 
 
 class TestDeprecatedKeys:
-    def test_certify_h_warns_and_is_ignored(self, tmp_path, capsys):
-        base = """
+    BASE = """
 system.density = height(1.0, 0.0)
 run.energy = 0.02
 run.seed_amplitude = 0.02
 discretization.loop_nodes = 64
 solver.max_iter = 6000
 """
-        outputs = []
-        for name, text in (("plain.cfg", base), ("deprecated.cfg", base + "solver.certify_h = 1e-2\n")):
-            code = main(["waist", "--config", write(tmp_path, text, name), "--out", str(tmp_path)])
-            assert code == 0
-            outputs.append(capsys.readouterr())
-        assert outputs[0].err == ""
-        warning = outputs[1].err.splitlines()
-        assert len(warning) == 1 and warning[0].startswith("warning: solver.certify_h is ignored;")
-        assert outputs[1].out.encode() == outputs[0].out.encode()
+    # a valid value for every deprecated key; a new key without one fails here
+    VALUES = {"solver.certify_h": "1e-2", "system.extension_radius": "3.0", "rng.seed": "5"}
+
+    def waist(self, tmp_path, capsys, text, *extra):
+        code = main(["waist", "--config", write(tmp_path, text), "--out", str(tmp_path), *extra])
+        assert code == 0
+        return capsys.readouterr()
+
+    @pytest.mark.parametrize("key", sorted(_DEPRECATED))
+    def test_warns_once_and_is_ignored(self, tmp_path, capsys, key):
+        plain = self.waist(tmp_path, capsys, self.BASE)
+        deprecated = self.waist(tmp_path, capsys, self.BASE + f"{key} = {self.VALUES[key]}\n")
+        assert plain.err == ""
+        warning = deprecated.err.splitlines()
+        assert len(warning) == 1 and warning[0].startswith(f"warning: {key} is ignored;")
+        assert deprecated.out.encode() == plain.out.encode()
+
+    def test_seed_flag_is_ignored(self, tmp_path, capsys):
+        plain = self.waist(tmp_path, capsys, self.BASE)
+        seeded = self.waist(tmp_path, capsys, self.BASE, "--seed", "5")
+        assert seeded.err == ""
+        assert seeded.out.encode() == plain.out.encode()
 
 
 class TestDeterminism:

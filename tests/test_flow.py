@@ -17,7 +17,7 @@ from magflow import (
     optimal_period,
 )
 from magflow import flow
-from magflow.errors import StepExplosion, UnsupportedLagrangian
+from magflow.errors import StepExplosion
 from magflow.fields import DriftField
 from magflow.flow import Trajectory, count_self_intersections, state_distance
 from magflow.sphere_geom import Metric, angular_distance, project_to_sphere
@@ -136,12 +136,6 @@ class TestField:
         dq, dv = magnetic_el_field(sys0, State.of(EX, np.zeros(3)))
         assert np.allclose(dq, 0.0)
         assert np.allclose(dv, 0.0)
-
-    def test_custom_kind_rejected(self):
-        lag = Lagrangian.fiber_polynomial(0.5, 0.1)
-        bad = MagneticSystem(lag, ScalarField.constant(1.0))
-        with pytest.raises(UnsupportedLagrangian):
-            magnetic_el_field(bad, State.of(EX, EY))
 
     @pytest.mark.parametrize("name", ["round", "conformal", "potential-drift"])
     def test_matches_reference(self, rng, name):

@@ -485,6 +485,12 @@ class TestValley:
         # sup |f| = 12 -> tau = 2*0.5/12 = 1/12 < cap
         assert valley_tau(big) == pytest.approx(1.0 / 12.0, rel=1e-3)
 
+    def test_valley_tau_non_zonal_exact(self):
+        # sup |f| = 5 + |(30, -40, 10)| is attained at a single point, which
+        # a sampled sup misses
+        tilted = MagneticSystem.kinetic(ScalarField.linear(30.0, -40.0, 10.0, 5.0))
+        assert valley_tau(tilted) == pytest.approx(1.0 / (5.0 + np.sqrt(2600.0)), abs=1e-15)
+
     def test_zero_form_returns_cap(self):
         empty = MagneticSystem.kinetic(ScalarField.constant(0.0))
         assert valley_tau(empty) == pytest.approx(0.1)

@@ -213,8 +213,8 @@ class TestMinimax:
         waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], seeds, 512, cfg)
         mm = minimax_between_labels(sys_z, E, waists, (1, 0), (2, 0), cfg)
         ends = [
-            lifted_action_A(sys_z, E, waists[1]),
-            2.0 * lifted_action_A(sys_z, E, waists[2]),
+            lifted_action_A(sys_z, E, waists[1].lifted),
+            2.0 * lifted_action_A(sys_z, E, waists[2].lifted),
         ]
         assert mm.value >= max(ends)
         assert mm.converged
