@@ -15,7 +15,7 @@ from magflow import MagneticSystem, ScalarField, State, energy_drift, integrate
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
 
-system = MagneticSystem.kinetic(ScalarField.constant(1.0))
+system = MagneticSystem(ScalarField.constant(1.0))
 s0 = State.of([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])  # speed 1, energy 0.5
 
 period = np.pi * np.sqrt(2.0)  # circle of geodesic radius pi/4 at unit speed
@@ -36,7 +36,7 @@ with open(csv, "w") as fh:
 print(f"trajectory written to {csv}")
 
 # an oscillating density: the equator is force-free where the density is zero
-system_z = MagneticSystem.kinetic(ScalarField.height(1.0, 0.0))
+system_z = MagneticSystem(ScalarField.height(1.0, 0.0))
 s0 = State.of([1.0, 0.0, 0.0], [0.0, 0.2, 0.0])
 traj = integrate(system_z, s0, 10.0 * np.pi, 1e-3)
 print(f"density z, equator start: max |z| along orbit = {np.max(np.abs(traj.positions[:, 2])):.2e}")

@@ -19,7 +19,7 @@ from magflow.variational import default_seed_builder
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
 
-system = MagneticSystem.kinetic(ScalarField.height(1.0, 0.0))
+system = MagneticSystem(ScalarField.height(1.0, 0.0))
 e = 0.02
 
 seed = default_seed_builder(system, e, z0=0.0, amplitude=0.05, mode=3)(128)

@@ -19,7 +19,7 @@ from magflow.variational import (
     prepare_waists,
 )
 
-system = MagneticSystem.kinetic(ScalarField.height(1.0, 0.0))
+system = MagneticSystem(ScalarField.height(1.0, 0.0))
 e = 0.02
 cfg = SolverConfig()
 

@@ -19,7 +19,7 @@ from magflow import (
     latitude_circle_action,
 )
 
-system = MagneticSystem.kinetic(ScalarField.height(1.0, 0.0))
+system = MagneticSystem(ScalarField.height(1.0, 0.0))
 
 print("e0 =", compute_e0(system))
 print()
@@ -40,7 +40,7 @@ gen = e1_lower_bound_general(
 )
 print(f"general descent bound on a 0.01 grid: {gen.value:.3f}")
 
-flat = e1_lower_bound_symmetric(MagneticSystem.kinetic(ScalarField.constant(1.0)), 0.3)
+flat = e1_lower_bound_symmetric(MagneticSystem(ScalarField.constant(1.0)), 0.3)
 print()
 print(f"f = 1: negative configuration found = {flat.negative_found} "
       f"(no oscillation, the bound degenerates to e0 = {flat.value})")

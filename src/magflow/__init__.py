@@ -1,7 +1,6 @@
 """Numerical study of periodic orbits of magnetic systems on the 2-sphere."""
 
 from .errors import (
-    DegenerateTriangle,
     EndpointNotMinimal,
     MagflowError,
     MaxIterations,
@@ -13,8 +12,8 @@ from .errors import (
     ValleyCollapse,
 )
 from .fields import DriftField, ScalarField
-from .sphere_geom import Metric, SphericalTriangle, TwoForm, project_to_sphere, total_flux
-from .tonelli import Lagrangian, MagneticSystem, e0
+from .sphere_geom import Metric, project_to_sphere, total_flux
+from .tonelli import MagneticSystem
 from .flow import OrbitReport, State, Trajectory, certify_orbit, energy_drift, integrate, magnetic_el_field
 from .loop_space import (
     FreePeriodLoop,

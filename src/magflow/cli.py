@@ -31,7 +31,7 @@ from .loop_space import (
     save_lifted,
 )
 from .sphere_geom import Metric
-from .tonelli import Lagrangian, MagneticSystem
+from .tonelli import MagneticSystem
 
 COMMANDS = (
     "flow",
@@ -53,8 +53,6 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "system.density": ("scalar_field", "height(1.0, 0.0)"),
     "system.potential": ("scalar_field", "constant(0.0)"),
     "system.drift": ("drift_field", "none"),
-    "system.quad_depth": ("int:2,6", "4"),
-    "system.lift_depth": ("int:2,6", "4"),
     "discretization.loop_nodes": ("int:16,8192", "128"),
     "discretization.path_nodes": ("int:8,256", "12"),
     "discretization.path_loop_nodes": ("int:16,8192", "512"),
@@ -81,6 +79,8 @@ _DEPRECATED: dict[str, str] = {
     "solver.certify_h": "certification picks its RK4 step by step doubling",
     "system.extension_radius": "the Lagrangian is quadratic in the velocity everywhere",
     "rng.seed": "no solver draws random numbers",
+    "system.quad_depth": "every flux quadrature runs at one fixed depth",
+    "system.lift_depth": "every flux quadrature runs at one fixed depth",
 }
 
 
@@ -97,12 +97,8 @@ class RunConfig:
             if self["system.metric"] == "round"
             else Metric.conformal(self["system.conformal_exponent"])
         )
-        lag = Lagrangian.electromagnetic(metric, self["system.potential"], self["system.drift"])
         return MagneticSystem(
-            lag,
-            self["system.density"],
-            quad_depth=self["system.quad_depth"],
-            lift_depth=self["system.lift_depth"],
+            self["system.density"], self["system.potential"], self["system.drift"], metric
         )
 
     def solver(self) -> vr.SolverConfig:
@@ -486,8 +482,16 @@ def run_command(command: str, cfg: RunConfig, out_dir) -> int:
         return 1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises ArgumentError on a malformed command line, where argparse
+    would print its usage text and exit 2, the code of nonconvergence."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="magflow",
         description="Periodic orbits of magnetic systems on the 2-sphere.",
     )
@@ -495,7 +499,11 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="flat key/value config file")
     parser.add_argument("--out", default=".", help="directory for CSV/JSON artifacts")
     parser.add_argument("--seed", type=int, help="accepted and ignored; no solver draws random numbers")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except argparse.ArgumentError as exc:
+        print(f"error: {exc}", file=_sys.stderr)
+        return 1
     try:
         cfg = parse_config(args.config)
     except (MagflowError, ValueError, OSError) as exc:

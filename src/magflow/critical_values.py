@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .errors import MaxIterations, NotSymmetric, ValleyCollapse
 from .flow import count_self_intersections
@@ -26,8 +25,10 @@ from .loop_space import (
     lifted_action_A,
     optimal_period,
 )
-from .tonelli import MagneticSystem, e0
+from .tonelli import MagneticSystem
 from .variational import SolverConfig, find_waist
+
+_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -51,20 +52,19 @@ class E1Result:
 
 
 def compute_e0(sys: MagneticSystem) -> float:
-    """Ceiling of the rest energy: max of E(., 0) over the sphere."""
-    return e0(sys.lagrangian)
+    """Ceiling of the rest energy, exactly: max of E(., 0) = U over the sphere."""
+    return sys.potential.bounds()[1]
 
 
 def _require_symmetric(sys: MagneticSystem) -> None:
-    lag = sys.lagrangian
     problems = []
-    if not lag.metric.is_round:
+    if not sys.metric.is_round:
         problems.append("metric is not round")
     if not sys.density.is_zonal:
         problems.append("magnetic density is not zonal")
-    if not lag.potential.is_zonal:
+    if not sys.potential.is_zonal:
         problems.append("potential is not zonal")
-    if not lag.drift.is_zero:
+    if not sys.drift.is_zero:
         problems.append("drift term present")
     if problems:
         raise NotSymmetric("; ".join(problems))
@@ -89,7 +89,7 @@ def latitude_circle_action(sys: MagneticSystem, e: float, z0: float) -> float:
     _require_symmetric(sys)
     if not -1.0 < z0 < 1.0:
         raise ValueError("z0 must lie strictly between -1 and 1")
-    u_val = float(sys.lagrangian.potential.zonal_profile(np.array(z0)))
+    u_val = float(sys.potential.zonal_profile(np.array(z0)))
     if e <= u_val:
         return np.inf
     length = 2.0 * np.pi * np.sqrt(1.0 - z0 * z0)
@@ -102,15 +102,27 @@ def _min_latitude_action(sys: MagneticSystem, e: float, grid_size: int = 401):
     k = int(np.argmin(vals))
     lo = z_grid[max(k - 1, 0)]
     hi = z_grid[min(k + 1, len(z_grid) - 1)]
-    res = optimize.minimize_scalar(
-        lambda z: latitude_circle_action(sys, e, z),
-        bounds=(lo, hi),
-        method="bounded",
-        options={"xatol": 1e-12},
-    )
-    if res.fun < vals[k]:
-        return float(res.x), float(res.fun)
+    z, val = _golden_section(lambda z: latitude_circle_action(sys, e, z), lo, hi)
+    if val < vals[k]:
+        return z, val
     return float(z_grid[k]), float(vals[k])
+
+
+def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
+    """Minimum of a unimodal fn on [lo, hi] by golden-section search, with
+    the bracket narrowed to width 1e-12; returns (argmin, min)."""
+    c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
+    fc, fd = fn(c), fn(d)
+    while hi - lo > 1e-12:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = fn(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = fn(d)
+    return (float(c), float(fc)) if fc < fd else (float(d), float(fd))
 
 
 def _symmetric_witness(sys, e, z0, n=256) -> LiftedLoop:

@@ -9,10 +9,6 @@ class NearZeroVector(MagflowError):
     """Vector too close to the origin to project onto the sphere."""
 
 
-class DegenerateTriangle(MagflowError):
-    """Spherical triangle with (near-)antipodal vertices."""
-
-
 class StepExplosion(MagflowError):
     """Trajectory state grew beyond the allowed bound during integration."""
 

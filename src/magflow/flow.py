@@ -88,14 +88,13 @@ def _equations(sys: MagneticSystem):
     the right-hand side returns (dq, dv) as a 6-tuple.  The conformal block
     runs only for a non-round metric, so round-metric states never pay for it.
     """
-    lag = sys.lagrangian
-    conformal = not lag.metric.is_round
+    conformal = not sys.metric.is_round
     dens = sys.density.scalar_fn()
-    drift_h = 2.0 * lag.drift.coeffs[0] if lag.drift.kind == "azimuthal" else 0.0
-    grad_pot = lag.potential.grad_fn()
-    pot = lag.potential.scalar_fn()
-    u = lag.metric.conformal_exponent.scalar_fn()
-    grad_u = lag.metric.conformal_exponent.grad_fn()
+    drift_h = 2.0 * sys.drift.coeffs[0] if sys.drift.kind == "azimuthal" else 0.0
+    grad_pot = sys.potential.grad_fn()
+    pot = sys.potential.scalar_fn()
+    u = sys.metric.conformal_exponent.scalar_fn()
+    grad_u = sys.metric.conformal_exponent.grad_fn()
 
     def rhs(qx, qy, qz, vx, vy, vz):
         qn = math.sqrt(qx * qx + qy * qy + qz * qz)
@@ -292,7 +291,7 @@ def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> O
     if p <= 0:
         raise ValueError("candidate period must be positive")
     w = candidate.velocities()
-    mean_e = float(np.mean(sys.lagrangian.energy(nodes, w / p)))
+    mean_e = float(np.mean(sys.energy(nodes, w / p)))
     v0 = candidate.fourth_order_velocities()[0] / p
     s0 = State.of(nodes[0], v0)
     n = max(SHOOT_MIN_STEPS, math.ceil(p / SHOOT_H0))

@@ -33,6 +33,7 @@ import numpy as np
 
 from .sphere_geom import (
     BASE_POINT,
+    FLUX_DEPTH,
     angular_distance,
     cross3,
     cyclic_shift,
@@ -217,7 +218,7 @@ def resample_loop(loop: FreePeriodLoop, n_new: int) -> FreePeriodLoop:
 def discrete_action_S(sys: MagneticSystem, e: float, loop: FreePeriodLoop) -> float:
     """Free-period action p * mean L(gamma, w/p) + p*e of the discrete loop."""
     w = loop.velocities()
-    vals = sys.lagrangian.value(loop.nodes, w / loop.p)
+    vals = sys.value(loop.nodes, w / loop.p)
     return float(loop.p * np.mean(vals) + loop.p * e)
 
 
@@ -225,9 +226,8 @@ def _period_for_velocities(
     sys: MagneticSystem, nodes: np.ndarray, w: np.ndarray, e: float
 ) -> float:
     """Period p at which the mean energy of the velocities w / p equals e."""
-    lag = sys.lagrangian
-    kin = float(np.mean(0.5 * lag.metric.norm_sq(nodes, w)))
-    ubar = float(np.mean(lag.potential(nodes)))
+    kin = float(np.mean(0.5 * sys.metric.norm_sq(nodes, w)))
+    ubar = float(np.mean(sys.potential(nodes)))
     if e <= ubar:
         raise ValueError(f"energy {e} does not exceed the mean potential {ubar:.6g}")
     if kin < 1e-30:
@@ -273,7 +273,7 @@ def _choose_apex(nodes: np.ndarray) -> np.ndarray:
 def cone_flux(
     sys: MagneticSystem,
     loop: FreePeriodLoop,
-    depth: int | None = None,
+    depth: int = FLUX_DEPTH,
     apex: np.ndarray | None = None,
 ) -> float:
     """Flux through the great-arc cone spanning the loop from a fixed apex.
@@ -284,19 +284,18 @@ def cone_flux(
     loop comes near its antipode, in which case a fixed fallback list is
     scanned for the largest antipodal margin.
     """
-    depth = sys.lift_depth if depth is None else depth
     nodes = loop.nodes
     if apex is None:
         apex = _choose_apex(nodes)
     tris = np.stack(
         [np.broadcast_to(apex, nodes.shape), nodes, cyclic_shift(nodes, 1)], axis=1
     )
-    return triangles_flux(sys.form, tris, depth)
+    return triangles_flux(sys.round_density, tris, depth)
 
 
-def lift_loop(sys: MagneticSystem, loop: FreePeriodLoop, depth: int | None = None) -> LiftedLoop:
+def lift_loop(sys: MagneticSystem, loop: FreePeriodLoop) -> LiftedLoop:
     """Canonical lift of a fresh loop (cone construction pins the ledger)."""
-    return LiftedLoop(loop, cone_flux(sys, loop, depth))
+    return LiftedLoop(loop, cone_flux(sys, loop))
 
 
 def _sweep_once(sys: MagneticSystem, old: np.ndarray, new: np.ndarray) -> float:
@@ -322,7 +321,7 @@ def _sweep_once(sys: MagneticSystem, old: np.ndarray, new: np.ndarray) -> float:
     tri_m = np.concatenate([m, m, m, m])
     omega = np.sum(solid_angle(tri_a, tri_b, tri_m).reshape(4, n), axis=0)
     stations = np.stack([A, mab, B, mad, m, mbc, D, mdc, C])
-    fvals = sys.form.round_density(stations)
+    fvals = sys.round_density(stations)
     weights = np.array([1.0, 4.0, 1.0, 4.0, 16.0, 4.0, 1.0, 4.0, 1.0]) / 36.0
     fbar = np.einsum("s,sn->n", weights, fvals)
     return float(np.sum(omega * fbar))
@@ -392,7 +391,7 @@ def _flux_gradient(sys: MagneticSystem, nodes: np.ndarray) -> np.ndarray:
     s3 = 1.0 + dot3(a, b) + 2.0 * cm
     mxa = cross3(m, a)
     bxm = cross3(b, m)
-    f = sys.form.round_density
+    f = sys.round_density
     fbar = (f(a) + 4.0 * f(m) + f(b)) / 6.0
     c_self = mxa / (1.0 + cm)[:, None] + 2.0 * bxm / s3[:, None]
     c_next = bxm / (1.0 + cm)[:, None] + 2.0 * mxa / s3[:, None]
@@ -413,13 +412,12 @@ def action_gradient(sys: MagneticSystem, e: float, ll: LiftedLoop) -> LoopGradie
     loop = ll.loop
     nodes = loop.nodes
     n, p = loop.n, loop.p
-    lag = sys.lagrangian
 
     c = 0.5 * n * (cyclic_shift(nodes, 1) - cyclic_shift(nodes, -1))
     w = tangent_project(nodes, c)
     v = w / p
-    u = lag.ambient_dv(nodes, v)
-    dq = lag.ambient_dq(nodes, v)
+    u = sys.ambient_dv(nodes, v)
+    dq = sys.ambient_dq(nodes, v)
 
     grad = (p / n) * dq
     qc = dot3(nodes, c)[:, None]
@@ -429,7 +427,7 @@ def action_gradient(sys: MagneticSystem, e: float, ll: LiftedLoop) -> LoopGradie
     grad += 0.5 * (cyclic_shift(pu, -1) - cyclic_shift(pu, 1))
     grad += _flux_gradient(sys, nodes)
 
-    p_grad = e - float(np.mean(lag.energy(nodes, v)))
+    p_grad = e - float(np.mean(sys.energy(nodes, v)))
     return LoopGradient(tangent_project(nodes, grad), p_grad)
 
 

@@ -1,11 +1,13 @@
 """Geometry of the unit 2-sphere embedded in R^3.
 
-Provides projections, round/conformal metrics, 2-forms written as a density
-times the metric area form, and signed flux quadrature over spherical
-triangles and over the whole sphere (the 20 icosahedron faces).  The one
-flux rule is Gauss-Legendre in geodesic polar coordinates about a triangle's
-first vertex, with 2^depth nodes per axis; for smooth densities it converges
-spectrally, to rounding at depth 4 on the loops this package lifts.
+Provides projections, round/conformal metrics, and signed flux quadrature
+of a 2-form over spherical triangles and over the whole sphere (the 20
+icosahedron faces).  A 2-form enters as its density relative to the round
+area form: any callable on points, such as a ``ScalarField`` or
+``MagneticSystem.round_density``.  The one flux rule is Gauss-Legendre in
+geodesic polar coordinates about a triangle's first vertex, with 2^depth
+nodes per axis; for smooth densities it converges spectrally, to rounding at
+depth 4 (``FLUX_DEPTH``) on the loops this package lifts.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
@@ -21,16 +23,21 @@ arrays this package passes around.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateTriangle, NearZeroVector
+from .errors import NearZeroVector
 from .fields import ScalarField
+
+Density = Callable[[np.ndarray], np.ndarray]
 
 BASE_POINT = np.array([-1.0, 0.0, 0.0])
 
+# Gauss-Legendre depth of every flux quadrature: 2^depth nodes per axis
+FLUX_DEPTH = 4
+
 _MIN_NORM = 1e-9
-_ANTIPODAL_MARGIN = 1e-9
 
 
 def cross3(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -147,27 +154,6 @@ class Metric:
         return self.dot(q, v, v)
 
 
-@dataclass(frozen=True)
-class TwoForm:
-    """2-form sigma = f * dA_g: scalar density times the metric area form."""
-
-    density: ScalarField
-    metric: Metric = Metric.round()
-
-    def round_density(self, q: np.ndarray) -> np.ndarray:
-        """Density relative to the round area form: f * exp(2u)."""
-        f = self.density(q)
-        if self.metric.is_round:
-            return f
-        return f * self.metric.exp2u(q)
-
-    def __call__(self, q: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """sigma_q(v, w) = f(q) * dA_g(v, w) with dA(v, w) = <q, v x w>."""
-        q = np.asarray(q, dtype=float)
-        tri = dot3(q, cross3(v, w))
-        return self.round_density(q) * tri
-
-
 def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     """Signed solid angle of the geodesic triangle (a, b, c).
 
@@ -182,25 +168,9 @@ def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return 2.0 * np.arctan2(det, denom)
 
 
-@dataclass(frozen=True)
-class SphericalTriangle:
-    """Geodesic triangle; vertex order fixes the orientation."""
-
-    a: np.ndarray
-    b: np.ndarray
-    c: np.ndarray
-
-    def validate(self) -> None:
-        for u, v in ((self.a, self.b), (self.b, self.c), (self.c, self.a)):
-            if angular_distance(u, v) >= np.pi - _ANTIPODAL_MARGIN:
-                raise DegenerateTriangle("triangle has (near-)antipodal vertices")
-
-    def vertices(self) -> np.ndarray:
-        return np.stack([self.a, self.b, self.c])
-
-
-def triangles_flux(form: TwoForm, tris: np.ndarray, depth: int) -> float:
-    """Flux of the 2-form through oriented triangles, a (T, 3, 3) vertex array.
+def triangles_flux(density: Density, tris: np.ndarray, depth: int = FLUX_DEPTH) -> float:
+    """Flux of the 2-form with round-area density ``density`` through
+    oriented triangles, a (T, 3, 3) vertex array.
 
     Each triangle is integrated in geodesic polar coordinates about its first
     vertex a: the far edge b -> c is the constant-speed great arc e(t), and
@@ -245,18 +215,8 @@ def triangles_flux(form: TwoForm, tris: np.ndarray, depth: int) -> float:
         jac = np.divide(theta_max, sin_max * sin_max, out=np.zeros_like(theta_max), where=ok)
         th = s[:, None] * theta_max
         q = np.cos(th)[..., None] * a + np.sin(th)[..., None] * d
-        g[j] = scale * jac * (ws @ (form.round_density(q) * np.sin(th)))
+        g[j] = scale * jac * (ws @ (density(q) * np.sin(th)))
     return float(np.sum(ws[:half] @ (g[:half] + g[::-1][:half])))
-
-
-def integrate_two_form_triangle(form: TwoForm, tri: SphericalTriangle, depth: int) -> float:
-    """Flux of the 2-form through one oriented spherical triangle.
-
-    Uses ``triangles_flux`` on the single triangle; reversing the vertex
-    order negates the result.
-    """
-    tri.validate()
-    return triangles_flux(form, tri.vertices()[None], depth)
 
 
 def icosahedron_faces() -> np.ndarray:
@@ -289,9 +249,10 @@ def icosahedron_faces() -> np.ndarray:
     return v[np.array(faces)]
 
 
-def total_flux(form: TwoForm, depth: int) -> float:
-    """Flux of the 2-form through the whole sphere: ``triangles_flux`` over
-    the 20 icosahedron faces, each about its first vertex."""
+def total_flux(density: Density, depth: int = FLUX_DEPTH) -> float:
+    """Flux of the 2-form with round-area density ``density`` through the
+    whole sphere: ``triangles_flux`` over the 20 icosahedron faces, each
+    about its first vertex."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    return triangles_flux(form, icosahedron_faces(), depth)
+    return triangles_flux(density, icosahedron_faces(), depth)

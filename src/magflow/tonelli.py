@@ -1,12 +1,16 @@
-"""The electromagnetic Lagrangian on the tangent bundle of the sphere.
+"""The problem instance: a magnetic system on the 2-sphere.
+
+``MagneticSystem`` is the electromagnetic Lagrangian
 
     L(q, v) = 1/2 g_q(v, v) - U(q) + <W(q), v>
 
-with g = e^{2u} g_round the metric, U the potential and W the drift field.
-The derived quantities used everywhere else live here too: the conserved
+on the tangent bundle of the sphere, with g = e^{2u} g_round the metric, U
+the potential and W the drift field, together with the magnetic form
+sigma = f dA_g of density f.  The derived quantities used everywhere else
+live here too: the density relative to the round area form, the conserved
 energy E = dL/dv . v - L = 1/2 g(v, v) + U, the ambient derivatives of L,
-the energy ceiling e0 = max E(., 0) = max U, and the exact bound S of
-|dW_flat + sigma|_g that sizes the short-loop valley.
+the total flux of sigma, and the exact bound S of |dW_flat + sigma|_g that
+sizes the short-loop valley.
 """
 
 from __future__ import annotations
@@ -17,28 +21,25 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fields import DriftField, ScalarField
-from .sphere_geom import Metric, TwoForm, dot3, total_flux
-
-DEFAULT_QUAD_DEPTH = 4
+from .sphere_geom import Metric, dot3, total_flux
 
 
-@dataclass(frozen=True)
-class Lagrangian:
-    metric: Metric = Metric.round()
+@dataclass
+class MagneticSystem:
+    """Full problem instance: magnetic density, potential, drift and metric."""
+
+    density: ScalarField
     potential: ScalarField = ScalarField.constant(0.0)
     drift: DriftField = DriftField.none()
+    metric: Metric = Metric.round()
+    _total_flux: float | None = field(default=None, init=False, repr=False)
 
-    @staticmethod
-    def kinetic(metric: Metric = Metric.round()) -> "Lagrangian":
-        return Lagrangian(metric)
-
-    @staticmethod
-    def electromagnetic(
-        metric: Metric = Metric.round(),
-        potential: ScalarField = ScalarField.constant(0.0),
-        drift: DriftField = DriftField.none(),
-    ) -> "Lagrangian":
-        return Lagrangian(metric, potential, drift)
+    def round_density(self, q: np.ndarray) -> np.ndarray:
+        """Density of sigma relative to the round area form: f * exp(2u)."""
+        f = self.density(q)
+        if self.metric.is_round:
+            return f
+        return f * self.metric.exp2u(q)
 
     # --- evaluations (ambient q on the sphere, ambient tangent v) ---
 
@@ -71,47 +72,9 @@ class Lagrangian:
             out = out + (self.metric.exp2u(q) * dot3(v, v))[..., None] * du
         return out
 
-
-def e0(lag: Lagrangian) -> float:
-    """max E(., 0) over the sphere, exactly: E(q, 0) = U(q)."""
-    return lag.potential.bounds()[1]
-
-
-@dataclass
-class MagneticSystem:
-    """Full problem instance: metric, magnetic density, Lagrangian, depths."""
-
-    lagrangian: Lagrangian
-    density: ScalarField
-    quad_depth: int = DEFAULT_QUAD_DEPTH
-    lift_depth: int = DEFAULT_QUAD_DEPTH
-    _total_flux: float | None = field(default=None, repr=False)
-
-    @property
-    def metric(self) -> Metric:
-        return self.lagrangian.metric
-
-    @property
-    def form(self) -> TwoForm:
-        return TwoForm(self.density, self.metric)
-
-    @staticmethod
-    def kinetic(density: ScalarField, metric: Metric = Metric.round(), **kw) -> "MagneticSystem":
-        return MagneticSystem(Lagrangian.kinetic(metric), density, **kw)
-
-    @staticmethod
-    def electromagnetic(
-        density: ScalarField,
-        potential: ScalarField = ScalarField.constant(0.0),
-        drift: DriftField = DriftField.none(),
-        metric: Metric = Metric.round(),
-        **kw,
-    ) -> "MagneticSystem":
-        return MagneticSystem(Lagrangian.electromagnetic(metric, potential, drift), density, **kw)
-
     def total_flux(self) -> float:
         if self._total_flux is None:
-            self._total_flux = total_flux(self.form, self.quad_depth)
+            self._total_flux = total_flux(self.round_density)
         return self._total_flux
 
     def fiber_bounds(self) -> float:
@@ -123,8 +86,7 @@ class MagneticSystem:
         no drift.
         """
         sup = max(map(abs, self.density.bounds()))
-        lag = self.lagrangian
-        if not lag.drift.is_zero:
-            u_min = 0.0 if lag.metric.is_round else lag.metric.conformal_exponent.bounds()[0]
-            sup += 2.0 * abs(lag.drift.coeffs[0]) * math.exp(-2.0 * u_min)
+        if not self.drift.is_zero:
+            u_min = 0.0 if self.metric.is_round else self.metric.conformal_exponent.bounds()[0]
+            sup += 2.0 * abs(self.drift.coeffs[0]) * math.exp(-2.0 * u_min)
         return sup

@@ -36,9 +36,7 @@ from .flow import CERTIFY_CLOSURE_TOL, OrbitReport, certify_orbit
 from .loop_space import (
     FreePeriodLoop,
     LiftedLoop,
-    _choose_apex,
     action_gradient,
-    cone_flux,
     deck_transform,
     deform,
     h1_precondition,
@@ -189,25 +187,6 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
 
     dual = _dual_norm(sys, e, ll)
     raise MaxIterations(f"no convergence in {cfg.max_iter} iterations", best=(ll, action, dual))
-
-
-# ---------------------------------------------------------------------------
-# flux transport across node-count changes
-
-
-def transport_flux(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop) -> LiftedLoop:
-    """Carry the ledger onto a re-discretization of (nearly) the same curve.
-
-    Uses the difference of cone fluxes computed with one shared apex, which
-    equals the thin-annulus sweep between the two polygonizations.  The apex
-    follows the canonical-lift rule on both node sets, so a fresh lift is
-    carried onto the fresh lift of the new loop whenever the base point is
-    admissible for both.
-    """
-    apex = _choose_apex(np.concatenate([ll.nodes, new_loop.nodes]))
-    old_cone = cone_flux(sys, ll.loop, apex=apex)
-    new_cone = cone_flux(sys, new_loop, apex=apex)
-    return LiftedLoop(new_loop, ll.flux + (new_cone - old_cone))
 
 
 # ---------------------------------------------------------------------------

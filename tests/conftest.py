@@ -29,16 +29,16 @@ def rng():
 @pytest.fixture(scope="session")
 def sys_z():
     """Kinetic system with density f = z (zero total flux)."""
-    return MagneticSystem.kinetic(ScalarField.height(1.0, 0.0))
+    return MagneticSystem(ScalarField.height(1.0, 0.0))
 
 
 @pytest.fixture(scope="session")
 def sys_shifted():
     """Kinetic system with density f = z + 0.2 (total flux 0.8*pi)."""
-    return MagneticSystem.kinetic(ScalarField.height(1.0, 0.2))
+    return MagneticSystem(ScalarField.height(1.0, 0.2))
 
 
 @pytest.fixture(scope="session")
 def sys_const():
     """Kinetic system with constant density f = 1."""
-    return MagneticSystem.kinetic(ScalarField.constant(1.0))
+    return MagneticSystem(ScalarField.constant(1.0))

@@ -14,8 +14,6 @@ import pytest
 from magflow import (
     FreePeriodLoop,
     LiftedLoop,
-    MagneticSystem,
-    ScalarField,
     SolverConfig,
     State,
     action_gradient,
@@ -59,11 +57,8 @@ def criterion(num, desc):
     print(f"\nACCEPTANCE {num}: PASS - {desc}")
 
 
-def test_criterion_01_gradient_correctness(rng):
+def test_criterion_01_gradient_correctness(sys_shifted, rng):
     with criterion("01", "action gradient matches central finite differences"):
-        # the gradient is ledger-independent, so the canonical lifts here use
-        # a coarse cone quadrature to stay well inside the runtime budget
-        sys_shifted = MagneticSystem.kinetic(ScalarField.height(1.0, 0.2), lift_depth=3)
         e = 0.02
         eps = 1e-5
         t0 = time.time()

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import magflow
 from magflow import latitude_loop
 from magflow.cli import _DEPRECATED, main, parse_config
 from magflow.errors import ParseError, ValidationError
@@ -195,6 +200,26 @@ discretization.loop_nodes = 32
         assert code == 1
         assert len(err.splitlines()) == 1 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["wiast", "--config", "{cfg}"], ["waist", "--config", "{cfg}", "--seed", "abc"], ["waist"]],
+        ids=["unknown-command", "seed-not-int", "config-flag-missing"],
+    )
+    def test_malformed_command_line_exit_one(self, tmp_path, capsys, argv):
+        # exit code 2 is reserved for nonconvergence
+        cfg = write(tmp_path, MINIMAL)
+        code = main([arg.format(cfg=cfg) for arg in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1 and captured.err.startswith("error:")
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage:")
+
     def test_orbit_check_roundtrip(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
@@ -286,7 +311,13 @@ discretization.loop_nodes = 64
 solver.max_iter = 6000
 """
     # a valid value for every deprecated key; a new key without one fails here
-    VALUES = {"solver.certify_h": "1e-2", "system.extension_radius": "3.0", "rng.seed": "5"}
+    VALUES = {
+        "solver.certify_h": "1e-2",
+        "system.extension_radius": "3.0",
+        "rng.seed": "5",
+        "system.quad_depth": "6",
+        "system.lift_depth": "2",
+    }
 
     def waist(self, tmp_path, capsys, text, *extra):
         code = main(["waist", "--config", write(tmp_path, text), "--out", str(tmp_path), *extra])
@@ -328,3 +359,13 @@ rng.seed = ７
             assert code == 0
             outputs.append(capsys.readouterr().out.encode())
         assert outputs[0] == outputs[1]
+
+
+def test_import_leaves_scipy_unloaded():
+    # the entry point loads numpy only; scipy waits for the first Newton polish
+    src = str(Path(magflow.__file__).resolve().parents[1])
+    probe = "import sys, magflow.cli; print('scipy' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -53,13 +53,13 @@ class TestE0:
         assert compute_e0(sys_z) == pytest.approx(0.0, abs=1e-12)
 
     def test_linear(self):
-        sysu = MagneticSystem.electromagnetic(
+        sysu = MagneticSystem(
             ScalarField.height(1.0, 0.0), potential=ScalarField.height(0.3, 0.0)
         )
         assert compute_e0(sysu) == pytest.approx(0.3, abs=1e-9)
 
     def test_quadratic(self):
-        sysu = MagneticSystem.electromagnetic(
+        sysu = MagneticSystem(
             ScalarField.height(1.0, 0.0), potential=ScalarField.zonal_poly(0.0, 0.0, 0.3)
         )
         assert compute_e0(sysu) == pytest.approx(0.3, abs=1e-9)
@@ -93,16 +93,16 @@ class TestLatitudeAction:
 
     def test_cap_flux_matches_quadrature(self):
         profile = ScalarField.zonal_poly(0.1, -0.5, 0.2, 0.9, -0.3)
-        sysq = MagneticSystem.kinetic(profile)
+        sysq = MagneticSystem(profile)
         for z0 in (-0.99, -0.3, 0.0, 0.5, 0.999):
             flux, _ = sp_integrate.quad(profile.zonal_profile, -1.0, z0)
             assert cap_flux(sysq, z0) == pytest.approx(2.0 * np.pi * flux, abs=1e-13)
 
     def test_requires_symmetry(self):
-        asym = MagneticSystem.kinetic(ScalarField.linear(0.3, 0.0, 1.0, 0.0))
+        asym = MagneticSystem(ScalarField.linear(0.3, 0.0, 1.0, 0.0))
         with pytest.raises(NotSymmetric):
             latitude_circle_action(asym, 0.02, 0.0)
-        drifted = MagneticSystem.electromagnetic(
+        drifted = MagneticSystem(
             ScalarField.height(1.0, 0.0), drift=DriftField.azimuthal(0.2)
         )
         with pytest.raises(NotSymmetric):
@@ -164,13 +164,13 @@ class TestE1General:
         assert res.certificate.action_value < 0
 
     def test_zero_form_no_configuration(self):
-        empty = MagneticSystem.kinetic(ScalarField.constant(0.0))
+        empty = MagneticSystem(ScalarField.constant(0.0))
         res = e1_lower_bound_general(empty, [0.02, 0.05], self.CFG, n=48)
         assert not res.negative_found
         assert res.value == pytest.approx(0.0, abs=1e-12)
 
     def test_asymmetric_density_self_consistent(self):
-        asym = MagneticSystem.kinetic(ScalarField.linear(0.3, 0.0, 1.0, 0.0))
+        asym = MagneticSystem(ScalarField.linear(0.3, 0.0, 1.0, 0.0))
         coarse = e1_lower_bound_general(asym, [0.04, 0.08, 0.12], self.CFG, n=48)
         fine = e1_lower_bound_general(asym, [0.04, 0.06, 0.08, 0.10, 0.12], self.CFG, n=48)
         assert coarse.negative_found and fine.negative_found

@@ -5,7 +5,6 @@ import pytest
 
 from magflow import (
     FreePeriodLoop,
-    Lagrangian,
     MagneticSystem,
     ScalarField,
     State,
@@ -52,23 +51,22 @@ def crossings_reference(nodes: np.ndarray, tol: float = 1e-6) -> int:
 
 def field_reference(sys: MagneticSystem, q: np.ndarray, v: np.ndarray):
     """Right-hand side (dq, dv) in numpy vector form, one state at a time."""
-    lag = sys.lagrangian
     qh = q / np.linalg.norm(q)
     vt = v - np.dot(qh, v) * qh
     vv = np.dot(vt, vt)
     dv = -vv * qh
-    grad_u_pot = lag.potential.grad(qh)
-    if lag.metric.is_round:
+    grad_u_pot = sys.potential.grad(qh)
+    if sys.metric.is_round:
         force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
-        dens = sys.density(qh) + lag.drift.exterior_density_round(qh)
+        dens = sys.density(qh) + sys.drift.exterior_density_round(qh)
         force = force + dens * np.cross(vt, qh)
     else:
-        e2u = float(lag.metric.exp2u(qh))
-        du = lag.metric.conformal_exponent.grad(qh)
+        e2u = float(sys.metric.exp2u(qh))
+        du = sys.metric.conformal_exponent.grad(qh)
         dut = du - np.dot(qh, du) * qh
         dv = dv - 2.0 * np.dot(dut, vt) * vt + vv * dut
         force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
-        dens = sys.density(qh) * e2u + lag.drift.exterior_density_round(qh)
+        dens = sys.density(qh) * e2u + sys.drift.exterior_density_round(qh)
         force = (force + dens * np.cross(vt, qh)) / e2u
     return vt, dv + force
 
@@ -79,11 +77,10 @@ def rk4_reference(sys: MagneticSystem, s0: State, T: float, h: float) -> Traject
     dt = T / n
     q = np.array(s0.q, dtype=float)
     v = np.array(s0.v, dtype=float)
-    lag = sys.lagrangian
     qs = np.empty((n + 1, 3))
     vs = np.empty((n + 1, 3))
     es = np.empty(n + 1)
-    qs[0], vs[0], es[0] = q, v, float(lag.energy(q, v))
+    qs[0], vs[0], es[0] = q, v, float(sys.energy(q, v))
     for k in range(n):
         k1q, k1v = field_reference(sys, q, v)
         k2q, k2v = field_reference(sys, q + 0.5 * dt * k1q, v + 0.5 * dt * k1v)
@@ -93,29 +90,32 @@ def rk4_reference(sys: MagneticSystem, s0: State, T: float, h: float) -> Traject
         v = v + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         q = q / np.linalg.norm(q)
         v = v - np.dot(q, v) * q
-        qs[k + 1], vs[k + 1], es[k + 1] = q, v, float(lag.energy(q, v))
+        qs[k + 1], vs[k + 1], es[k + 1] = q, v, float(sys.energy(q, v))
     return Trajectory(np.linspace(0.0, T, n + 1), qs, vs, es)
 
 
 def reference_system(name: str) -> MagneticSystem:
     """Round, conformal, and potential-plus-azimuthal-drift test systems."""
     if name == "round":
-        return MagneticSystem.kinetic(ScalarField.height(1.0, 0.2))
+        return MagneticSystem(ScalarField.height(1.0, 0.2))
     if name == "conformal":
         metric = Metric.conformal(ScalarField.linear(0.1, -0.05, 0.15, 0.0))
-        lag = Lagrangian.electromagnetic(
-            metric, ScalarField.zonal_poly(0.0, 0.1, 0.2), DriftField.azimuthal(0.2)
+        return MagneticSystem(
+            ScalarField.linear(0.3, 0.1, 0.7, 0.1),
+            ScalarField.zonal_poly(0.0, 0.1, 0.2),
+            DriftField.azimuthal(0.2),
+            metric,
         )
-        return MagneticSystem(lag, ScalarField.linear(0.3, 0.1, 0.7, 0.1))
-    lag = Lagrangian.electromagnetic(
-        potential=ScalarField.zonal_poly(0.1, 0.2, -0.3), drift=DriftField.azimuthal(0.35)
+    return MagneticSystem(
+        ScalarField.zonal_poly(0.2, 0.5, 0.1),
+        ScalarField.zonal_poly(0.1, 0.2, -0.3),
+        DriftField.azimuthal(0.35),
     )
-    return MagneticSystem(lag, ScalarField.zonal_poly(0.2, 0.5, 0.1))
 
 
 class TestField:
     def test_geodesic_curvature_term(self, rng):
-        sys0 = MagneticSystem.kinetic(ScalarField.constant(0.0))
+        sys0 = MagneticSystem(ScalarField.constant(0.0))
         q = project_to_sphere(rng.normal(size=3))
         v = rng.normal(size=3)
         v -= np.dot(q, v) * q
@@ -132,7 +132,7 @@ class TestField:
         assert np.allclose(lorentz, [0.0, 0.0, -1.0], atol=1e-12)
 
     def test_rest_point(self):
-        sys0 = MagneticSystem.kinetic(ScalarField.constant(1.0))
+        sys0 = MagneticSystem(ScalarField.constant(1.0))
         dq, dv = magnetic_el_field(sys0, State.of(EX, np.zeros(3)))
         assert np.allclose(dq, 0.0)
         assert np.allclose(dv, 0.0)
@@ -151,7 +151,7 @@ class TestField:
 
 class TestIntegrate:
     def test_great_circle_closure(self):
-        sys0 = MagneticSystem.kinetic(ScalarField.constant(0.0))
+        sys0 = MagneticSystem(ScalarField.constant(0.0))
         s0 = State.of(EX, EY)
         traj = integrate(sys0, s0, 2.0 * np.pi, 1e-3)
         assert state_distance(traj.final_state, s0) < 1e-7
@@ -163,7 +163,7 @@ class TestIntegrate:
         assert state_distance(traj.final_state, s0) < 1e-6
 
     def test_stationary(self):
-        sys0 = MagneticSystem.kinetic(ScalarField.constant(1.0))
+        sys0 = MagneticSystem(ScalarField.constant(1.0))
         traj = integrate(sys0, State.of(EX, np.zeros(3)), 5.0, 1e-2)
         assert np.max(np.abs(traj.positions - EX)) < 1e-12
         assert np.max(np.abs(traj.velocities)) < 1e-12
@@ -188,8 +188,7 @@ class TestIntegrate:
 
     def test_conformal_path_runs(self):
         metric = Metric.conformal(ScalarField.height(0.1, 0.0))
-        lag = Lagrangian.electromagnetic(metric)
-        sysc = MagneticSystem(lag, ScalarField.constant(0.5))
+        sysc = MagneticSystem(ScalarField.constant(0.5), metric=metric)
         traj = integrate(sysc, State.of(EX, 0.5 * EY), 5.0, 1e-2)
         assert energy_drift(traj) < 1e-6
 
@@ -213,7 +212,7 @@ class TestIntegrate:
 
 class TestEnergyDrift:
     def test_stationary_zero(self):
-        sys0 = MagneticSystem.kinetic(ScalarField.constant(1.0))
+        sys0 = MagneticSystem(ScalarField.constant(1.0))
         traj = integrate(sys0, State.of(EX, np.zeros(3)), 1.0, 1e-2)
         assert energy_drift(traj) == 0.0
 
@@ -232,7 +231,7 @@ class TestEnergyDrift:
         assert d1 / d2 >= 12.0
 
     def test_time_reversal(self, sys_z):
-        neg = MagneticSystem.kinetic(ScalarField.height(-1.0, 0.0))
+        neg = MagneticSystem(ScalarField.height(-1.0, 0.0))
         s0 = State.of(EX, 0.4 * EY)
         fwd = integrate(sys_z, s0, 8.0, 1e-3)
         sf = fwd.final_state
@@ -242,9 +241,8 @@ class TestEnergyDrift:
     def test_drift_force_matches_density(self):
         # dW_flat acts on trajectories exactly like a magnetic density
         drift = DriftField.azimuthal(0.35)
-        lag = Lagrangian.electromagnetic(drift=drift)
-        sys_drift = MagneticSystem(lag, ScalarField.constant(0.0))
-        sys_dens = MagneticSystem.kinetic(ScalarField.height(0.7, 0.0))
+        sys_drift = MagneticSystem(ScalarField.constant(0.0), drift=drift)
+        sys_dens = MagneticSystem(ScalarField.height(0.7, 0.0))
         s0 = State.of(EX, 0.6 * EY)
         t1 = integrate(sys_drift, s0, 5.0, 1e-3)
         t2 = integrate(sys_dens, s0, 5.0, 1e-3)
@@ -299,7 +297,7 @@ class TestCertify:
         assert abs(rep.closure_residual - self.fixed_step_closure(sys_z, loop, 1e-4)) <= 1e-7
 
     def test_strong_field_refines(self, monkeypatch):
-        sys = MagneticSystem.kinetic(ScalarField.height(60.0, 0.0))
+        sys = MagneticSystem(ScalarField.height(60.0, 0.0))
         loop = latitude_loop(0.3, 128)
         loop = loop.with_period(optimal_period(sys, loop, 2.0))
         steps = self.spy_on_integrate(monkeypatch)
@@ -317,7 +315,7 @@ class TestCertify:
         assert steps == [n, 2 * n]
 
     def test_doubling_stops_at_step_cap(self, monkeypatch):
-        sys = MagneticSystem.kinetic(ScalarField.height(60.0, 0.0))
+        sys = MagneticSystem(ScalarField.height(60.0, 0.0))
         loop = latitude_loop(0.3, 128)
         loop = loop.with_period(optimal_period(sys, loop, 2.0))
         monkeypatch.setattr(flow, "MAX_STEPS", 1000)

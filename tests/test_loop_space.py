@@ -35,14 +35,12 @@ from magflow.loop_space import (
 from magflow.sphere_geom import (
     BASE_POINT,
     Metric,
-    SphericalTriangle,
     angular_distance,
-    integrate_two_form_triangle,
     project_to_sphere,
     slerp,
     tangent_basis,
+    triangles_flux,
 )
-from magflow.tonelli import Lagrangian
 from tests.conftest import random_lifted, random_loop
 
 E = 0.02
@@ -120,7 +118,7 @@ class TestLoopContainers:
 class TestDiscreteAction:
     def test_constant_loop_value(self):
         # stationary curve: A = p * (L(q, 0) + e) with L(q, 0) = -U(q)
-        sys_u = MagneticSystem.electromagnetic(
+        sys_u = MagneticSystem(
             ScalarField.height(1.0, 0.0), potential=ScalarField.height(0.3, 0.0)
         )
         loop = constant_like_loop(np.array([0.0, 0.0, 1.0]), p=2.0)
@@ -168,12 +166,8 @@ class TestLift:
         # the cone flux is the sum of its apex triangles' fluxes
         loop = perturb_normal(latitude_loop(-0.5, 100), 0.05, 3)
         nodes = loop.nodes
-        per_triangle = sum(
-            integrate_two_form_triangle(
-                sys_shifted.form, SphericalTriangle(BASE_POINT, nodes[i], nodes[(i + 1) % 100]), 6
-            )
-            for i in range(100)
-        )
+        tris = np.array([[BASE_POINT, nodes[i], nodes[(i + 1) % 100]] for i in range(100)])
+        per_triangle = sum(triangles_flux(sys_shifted.round_density, tri[None], 6) for tri in tris)
         assert cone_flux(sys_shifted, loop, 6, apex=BASE_POINT) == pytest.approx(
             per_triangle, abs=1e-12
         )
@@ -192,7 +186,7 @@ class TestLift:
         # the system of the conformal full-stack descent: its density f e^{2u}
         # is not a polynomial, and depth 4 already agrees with depth 6
         metric = Metric.conformal(ScalarField.height(0.15, 0.0))
-        sysc = MagneticSystem(Lagrangian.electromagnetic(metric), ScalarField.height(1.0, 0.0))
+        sysc = MagneticSystem(ScalarField.height(1.0, 0.0), metric=metric)
         for loop in (ORACLE_LOOPS["perturbed-latitude"](), random_loop(rng, 256)):
             assert cone_flux(sysc, loop, 4) == pytest.approx(cone_flux(sysc, loop, 6), abs=1e-13)
 
@@ -389,7 +383,7 @@ class TestActionGradient:
     def test_matches_fd_with_potential_and_drift(self, rng):
         from magflow.fields import DriftField
 
-        sys_full = MagneticSystem.electromagnetic(
+        sys_full = MagneticSystem(
             ScalarField.height(1.0, 0.2),
             potential=ScalarField.zonal_poly(0.1, -0.2, 0.15),
             drift=DriftField.azimuthal(0.3),
@@ -403,8 +397,9 @@ class TestActionGradient:
 
     def test_matches_fd_with_conformal_metric(self, rng):
         metric = Metric.conformal(ScalarField.height(0.2, 0.0))
-        lag = Lagrangian.electromagnetic(metric, potential=ScalarField.height(0.1, 0.0))
-        sys_conf = MagneticSystem(lag, ScalarField.height(1.0, 0.2))
+        sys_conf = MagneticSystem(
+            ScalarField.height(1.0, 0.2), potential=ScalarField.height(0.1, 0.0), metric=metric
+        )
         ll = random_lifted(sys_conf, rng, n=48)
         grad = action_gradient(sys_conf, 0.3, ll)
         fd_nodes, fd_p = self._fd_gradient(sys_conf, 0.3, ll)
@@ -481,18 +476,18 @@ class TestValley:
         assert valley_tau(sys_shifted) == pytest.approx(0.1)
 
     def test_valley_tau_scaling(self):
-        big = MagneticSystem.kinetic(ScalarField.height(10.0, 2.0))
+        big = MagneticSystem(ScalarField.height(10.0, 2.0))
         # sup |f| = 12 -> tau = 2*0.5/12 = 1/12 < cap
         assert valley_tau(big) == pytest.approx(1.0 / 12.0, rel=1e-3)
 
     def test_valley_tau_non_zonal_exact(self):
         # sup |f| = 5 + |(30, -40, 10)| is attained at a single point, which
         # a sampled sup misses
-        tilted = MagneticSystem.kinetic(ScalarField.linear(30.0, -40.0, 10.0, 5.0))
+        tilted = MagneticSystem(ScalarField.linear(30.0, -40.0, 10.0, 5.0))
         assert valley_tau(tilted) == pytest.approx(1.0 / (5.0 + np.sqrt(2600.0)), abs=1e-15)
 
     def test_zero_form_returns_cap(self):
-        empty = MagneticSystem.kinetic(ScalarField.constant(0.0))
+        empty = MagneticSystem(ScalarField.constant(0.0))
         assert valley_tau(empty) == pytest.approx(0.1)
 
 

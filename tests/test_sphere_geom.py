@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from magflow import Metric, ScalarField, SphericalTriangle, TwoForm, project_to_sphere, total_flux
-from magflow.errors import DegenerateTriangle, NearZeroVector
+from magflow import ScalarField, project_to_sphere, total_flux
+from magflow.errors import NearZeroVector
 from magflow.sphere_geom import (
     angular_distance,
     cyclic_shift,
     dot3,
     icosahedron_faces,
-    integrate_two_form_triangle,
     norm3,
     solid_angle,
-    tangent_project,
     triangles_flux,
 )
-
 
 
 def lhuilier_area(a, b, c):
@@ -47,9 +44,7 @@ def subdivide_reference(tris, depth):
     return tris
 
 
-OCTANT = SphericalTriangle(
-    np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0])
-)
+OCTANT = np.eye(3)
 
 
 class TestProjection:
@@ -71,116 +66,62 @@ class TestProjection:
         assert np.max(np.abs(np.linalg.norm(q, axis=1) - 1.0)) < 1e-12
 
 
-class TestTwoFormEval:
-    def test_unit_area_form(self):
-        form = TwoForm(ScalarField.constant(1.0))
-        q = np.array([0.0, 0.0, 1.0])
-        v = np.array([1.0, 0.0, 0.0])
-        w = np.array([0.0, 1.0, 0.0])
-        assert form(q, v, w) == pytest.approx(1.0)
-        assert form(q, w, v) == pytest.approx(-1.0)
-
-    def test_density_at_pole(self):
-        form = TwoForm(ScalarField.height(1.0, 0.2))
-        q = np.array([0.0, 0.0, 1.0])
-        v = np.array([1.0, 0.0, 0.0])
-        w = np.array([0.0, 1.0, 0.0])
-        assert form(q, v, w) == pytest.approx(1.2)
-
-    def test_antisymmetry_random(self, rng):
-        form = TwoForm(ScalarField.zonal_poly(0.3, -1.0, 0.5))
-        q = project_to_sphere(rng.normal(size=(1000, 3)))
-        v = tangent_project(q, rng.normal(size=(1000, 3)))
-        w = tangent_project(q, rng.normal(size=(1000, 3)))
-        assert np.array_equal(form(q, v, w), -form(q, w, v))
-
-    def test_conformal_factor(self):
-        metric = Metric.conformal(ScalarField.constant(0.5))
-        form = TwoForm(ScalarField.constant(1.0), metric)
-        q = np.array([0.0, 0.0, 1.0])
-        v = np.array([1.0, 0.0, 0.0])
-        w = np.array([0.0, 1.0, 0.0])
-        assert form(q, v, w) == pytest.approx(np.exp(1.0))
-
-
 class TestTriangleFlux:
     def test_octant(self):
-        form = TwoForm(ScalarField.constant(1.0))
-        assert integrate_two_form_triangle(form, OCTANT, 6) == pytest.approx(np.pi / 2, abs=1e-6)
+        unit = ScalarField.constant(1.0)
+        assert triangles_flux(unit, OCTANT[None], 6) == pytest.approx(np.pi / 2, abs=1e-6)
 
     def test_octant_reversed(self):
-        form = TwoForm(ScalarField.constant(1.0))
-        rev = SphericalTriangle(OCTANT.a, OCTANT.c, OCTANT.b)
-        assert integrate_two_form_triangle(form, rev, 6) == pytest.approx(-np.pi / 2, abs=1e-6)
+        unit = ScalarField.constant(1.0)
+        rev = OCTANT[[0, 2, 1]]
+        assert triangles_flux(unit, rev[None], 6) == pytest.approx(-np.pi / 2, abs=1e-6)
 
     def test_zero_density(self):
-        form = TwoForm(ScalarField.constant(0.0))
-        assert integrate_two_form_triangle(form, OCTANT, 4) == 0.0
-
-    def test_degenerate_rejected(self):
-        tri = SphericalTriangle(
-            np.array([1.0, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])
-        )
-        form = TwoForm(ScalarField.constant(1.0))
-        with pytest.raises(DegenerateTriangle):
-            integrate_two_form_triangle(form, tri, 2)
+        assert triangles_flux(ScalarField.constant(0.0), OCTANT[None], 4) == 0.0
 
     def test_child_additivity(self):
         # the parent equals the sum of its four midpoint children to rounding
-        form = TwoForm(ScalarField.height(1.0, 0.2))
-        parent = integrate_two_form_triangle(form, OCTANT, 4)
-        children = subdivide_reference(OCTANT.vertices()[None], 1)
-        total = sum(
-            integrate_two_form_triangle(form, SphericalTriangle(*child), 4)
-            for child in children
-        )
+        f = ScalarField.height(1.0, 0.2)
+        parent = triangles_flux(f, OCTANT[None], 4)
+        children = subdivide_reference(OCTANT[None], 1)
+        total = sum(triangles_flux(f, child[None], 4) for child in children)
         assert total == pytest.approx(parent, abs=1e-13)
 
     def test_subdivision_consistency(self):
         # spectral convergence in the depth: the error against depth 6 falls
         # by orders of magnitude per level and reaches rounding at depth 4
-        form = TwoForm(ScalarField.zonal_poly(0.2, -0.4, 0.0, 1.1))
-        tri = SphericalTriangle(
-            project_to_sphere(np.array([0.9, 0.1, 0.3])),
-            project_to_sphere(np.array([-0.2, 0.8, 0.4])),
-            project_to_sphere(np.array([0.1, 0.2, 0.95])),
-        )
-        ref = integrate_two_form_triangle(form, tri, 6)
-        errs = [abs(integrate_two_form_triangle(form, tri, d) - ref) for d in (1, 2, 3, 4)]
+        f = ScalarField.zonal_poly(0.2, -0.4, 0.0, 1.1)
+        tri = project_to_sphere(np.array([[0.9, 0.1, 0.3], [-0.2, 0.8, 0.4], [0.1, 0.2, 0.95]]))
+        ref = triangles_flux(f, tri[None], 6)
+        errs = [abs(triangles_flux(f, tri[None], d) - ref) for d in (1, 2, 3, 4)]
         assert errs[1] < errs[0] / 100.0 and errs[2] < errs[1] / 100.0
         assert errs[3] < 1e-14
 
     def test_reversal_negates_exactly(self, rng):
-        form = TwoForm(ScalarField.zonal_poly(0.3, -1.0, 0.5, 0.7))
+        f = ScalarField.zonal_poly(0.3, -1.0, 0.5, 0.7)
         tris = project_to_sphere(rng.normal(size=(40, 3, 3)))
         for depth in (1, 3, 4):
-            fwd = triangles_flux(form, tris, depth)
-            assert triangles_flux(form, tris[:, [0, 2, 1]], depth) == -fwd
+            fwd = triangles_flux(f, tris, depth)
+            assert triangles_flux(f, tris[:, [0, 2, 1]], depth) == -fwd
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            triangles_flux(TwoForm(ScalarField.constant(1.0)), OCTANT.vertices()[None], 0)
+            triangles_flux(ScalarField.constant(1.0), OCTANT[None], 0)
 
 
 class TestTotalFlux:
     def test_constant(self):
-        assert total_flux(TwoForm(ScalarField.constant(1.0)), 6) == pytest.approx(
-            4.0 * np.pi, abs=1e-6
-        )
+        assert total_flux(ScalarField.constant(1.0), 6) == pytest.approx(4.0 * np.pi, abs=1e-6)
 
     def test_odd_density(self):
-        assert total_flux(TwoForm(ScalarField.height(1.0, 0.0)), 6) == pytest.approx(
-            0.0, abs=1e-6
-        )
+        assert total_flux(ScalarField.height(1.0, 0.0), 6) == pytest.approx(0.0, abs=1e-6)
 
     def test_shifted(self):
-        assert total_flux(TwoForm(ScalarField.height(1.0, 0.2)), 6) == pytest.approx(
-            0.8 * np.pi, abs=1e-6
-        )
+        assert total_flux(ScalarField.height(1.0, 0.2), 6) == pytest.approx(0.8 * np.pi, abs=1e-6)
 
     def test_depth_guard(self):
         with pytest.raises(ValueError):
-            total_flux(TwoForm(ScalarField.constant(1.0)), 1)
+            total_flux(ScalarField.constant(1.0), 1)
 
     @pytest.mark.parametrize(
         "coeffs", [(0.3,), (0.2, -0.4, 0.0, 1.1), (0.1, -0.5, 0.2, 0.9, -0.3, 0.25)]
@@ -189,9 +130,7 @@ class TestTotalFlux:
         # the flux of p(z) dA is 2 pi times the integral of p over [-1, 1]
         poly = np.polynomial.Polynomial(coeffs).integ()
         exact = 2.0 * np.pi * (poly(1.0) - poly(-1.0))
-        assert total_flux(TwoForm(ScalarField.zonal_poly(*coeffs)), 4) == pytest.approx(
-            exact, abs=1e-13
-        )
+        assert total_flux(ScalarField.zonal_poly(*coeffs), 4) == pytest.approx(exact, abs=1e-13)
 
 
 class TestAreaRoutines:

@@ -38,7 +38,6 @@ from magflow.variational import (
     polish_candidate,
     prepare_waists,
     scan_energy,
-    transport_flux,
 )
 
 E = 0.02
@@ -123,10 +122,9 @@ class TestFindWaist:
         # a conformal factor breaks the z -> -z symmetry: the minimizing ring
         # drifts off the equator but stays a flat critical circle
         from magflow.sphere_geom import Metric
-        from magflow.tonelli import Lagrangian
 
         metric = Metric.conformal(ScalarField.height(0.15, 0.0))
-        sysc = MagneticSystem(Lagrangian.electromagnetic(metric), ScalarField.height(1.0, 0.0))
+        sysc = MagneticSystem(ScalarField.height(1.0, 0.0), metric=metric)
         seed = default_seed_builder(sysc, E, amplitude=0.02)(48)
         res = find_waist(sysc, E, seed, SolverConfig(tol=2e-5, max_iter=8000))
         assert res.gradient_norm <= 2e-5
@@ -150,19 +148,6 @@ class TestRefineStationary:
         assert np.mean(refined.nodes[:, 2]) == pytest.approx(z0, abs=1e-4)
 
 
-class TestTransportFlux:
-    def test_resolution_change_keeps_class(self, sys_shifted):
-        loop = latitude_loop(-0.3, 128)
-        loop = loop.with_period(optimal_period(sys_shifted, loop, E))
-        ll = lift_loop(sys_shifted, loop)
-        from magflow.loop_space import resample_loop
-
-        moved = transport_flux(sys_shifted, ll, resample_loop(loop, 192))
-        fresh = lift_loop(sys_shifted, moved.loop)
-        # both node sets admit the base point, so transport uses the lift's apex
-        assert moved.flux == pytest.approx(fresh.flux, abs=1e-12)
-
-
 class TestConnectingChain:
     def test_iterate_chain_lands_in_class(self, sys_shifted):
         waist = latitude_loop(-0.2521, 96)
@@ -172,7 +157,7 @@ class TestConnectingChain:
         # common node count for the band
         from magflow.loop_space import resample_loop
 
-        end_a_fine = transport_flux(sys_shifted, end_a, resample_loop(end_a.loop, 192))
+        end_a_fine = lift_loop(sys_shifted, resample_loop(end_a.loop, 192))
         chain = build_connecting_chain(sys_shifted, E, end_a_fine, end_b, 1, 2, 0)
         assert chain[0] is not None
         assert chain[-1].flux == end_b.flux
@@ -304,7 +289,7 @@ class TestScan:
 
     def test_error_rows_marked(self):
         # an energy below the rest level cannot seed: the row carries the error
-        sysu = MagneticSystem.electromagnetic(
+        sysu = MagneticSystem(
             ScalarField.height(1.0, 0.0), potential=ScalarField.constant(0.5)
         )
         rows = scan_energy(sysu, [0.01], cfg=SolverConfig(max_sweeps=10), path_n=64)
