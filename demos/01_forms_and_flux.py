@@ -9,13 +9,13 @@ built-in density family.
 
 import numpy as np
 
-from magflow import MagneticSystem, Metric, ScalarField, total_flux
+from magflow import MagneticSystem, ScalarField, total_flux
 from magflow.sphere_geom import triangles_flux
 
 f = ScalarField.height(1.0, 0.2)  # f(q) = z + 0.2
 north = np.array([0.0, 0.0, 1.0])
 print("density at the north pole:", f(north))
-stretched = MagneticSystem(f, metric=Metric.conformal(ScalarField.constant(0.5)))
+stretched = MagneticSystem(f, conformal_exponent=ScalarField.constant(0.5))
 print("against the round area form of g = e^{2u} g_round, u = 0.5:",
       stretched.round_density(north), "(1.2 e)")
 

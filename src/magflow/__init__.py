@@ -11,8 +11,8 @@ from .errors import (
     ValidationError,
     ValleyCollapse,
 )
-from .fields import DriftField, ScalarField
-from .sphere_geom import Metric, project_to_sphere, total_flux
+from .fields import ScalarField
+from .sphere_geom import project_to_sphere, total_flux
 from .tonelli import MagneticSystem
 from .flow import OrbitReport, State, Trajectory, certify_orbit, energy_drift, integrate, magnetic_el_field
 from .loop_space import (

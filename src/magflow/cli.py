@@ -21,16 +21,14 @@ import numpy as np
 from . import critical_values as cv
 from . import variational as vr
 from .errors import MagflowError, MaxIterations, ParseError, ValidationError
-from .fields import DriftField, ScalarField
+from .fields import ScalarField, parse_drift
 from .flow import State, certify_orbit, energy_drift, integrate
 from .loop_space import (
     lifted_action_A,
-    lifted_to_dict,
     load_lifted,
     nodes_to_csv,
     save_lifted,
 )
-from .sphere_geom import Metric
 from .tonelli import MagneticSystem
 
 COMMANDS = (
@@ -48,7 +46,6 @@ MAX_GRID_STEPS = 10_000
 
 _SCHEMA: dict[str, tuple[str, str]] = {
     # key: (type tag, default-as-string or "" for required-by-command)
-    "system.metric": ("choice:round,conformal", "round"),
     "system.conformal_exponent": ("scalar_field", "constant(0.0)"),
     "system.density": ("scalar_field", "height(1.0, 0.0)"),
     "system.potential": ("scalar_field", "constant(0.0)"),
@@ -81,6 +78,7 @@ _DEPRECATED: dict[str, str] = {
     "rng.seed": "no solver draws random numbers",
     "system.quad_depth": "every flux quadrature runs at one fixed depth",
     "system.lift_depth": "every flux quadrature runs at one fixed depth",
+    "system.metric": "the metric is round exactly when system.conformal_exponent is zero",
 }
 
 
@@ -92,13 +90,11 @@ class RunConfig:
         return self.values[key]
 
     def system(self) -> MagneticSystem:
-        metric = (
-            Metric.round()
-            if self["system.metric"] == "round"
-            else Metric.conformal(self["system.conformal_exponent"])
-        )
         return MagneticSystem(
-            self["system.density"], self["system.potential"], self["system.drift"], metric
+            self["system.density"],
+            self["system.potential"],
+            self["system.drift"],
+            self["system.conformal_exponent"],
         )
 
     def solver(self) -> vr.SolverConfig:
@@ -130,15 +126,10 @@ def _grid_steps(key: str, span: float, step: float) -> float:
 def _parse_value(key: str, raw: str):
     tag = _SCHEMA[key][0]
     try:
-        if tag.startswith("choice:"):
-            opts = tag.split(":", 1)[1].split(",")
-            if raw not in opts:
-                raise ValidationError(key, f"must be one of {opts}")
-            return raw
         if tag == "scalar_field":
             return ScalarField.parse(raw)
         if tag == "drift_field":
-            return DriftField.parse(raw)
+            return parse_drift(raw)
         if tag.startswith("int:"):
             lo, hi = (int(t) for t in tag.split(":", 1)[1].split(","))
             v = int(raw)

@@ -20,6 +20,7 @@ from .errors import MaxIterations, NotSymmetric, ValleyCollapse
 from .flow import count_self_intersections
 from .loop_space import (
     LiftedLoop,
+    great_circle_loop,
     latitude_loop,
     lift_loop,
     lifted_action_A,
@@ -58,13 +59,13 @@ def compute_e0(sys: MagneticSystem) -> float:
 
 def _require_symmetric(sys: MagneticSystem) -> None:
     problems = []
-    if not sys.metric.is_round:
+    if not sys.is_round:
         problems.append("metric is not round")
     if not sys.density.is_zonal:
         problems.append("magnetic density is not zonal")
     if not sys.potential.is_zonal:
         problems.append("potential is not zonal")
-    if not sys.drift.is_zero:
+    if sys.drift != 0.0:
         problems.append("drift term present")
     if problems:
         raise NotSymmetric("; ".join(problems))
@@ -89,7 +90,7 @@ def latitude_circle_action(sys: MagneticSystem, e: float, z0: float) -> float:
     _require_symmetric(sys)
     if not -1.0 < z0 < 1.0:
         raise ValueError("z0 must lie strictly between -1 and 1")
-    u_val = float(sys.potential.zonal_profile(np.array(z0)))
+    u_val = float(sys.potential.zonal_polynomial(np.array(z0)))
     if e <= u_val:
         return np.inf
     length = 2.0 * np.pi * np.sqrt(1.0 - z0 * z0)
@@ -179,8 +180,6 @@ def e1_lower_bound_symmetric(
 
 
 def _seed_bank(sys: MagneticSystem, e: float, n: int):
-    from .loop_space import great_circle_loop
-
     seeds = []
     for z0 in (-0.75, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75):
         seeds.append(latitude_loop(z0, n))

@@ -1,4 +1,4 @@
-"""Scalar and drift fields on the unit sphere, specified as named built-ins.
+"""Scalar fields and drift rates on the unit sphere, specified as named built-ins.
 
 Scalar fields (densities, potentials, conformal exponents) come from a small
 closed family so configs can name them textually:
@@ -8,10 +8,11 @@ closed family so configs can name them textually:
     linear(ax, ay, az, c)  f(q) = ax*x + ay*y + az*z + c
     zonal_poly(c0, .., ck) f(q) = sum_k ck * z^k
 
-Drift fields (tangent vector fields whose dual 1-form enters the Lagrangian):
+The drift field W, whose dual 1-form enters the Lagrangian, is the rotation
+about the z-axis W(q) = a * (z_hat x q); ``parse_drift`` reads its rate a:
 
-    none
-    azimuthal(a)           W(q) = a * (z_hat x q), rotation about the z-axis
+    none                   a = 0
+    azimuthal(a)           rate a
 """
 
 from __future__ import annotations
@@ -150,6 +151,11 @@ class ScalarField:
             return dpoly
         raise ValidationError(self.kind, "unknown scalar field kind")
 
+    @cached_property
+    def is_zero(self) -> bool:
+        """True when every coefficient is zero, so the field vanishes."""
+        return all(c == 0.0 for c in self.coeffs)
+
     @property
     def is_zonal(self) -> bool:
         if self.kind == "linear":
@@ -164,10 +170,6 @@ class ScalarField:
         if self.kind == "linear":
             return np.polynomial.Polynomial((self.coeffs[3], self.coeffs[2]))
         return np.polynomial.Polynomial(self.coeffs)
-
-    def zonal_profile(self, z: np.ndarray) -> np.ndarray:
-        """Value as a function of z alone (requires ``is_zonal``)."""
-        return self.zonal_polynomial(z)
 
     def bounds(self) -> tuple[float, float]:
         """Exact (min, max) of the field over the sphere.
@@ -192,76 +194,16 @@ class ScalarField:
         return f"{self.kind}({args})"
 
 
-@dataclass(frozen=True)
-class DriftField:
-    """Tangent vector field W; the Lagrangian drift term is <W(q), v>."""
-
-    kind: str
-    coeffs: tuple[float, ...] = field(default_factory=tuple)
-
-    @staticmethod
-    def none() -> "DriftField":
-        return DriftField("none", ())
-
-    @staticmethod
-    def azimuthal(a: float) -> "DriftField":
-        return DriftField("azimuthal", (float(a),))
-
-    @staticmethod
-    def parse(spec: str) -> "DriftField":
-        m = _SPEC_RE.match(spec)
-        if not m:
-            raise ValidationError(spec, "unparseable drift spec")
-        name, args = m.group(1), _parse_args(m.group(1), m.group(2))
-        if name == "none":
-            return DriftField.none()
-        if name == "azimuthal":
-            if len(args) != 1:
-                raise ValidationError(spec, "azimuthal(a) takes one argument")
-            return DriftField.azimuthal(args[0])
-        raise ValidationError(spec, f"unknown drift kind '{name}'")
-
-    @property
-    def is_zero(self) -> bool:
-        return self.kind == "none" or all(c == 0.0 for c in self.coeffs)
-
-    def vector(self, q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        w = np.zeros(q.shape)
-        if self.kind == "none":
-            return w
-        if self.kind == "azimuthal":
-            a = self.coeffs[0]
-            w[..., 0] = -a * q[..., 1]
-            w[..., 1] = a * q[..., 0]
-            return w
-        raise ValidationError(self.kind, "unknown drift kind")
-
-    def jac_t_apply(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """J_W(q)^T v, the base-derivative of <W(q), v> at fixed v."""
-        v = np.asarray(v, dtype=float)
-        out = np.zeros(v.shape)
-        if self.kind == "none":
-            return out
-        if self.kind == "azimuthal":
-            a = self.coeffs[0]
-            out[..., 0] = a * v[..., 1]
-            out[..., 1] = -a * v[..., 0]
-            return out
-        raise ValidationError(self.kind, "unknown drift kind")
-
-    def exterior_density_round(self, q: np.ndarray) -> np.ndarray:
-        """Density h with dW_flat = h * dA_round on the sphere."""
-        q = np.asarray(q, dtype=float)
-        if self.kind == "none":
-            return np.zeros(q.shape[:-1])
-        if self.kind == "azimuthal":
-            # the dual 1-form of a*(z_hat x q) is a*sin^2(theta)*dphi
-            return 2.0 * self.coeffs[0] * q[..., 2]
-        raise ValidationError(self.kind, "unknown drift kind")
-
-    def spec(self) -> str:
-        if self.kind == "none":
-            return "none"
-        args = ", ".join(repr(c) for c in self.coeffs)
-        return f"{self.kind}({args})"
+def parse_drift(spec: str) -> float:
+    """Rate a of the drift field W(q) = a * (z_hat x q): ``none`` is 0."""
+    m = _SPEC_RE.match(spec)
+    if not m:
+        raise ValidationError(spec, "unparseable drift spec")
+    name, args = m.group(1), _parse_args(m.group(1), m.group(2))
+    if name == "none":
+        return 0.0
+    if name == "azimuthal":
+        if len(args) != 1:
+            raise ValidationError(spec, "azimuthal(a) takes one argument")
+        return args[0]
+    raise ValidationError(spec, f"unknown drift kind '{name}'")

@@ -88,13 +88,13 @@ def _equations(sys: MagneticSystem):
     the right-hand side returns (dq, dv) as a 6-tuple.  The conformal block
     runs only for a non-round metric, so round-metric states never pay for it.
     """
-    conformal = not sys.metric.is_round
+    conformal = not sys.is_round
     dens = sys.density.scalar_fn()
-    drift_h = 2.0 * sys.drift.coeffs[0] if sys.drift.kind == "azimuthal" else 0.0
+    drift_h = 2.0 * sys.drift
     grad_pot = sys.potential.grad_fn()
     pot = sys.potential.scalar_fn()
-    u = sys.metric.conformal_exponent.scalar_fn()
-    grad_u = sys.metric.conformal_exponent.grad_fn()
+    u = sys.conformal_exponent.scalar_fn()
+    grad_u = sys.conformal_exponent.grad_fn()
 
     def rhs(qx, qy, qz, vx, vy, vz):
         qn = math.sqrt(qx * qx + qy * qy + qz * qz)

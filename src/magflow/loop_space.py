@@ -32,7 +32,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .sphere_geom import (
-    BASE_POINT,
     FLUX_DEPTH,
     angular_distance,
     cross3,
@@ -47,7 +46,6 @@ from .sphere_geom import (
 )
 from .tonelli import MagneticSystem
 
-MAX_ITERATE_NODES = 4096
 _SUBSTEP = 0.1
 _MIN_NODES = 16
 VALLEY_TAU_CAP = 0.1
@@ -200,17 +198,6 @@ def perturb_normal(loop: FreePeriodLoop, amplitude: float, mode: int) -> FreePer
     return replace(loop, nodes=project_to_sphere(nodes + bump[:, None] * normal))
 
 
-def resample_loop(loop: FreePeriodLoop, n_new: int) -> FreePeriodLoop:
-    """Resample uniformly in the curve parameter by geodesic interpolation."""
-    n = loop.n
-    pos = np.arange(n_new) * (n / n_new)
-    idx = np.floor(pos).astype(int) % n
-    frac = pos - np.floor(pos)
-    a = loop.nodes[idx]
-    b = loop.nodes[(idx + 1) % n]
-    return replace(loop, nodes=slerp(a, b, frac))
-
-
 # ---------------------------------------------------------------------------
 # action and period
 
@@ -226,7 +213,7 @@ def _period_for_velocities(
     sys: MagneticSystem, nodes: np.ndarray, w: np.ndarray, e: float
 ) -> float:
     """Period p at which the mean energy of the velocities w / p equals e."""
-    kin = float(np.mean(0.5 * sys.metric.norm_sq(nodes, w)))
+    kin = float(np.mean(0.5 * sys.norm_sq(nodes, w)))
     ubar = float(np.mean(sys.potential(nodes)))
     if e <= ubar:
         raise ValueError(f"energy {e} does not exceed the mean potential {ubar:.6g}")
@@ -359,16 +346,12 @@ def deform(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop) -> Lif
 
 
 def iterate(ll: LiftedLoop, m: int) -> LiftedLoop:
-    """m-fold iterate: nodes retraced m times (resampled to
-    ``MAX_ITERATE_NODES`` when longer), period and flux scaled by m."""
+    """m-fold iterate: nodes retraced m times, period and flux scaled by m."""
     if m < 1:
         raise ValueError("iterate order must be >= 1")
     if m == 1:
         return ll
-    new = FreePeriodLoop(np.tile(ll.nodes, (m, 1)), m * ll.p)
-    if new.n > MAX_ITERATE_NODES:
-        new = resample_loop(new, MAX_ITERATE_NODES)
-    return LiftedLoop(new, m * ll.flux)
+    return LiftedLoop(FreePeriodLoop(np.tile(ll.nodes, (m, 1)), m * ll.p), m * ll.flux)
 
 
 def deck_transform(sys: MagneticSystem, ll: LiftedLoop, k: int) -> LiftedLoop:
@@ -461,7 +444,7 @@ def in_valley(sys: MagneticSystem, loop: FreePeriodLoop, tau: float) -> bool:
     if tau <= 0:
         raise ValueError("tau must be positive")
     w = loop.velocities()
-    speed_sq = float(np.mean(sys.metric.norm_sq(loop.nodes, w)))
+    speed_sq = float(np.mean(sys.norm_sq(loop.nodes, w)))
     return speed_sq < tau * loop.p and loop.p < tau
 
 

@@ -1,13 +1,14 @@
 """Geometry of the unit 2-sphere embedded in R^3.
 
-Provides projections, round/conformal metrics, and signed flux quadrature
-of a 2-form over spherical triangles and over the whole sphere (the 20
-icosahedron faces).  A 2-form enters as its density relative to the round
-area form: any callable on points, such as a ``ScalarField`` or
-``MagneticSystem.round_density``.  The one flux rule is Gauss-Legendre in
-geodesic polar coordinates about a triangle's first vertex, with 2^depth
-nodes per axis; for smooth densities it converges spectrally, to rounding at
-depth 4 (``FLUX_DEPTH``) on the loops this package lifts.
+Provides projections, tangent frames, and signed flux quadrature of a
+2-form over spherical triangles and over the whole sphere (the 20
+icosahedron faces); the metric lives on ``MagneticSystem``.  A 2-form
+enters as its density relative to the round area form: any callable on
+points, such as a ``ScalarField`` or ``MagneticSystem.round_density``.
+The one flux rule is Gauss-Legendre in geodesic polar coordinates about a
+triangle's first vertex, with 2^depth nodes per axis; for smooth densities
+it converges spectrally, to rounding at depth 4 (``FLUX_DEPTH``) on the
+loops this package lifts.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
@@ -22,13 +23,11 @@ arrays this package passes around.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import NearZeroVector
-from .fields import ScalarField
 
 Density = Callable[[np.ndarray], np.ndarray]
 
@@ -117,41 +116,6 @@ def tangent_basis(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     e1 /= norm3(e1)[..., None]
     e2 = cross3(q, e1)
     return e1, e2
-
-
-@dataclass(frozen=True)
-class Metric:
-    """Round metric or a conformal rescaling g = exp(2u) * g_round."""
-
-    kind: str = "round"  # "round" | "conformal"
-    conformal_exponent: ScalarField = ScalarField.constant(0.0)
-
-    @staticmethod
-    def round() -> "Metric":
-        return Metric("round")
-
-    @staticmethod
-    def conformal(u: ScalarField) -> "Metric":
-        return Metric("conformal", u)
-
-    @property
-    def is_round(self) -> bool:
-        return self.kind == "round"
-
-    def exp2u(self, q: np.ndarray) -> np.ndarray:
-        if self.is_round:
-            return np.ones(np.asarray(q).shape[:-1])
-        return np.exp(2.0 * self.conformal_exponent(q))
-
-    def dot(self, q: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """g_q(v, w) for tangent vectors in ambient coordinates."""
-        val = dot3(np.asarray(v, dtype=float), np.asarray(w, dtype=float))
-        if self.is_round:
-            return val
-        return self.exp2u(q) * val
-
-    def norm_sq(self, q: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return self.dot(q, v, v)
 
 
 def solid_angle(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:

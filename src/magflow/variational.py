@@ -48,6 +48,7 @@ from .loop_space import (
     lifted_action_A,
     optimal_period,
     optimal_period_fourth,
+    perturb_normal,
     valley_tau,
 )
 from .sphere_geom import (
@@ -587,8 +588,6 @@ def default_seed_builder(sys: MagneticSystem, e: float, z0: float = 0.0, amplitu
     """Perturbed-latitude seed factory at a requested node count."""
 
     def build(n: int) -> LiftedLoop:
-        from .loop_space import perturb_normal
-
         loop = latitude_loop(z0, n)
         if amplitude != 0.0:
             loop = perturb_normal(loop, amplitude, mode)

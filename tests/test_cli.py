@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 
 import magflow
 from magflow import latitude_loop
-from magflow.cli import _DEPRECATED, main, parse_config
+from magflow.cli import _DEPRECATED, _SCHEMA, main, parse_config
 from magflow.errors import ParseError, ValidationError
 
 MINIMAL = """
@@ -34,7 +35,7 @@ def nan_node_loop():
 class TestParseConfig:
     def test_minimal_defaults(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
-        assert cfg["system.metric"] == "round"
+        assert cfg.system().is_round
         assert cfg["discretization.loop_nodes"] == 128
         assert cfg["solver.tol"] == 1e-6
         assert cfg["run.energy"] == 0.02
@@ -72,6 +73,31 @@ class TestParseConfig:
     def test_labels(self, tmp_path):
         cfg = parse_config(write(tmp_path, "run.labels = (1,0);(2,0);(1,1)\n"))
         assert cfg["run.labels"] == [(1, 0), (2, 0), (1, 1)]
+
+    def test_metric_key_cannot_drop_the_exponent(self, tmp_path, capsys):
+        text = MINIMAL + "system.metric = round\nsystem.conformal_exponent = height(0.5, 0.0)\n"
+        system = parse_config(write(tmp_path, text)).system()
+        assert system.is_round is False
+        assert system.conformal_exponent == magflow.ScalarField.height(0.5, 0.0)
+        warning = capsys.readouterr().err.splitlines()
+        assert len(warning) == 1 and warning[0].startswith("warning: system.metric is ignored")
+
+    def test_drift_rate(self, tmp_path):
+        assert parse_config(write(tmp_path, MINIMAL)).system().drift == 0.0
+        cfg = parse_config(write(tmp_path, MINIMAL + "system.drift = azimuthal(0.25)\n"))
+        assert cfg.system().drift == 0.25
+        with pytest.raises(ValidationError):
+            parse_config(write(tmp_path, MINIMAL + "system.drift = azimuthal(0.25, 1)\n"))
+
+    def test_schema_size(self):
+        assert len(_SCHEMA) == 23
+
+    def test_readme_config_table_names_every_key(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        table = readme.split("### Config schema", 1)[1].split("\n\n", 2)[1]
+        rows = [line.split("|")[1] for line in table.splitlines()[2:]]
+        documented = {key for cell in rows for key in re.findall(r"`([a-z_]+\.[a-z0-9_]+)`", cell)}
+        assert documented == set(_SCHEMA) | set(_DEPRECATED)
 
     def test_system_construction(self, tmp_path):
         cfg = parse_config(write(tmp_path, MINIMAL))
@@ -317,6 +343,7 @@ solver.max_iter = 6000
         "rng.seed": "5",
         "system.quad_depth": "6",
         "system.lift_depth": "2",
+        "system.metric": "conformal",
     }
 
     def waist(self, tmp_path, capsys, text, *extra):

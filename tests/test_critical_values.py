@@ -4,7 +4,6 @@ from scipy import integrate as sp_integrate
 from scipy import optimize
 
 from magflow import (
-    DriftField,
     MagneticSystem,
     ScalarField,
     compute_e0,
@@ -95,16 +94,14 @@ class TestLatitudeAction:
         profile = ScalarField.zonal_poly(0.1, -0.5, 0.2, 0.9, -0.3)
         sysq = MagneticSystem(profile)
         for z0 in (-0.99, -0.3, 0.0, 0.5, 0.999):
-            flux, _ = sp_integrate.quad(profile.zonal_profile, -1.0, z0)
+            flux, _ = sp_integrate.quad(profile.zonal_polynomial, -1.0, z0)
             assert cap_flux(sysq, z0) == pytest.approx(2.0 * np.pi * flux, abs=1e-13)
 
     def test_requires_symmetry(self):
         asym = MagneticSystem(ScalarField.linear(0.3, 0.0, 1.0, 0.0))
         with pytest.raises(NotSymmetric):
             latitude_circle_action(asym, 0.02, 0.0)
-        drifted = MagneticSystem(
-            ScalarField.height(1.0, 0.0), drift=DriftField.azimuthal(0.2)
-        )
+        drifted = MagneticSystem(ScalarField.height(1.0, 0.0), drift=0.2)
         with pytest.raises(NotSymmetric):
             latitude_circle_action(drifted, 0.02, 0.0)
 

@@ -17,9 +17,8 @@ from magflow import (
 )
 from magflow import flow
 from magflow.errors import StepExplosion
-from magflow.fields import DriftField
 from magflow.flow import Trajectory, count_self_intersections, state_distance
-from magflow.sphere_geom import Metric, angular_distance, project_to_sphere
+from magflow.sphere_geom import angular_distance, project_to_sphere
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -56,17 +55,18 @@ def field_reference(sys: MagneticSystem, q: np.ndarray, v: np.ndarray):
     vv = np.dot(vt, vt)
     dv = -vv * qh
     grad_u_pot = sys.potential.grad(qh)
-    if sys.metric.is_round:
+    # dW_flat = 2 a z dA_round for the drift a (z_hat x q)
+    if sys.is_round:
         force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
-        dens = sys.density(qh) + sys.drift.exterior_density_round(qh)
+        dens = sys.density(qh) + 2 * sys.drift * qh[2]
         force = force + dens * np.cross(vt, qh)
     else:
-        e2u = float(sys.metric.exp2u(qh))
-        du = sys.metric.conformal_exponent.grad(qh)
+        e2u = float(sys.exp2u(qh))
+        du = sys.conformal_exponent.grad(qh)
         dut = du - np.dot(qh, du) * qh
         dv = dv - 2.0 * np.dot(dut, vt) * vt + vv * dut
         force = -(grad_u_pot - np.dot(qh, grad_u_pot) * qh)
-        dens = sys.density(qh) * e2u + sys.drift.exterior_density_round(qh)
+        dens = sys.density(qh) * e2u + 2 * sys.drift * qh[2]
         force = (force + dens * np.cross(vt, qh)) / e2u
     return vt, dv + force
 
@@ -99,17 +99,16 @@ def reference_system(name: str) -> MagneticSystem:
     if name == "round":
         return MagneticSystem(ScalarField.height(1.0, 0.2))
     if name == "conformal":
-        metric = Metric.conformal(ScalarField.linear(0.1, -0.05, 0.15, 0.0))
         return MagneticSystem(
             ScalarField.linear(0.3, 0.1, 0.7, 0.1),
             ScalarField.zonal_poly(0.0, 0.1, 0.2),
-            DriftField.azimuthal(0.2),
-            metric,
+            0.2,
+            ScalarField.linear(0.1, -0.05, 0.15, 0.0),
         )
     return MagneticSystem(
         ScalarField.zonal_poly(0.2, 0.5, 0.1),
         ScalarField.zonal_poly(0.1, 0.2, -0.3),
-        DriftField.azimuthal(0.35),
+        0.35,
     )
 
 
@@ -187,8 +186,9 @@ class TestIntegrate:
             integrate(sys_const, State.of(EX, EY), 0.05, 0.1)
 
     def test_conformal_path_runs(self):
-        metric = Metric.conformal(ScalarField.height(0.1, 0.0))
-        sysc = MagneticSystem(ScalarField.constant(0.5), metric=metric)
+        sysc = MagneticSystem(
+            ScalarField.constant(0.5), conformal_exponent=ScalarField.height(0.1, 0.0)
+        )
         traj = integrate(sysc, State.of(EX, 0.5 * EY), 5.0, 1e-2)
         assert energy_drift(traj) < 1e-6
 
@@ -240,8 +240,7 @@ class TestEnergyDrift:
 
     def test_drift_force_matches_density(self):
         # dW_flat acts on trajectories exactly like a magnetic density
-        drift = DriftField.azimuthal(0.35)
-        sys_drift = MagneticSystem(ScalarField.constant(0.0), drift=drift)
+        sys_drift = MagneticSystem(ScalarField.constant(0.0), drift=0.35)
         sys_dens = MagneticSystem(ScalarField.height(0.7, 0.0))
         s0 = State.of(EX, 0.6 * EY)
         t1 = integrate(sys_drift, s0, 5.0, 1e-3)

@@ -24,17 +24,14 @@ from magflow import (
     zeta_loop,
 )
 from magflow.loop_space import (
-    MAX_ITERATE_NODES,
     _choose_apex,
     cone_flux,
     h1_solve,
     lifted_from_dict,
     lifted_to_dict,
-    resample_loop,
 )
 from magflow.sphere_geom import (
     BASE_POINT,
-    Metric,
     angular_distance,
     project_to_sphere,
     slerp,
@@ -185,8 +182,9 @@ class TestLift:
     def test_conformal_depths_agree(self, rng):
         # the system of the conformal full-stack descent: its density f e^{2u}
         # is not a polynomial, and depth 4 already agrees with depth 6
-        metric = Metric.conformal(ScalarField.height(0.15, 0.0))
-        sysc = MagneticSystem(ScalarField.height(1.0, 0.0), metric=metric)
+        sysc = MagneticSystem(
+            ScalarField.height(1.0, 0.0), conformal_exponent=ScalarField.height(0.15, 0.0)
+        )
         for loop in (ORACLE_LOOPS["perturbed-latitude"](), random_loop(rng, 256)):
             assert cone_flux(sysc, loop, 4) == pytest.approx(cone_flux(sysc, loop, 6), abs=1e-13)
 
@@ -304,23 +302,20 @@ class TestIterate:
 
     def test_composition_with_resampling(self, sys_z, rng):
         ll = random_lifted(sys_z, rng, n=1024)
-        # 6*1024 exceeds the node cap, exercising the resampling branch
+        # 6*1024 nodes: long iterates keep every node
         it6 = iterate(ll, 6)
-        assert it6.loop.n == 4096
+        assert it6.loop.n == 6144
         a6 = lifted_action_A(sys_z, E, it6)
         a23 = lifted_action_A(sys_z, E, iterate(iterate(ll, 2), 3))
         assert a23 == pytest.approx(a6, rel=1e-6)
 
-    @pytest.mark.parametrize("n, m", [(1500, 3), (1000, 5), (700, 7)])
-    def test_resampled_nodes_exact(self, n, m):
-        # above the cap the iterate samples the m-fold curve at
-        # MAX_ITERATE_NODES equal parameter steps, by geodesic interpolation
+    @pytest.mark.parametrize("n, m", [(1500, 3), (1000, 5), (700, 7), (4096, 2)])
+    def test_long_iterate_tiles_nodes(self, n, m):
+        # m * n > 4096: the iterate retraces every node, so the two ends of
+        # a band from a loop to its m-fold iterate share the node count
         loop = latitude_loop(0.3, n)
-        pos = np.arange(MAX_ITERATE_NODES) * (m * n / MAX_ITERATE_NODES)
-        idx = np.floor(pos).astype(int) % n
-        ref = slerp(loop.nodes[idx], loop.nodes[(idx + 1) % n], pos - np.floor(pos))
         it = iterate(LiftedLoop(loop, 0.25), m)
-        assert np.array_equal(it.nodes, ref)
+        assert np.array_equal(it.nodes, np.tile(loop.nodes, (m, 1)))
         assert it.p == m * loop.p and it.flux == m * 0.25
 
     def test_order_guard(self, sys_z, rng):
@@ -381,12 +376,10 @@ class TestActionGradient:
             assert num / den < 1e-5
 
     def test_matches_fd_with_potential_and_drift(self, rng):
-        from magflow.fields import DriftField
-
         sys_full = MagneticSystem(
             ScalarField.height(1.0, 0.2),
             potential=ScalarField.zonal_poly(0.1, -0.2, 0.15),
-            drift=DriftField.azimuthal(0.3),
+            drift=0.3,
         )
         ll = random_lifted(sys_full, rng, n=48)
         grad = action_gradient(sys_full, 0.6, ll)
@@ -396,9 +389,10 @@ class TestActionGradient:
         assert num / den < 1e-5
 
     def test_matches_fd_with_conformal_metric(self, rng):
-        metric = Metric.conformal(ScalarField.height(0.2, 0.0))
         sys_conf = MagneticSystem(
-            ScalarField.height(1.0, 0.2), potential=ScalarField.height(0.1, 0.0), metric=metric
+            ScalarField.height(1.0, 0.2),
+            potential=ScalarField.height(0.1, 0.0),
+            conformal_exponent=ScalarField.height(0.2, 0.0),
         )
         ll = random_lifted(sys_conf, rng, n=48)
         grad = action_gradient(sys_conf, 0.3, ll)
@@ -489,20 +483,3 @@ class TestValley:
     def test_zero_form_returns_cap(self):
         empty = MagneticSystem(ScalarField.constant(0.0))
         assert valley_tau(empty) == pytest.approx(0.1)
-
-
-class TestResample:
-    def test_preserves_latitude(self, sys_z):
-        # interpolation is geodesic, so chords sag toward the equator by
-        # O(gap^2); at 128 source nodes that is below 1e-4
-        loop = latitude_loop(0.3, 128)
-        fine = resample_loop(loop, 512)
-        assert fine.n == 512
-        assert np.max(np.abs(fine.nodes[:, 2] - 0.3)) < 1e-4
-
-    def test_action_stable(self, sys_z):
-        loop = latitude_loop(0.0, 256).with_period(10.0 * np.pi)
-        re = resample_loop(loop, 512)
-        a0 = discrete_action_S(sys_z, E, loop)
-        a1 = discrete_action_S(sys_z, E, re)
-        assert a1 == pytest.approx(a0, rel=1e-4)

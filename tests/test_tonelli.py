@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from magflow import DriftField, MagneticSystem, Metric, ScalarField, compute_e0
+import dataclasses
+
+from magflow import MagneticSystem, ScalarField, compute_e0
 from magflow.sphere_geom import project_to_sphere, tangent_project
 
 NO_FIELD = ScalarField.constant(0.0)
@@ -10,8 +12,8 @@ NORTH = np.array([0.0, 0.0, 1.0])
 EX = np.array([1.0, 0.0, 0.0])
 
 
-def em(potential=ScalarField.constant(0.0), drift=DriftField.none(), metric=Metric.round()):
-    return MagneticSystem(NO_FIELD, potential, drift, metric)
+def em(potential=ScalarField.constant(0.0), drift=0.0):
+    return MagneticSystem(NO_FIELD, potential, drift)
 
 
 def random_states(rng, count, vmax=3.0):
@@ -46,7 +48,7 @@ class TestEnergy:
 
     def test_drift_cancellation(self, rng):
         plain = em(ScalarField.height(0.3, 0.0))
-        drifted = em(ScalarField.height(0.3, 0.0), DriftField.azimuthal(0.7))
+        drifted = em(ScalarField.height(0.3, 0.0), 0.7)
         q, v = random_states(rng, 1000)
         l_diff = drifted.value(q, v) - plain.value(q, v)
         assert np.max(np.abs(l_diff)) > 1e-3  # the drift does change L
@@ -55,9 +57,42 @@ class TestEnergy:
 
 class TestRoundDensity:
     def test_conformal_factor(self):
-        metric = Metric.conformal(ScalarField.constant(0.5))
-        system = MagneticSystem(ScalarField.constant(1.0), metric=metric)
+        system = MagneticSystem(
+            ScalarField.constant(1.0), conformal_exponent=ScalarField.constant(0.5)
+        )
         assert system.round_density(NORTH) == pytest.approx(np.exp(1.0))
+
+
+class TestFrozen:
+    def test_fields_are_the_problem_data(self):
+        names = [f.name for f in dataclasses.fields(MagneticSystem) if f.init]
+        assert names == ["density", "potential", "drift", "conformal_exponent"]
+
+    def test_reassignment_after_flux_cache_raises(self):
+        system = MagneticSystem(ScalarField.height(1.0, 0.2))
+        flux = system.total_flux()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            system.density = ScalarField.constant(1.0)
+        assert system.total_flux() == flux
+
+    def test_cache_does_not_enter_equality(self):
+        cached = MagneticSystem(ScalarField.height(1.0, 0.2))
+        cached.total_flux()
+        assert cached == MagneticSystem(ScalarField.height(1.0, 0.2))
+
+    @pytest.mark.parametrize(
+        "u, is_round",
+        [
+            (ScalarField.constant(0.0), True),
+            (ScalarField.linear(0.0, 0.0, 0.0, 0.0), True),
+            (ScalarField.zonal_poly(0.0, 0.0), True),
+            (ScalarField.constant(0.5), False),
+            (ScalarField.height(0.5, 0.0), False),
+        ],
+        ids=["constant-0", "linear-0", "zonal-0", "constant-0.5", "height-0.5"],
+    )
+    def test_round_exactly_when_exponent_is_zero(self, u, is_round):
+        assert MagneticSystem(NO_FIELD, conformal_exponent=u).is_round is is_round
 
 
 class TestE0:
@@ -68,7 +103,7 @@ class TestE0:
         assert compute_e0(em(ScalarField.height(0.3, 0.0))) == pytest.approx(0.3, abs=1e-9)
 
     def test_quadratic_potential_with_drift(self):
-        system = em(ScalarField.zonal_poly(0.0, 0.0, 0.3), DriftField.azimuthal(1.3))
+        system = em(ScalarField.zonal_poly(0.0, 0.0, 0.3), 1.3)
         assert compute_e0(system) == pytest.approx(0.3, abs=1e-9)
 
     def test_interior_maximum_exact(self):
@@ -94,14 +129,14 @@ class TestFiberBounds:
         assert system.fiber_bounds() == 1.2
 
     def test_drift_enters_sup_norm(self):
-        system = MagneticSystem(ScalarField.constant(0.0), drift=DriftField.azimuthal(0.5))
+        system = MagneticSystem(ScalarField.constant(0.0), drift=0.5)
         # |dW_flat| = |2*a*z| peaks at 1.0 for a = 0.5
         assert system.fiber_bounds() == 1.0
 
     def test_drift_bound_on_conformal_metric(self, rng):
         u = ScalarField.height(0.3, 0.0)
         system = MagneticSystem(
-            ScalarField.height(0.5, 0.1), drift=DriftField.azimuthal(0.4), metric=Metric.conformal(u)
+            ScalarField.height(0.5, 0.1), drift=0.4, conformal_exponent=u
         )
         bound = system.fiber_bounds()
         assert bound == pytest.approx(0.6 + 0.8 * np.exp(0.6), abs=1e-15)

@@ -121,10 +121,9 @@ class TestFindWaist:
     def test_conformal_metric_full_stack(self):
         # a conformal factor breaks the z -> -z symmetry: the minimizing ring
         # drifts off the equator but stays a flat critical circle
-        from magflow.sphere_geom import Metric
-
-        metric = Metric.conformal(ScalarField.height(0.15, 0.0))
-        sysc = MagneticSystem(ScalarField.height(1.0, 0.0), metric=metric)
+        sysc = MagneticSystem(
+            ScalarField.height(1.0, 0.0), conformal_exponent=ScalarField.height(0.15, 0.0)
+        )
         seed = default_seed_builder(sysc, E, amplitude=0.02)(48)
         res = find_waist(sysc, E, seed, SolverConfig(tol=2e-5, max_iter=8000))
         assert res.gradient_norm <= 2e-5
@@ -155,9 +154,7 @@ class TestConnectingChain:
         end_a = lift_loop(sys_shifted, waist)
         end_b = iterate(end_a, 2)
         # common node count for the band
-        from magflow.loop_space import resample_loop
-
-        end_a_fine = lift_loop(sys_shifted, resample_loop(end_a.loop, 192))
+        end_a_fine = lift_loop(sys_shifted, latitude_loop(-0.2521, 192).with_period(waist.p))
         chain = build_connecting_chain(sys_shifted, E, end_a_fine, end_b, 1, 2, 0)
         assert chain[0] is not None
         assert chain[-1].flux == end_b.flux
