@@ -177,7 +177,10 @@ def _parse_value(key: str, raw: str):
 def parse_config(path) -> RunConfig:
     """Strict parse of the flat key/value format; unknown keys are errors."""
     cfg = RunConfig()
-    text = Path(path).read_text()
+    # not pathlib: a Path interns each component, and the dead entries of
+    # repeated in-process calls make the interpreter's string table resize
+    with open(path) as fh:
+        text = fh.read()
     for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -201,24 +204,8 @@ def parse_config(path) -> RunConfig:
     return cfg
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    return obj
-
-
 def _emit(payload: dict) -> None:
-    print(json.dumps(_jsonable(payload), sort_keys=True, indent=1))
+    print(json.dumps(payload, sort_keys=True, indent=1, default=lambda o: o.tolist()))
 
 
 def _report_dict(report) -> dict:

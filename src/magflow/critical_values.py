@@ -2,8 +2,9 @@
 
 ``compute_e0`` is the ceiling of the rest energy E(., 0).  The upper value is
 approached from below by exhibiting loop configurations of negative lifted
-action: ``e1_lower_bound_symmetric`` scans latitude circles with their
-optimal period and the flux of the cap they bound (a 1-D oracle available
+action: ``e1_lower_bound_symmetric`` maximizes over latitude circles the
+closed-form energy below which a circle, with its optimal period and the
+flux of the cap it bounds, has negative action (a 1-D oracle available
 whenever the system is rotationally symmetric about the z-axis), and
 ``e1_lower_bound_general`` descends from a coarse seed bank and accepts any
 embedded local minimizer with negative action.  Both report lower bounds:
@@ -20,6 +21,7 @@ from .errors import MaxIterations, NotSymmetric, ValleyCollapse
 from .flow import count_self_intersections
 from .loop_space import (
     LiftedLoop,
+    deck_transform,
     great_circle_loop,
     latitude_loop,
     lift_loop,
@@ -30,6 +32,7 @@ from .tonelli import MagneticSystem
 from .variational import SolverConfig, find_waist
 
 _INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_GRID_SIZE = 401  # open z grid that brackets the threshold's maximum
 
 
 @dataclass(frozen=True)
@@ -71,12 +74,10 @@ def _require_symmetric(sys: MagneticSystem) -> None:
         raise NotSymmetric("; ".join(problems))
 
 
-def cap_flux(sys: MagneticSystem, z0: float) -> float:
+def cap_flux(sys: MagneticSystem, z0):
     """Flux through the region below the latitude z0: 2*pi*int_{-1}^{z0} f,
-    exactly, term by term from the density's polynomial in z."""
-    coef = sys.density.zonal_polynomial.coef
-    area = sum(c * (z0 ** (k + 1) + (-1.0) ** k) / (k + 1) for k, c in enumerate(coef))
-    return 2.0 * np.pi * float(area)
+    exactly, from the density's polynomial in z; vectorized over z0."""
+    return 2.0 * np.pi * sys.density.zonal_polynomial.integ(lbnd=-1.0)(z0)
 
 
 def latitude_circle_action(sys: MagneticSystem, e: float, z0: float) -> float:
@@ -97,16 +98,16 @@ def latitude_circle_action(sys: MagneticSystem, e: float, z0: float) -> float:
     return length * np.sqrt(2.0 * (e - u_val)) + cap_flux(sys, z0)
 
 
-def _min_latitude_action(sys: MagneticSystem, e: float, grid_size: int = 401):
-    z_grid = np.linspace(-1.0, 1.0, grid_size + 2)[1:-1]
-    vals = np.array([latitude_circle_action(sys, e, z) for z in z_grid])
-    k = int(np.argmin(vals))
-    lo = z_grid[max(k - 1, 0)]
-    hi = z_grid[min(k + 1, len(z_grid) - 1)]
-    z, val = _golden_section(lambda z: latitude_circle_action(sys, e, z), lo, hi)
-    if val < vals[k]:
-        return z, val
-    return float(z_grid[k]), float(vals[k])
+def _threshold(sys: MagneticSystem, z):
+    """Energy e*(z) below which the latitude circle at z has negative action.
+
+    With P = cap_flux / 2 pi the action 2 pi (sqrt(1 - z^2) sqrt(2 (e - U)) + P)
+    increases with e and is negative exactly when P < 0 and
+    e < U + P^2 / (2 (1 - z^2)); where P >= 0 the value is -inf.
+    """
+    p = cap_flux(sys, z) / (2.0 * np.pi)
+    e_star = sys.potential.zonal_polynomial(z) + p * p / (2.0 * (1.0 - z * z))
+    return np.where(p < 0.0, e_star, -np.inf)
 
 
 def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
@@ -127,49 +128,46 @@ def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
 
 
 def _symmetric_witness(sys, e, z0, n=256) -> LiftedLoop:
+    """The latitude circle at z0 with its optimal period, lifted to the
+    oracle's sheet, where the ledger is the flux of the cap below it."""
     loop = latitude_loop(z0, n)
-    loop = loop.with_period(optimal_period(sys, loop, e))
-    return lift_loop(sys, loop)
+    lifted = lift_loop(sys, loop.with_period(optimal_period(sys, loop, e)))
+    total = cap_flux(sys, 1.0)  # exact for the zonal round systems served here
+    if abs(total) > 1e-12:
+        lifted = deck_transform(sys, lifted, round((cap_flux(sys, z0) - lifted.flux) / total))
+    return lifted
 
 
-def e1_lower_bound_symmetric(
-    sys: MagneticSystem, e_max: float, tol: float = 1e-4, grid_size: int = 401
-) -> E1Result:
-    """Largest energy (within tol) admitting a negative latitude-circle action.
+def e1_lower_bound_symmetric(sys: MagneticSystem, e_max: float, tol: float = 1e-4) -> E1Result:
+    """Largest energy up to e_max admitting a negative latitude-circle action.
 
-    Bisection is valid because the minimal latitude action is increasing in
-    the energy.  Returns the trivial bound e0 when no latitude circle goes
-    negative anywhere in the window.
+    Exactly min(e_max, max_z e*(z)) with e* from ``_threshold``, maximized by
+    one open-grid scan and a golden-section search, with no bisection over
+    energies.  tol only sets how far below the bound the certificate (the
+    circle at the maximizer) is first tried.  A negative total flux makes e*
+    unbounded toward the north pole; the grid's top node then caps it.
+    Returns the trivial bound e0 when no circle goes negative above e0.
     """
     _require_symmetric(sys)
     e0_val = compute_e0(sys)
-    lo = e0_val + 1e-9
-
-    def admissible(e):
-        return _min_latitude_action(sys, e, grid_size)[1] < 0.0
-
-    if not admissible(lo + tol):
+    z_grid = np.linspace(-1.0, 1.0, _GRID_SIZE + 2)[1:-1]
+    vals = _threshold(sys, z_grid)
+    k = int(np.argmax(vals))
+    lo, hi = z_grid[max(k - 1, 0)], z_grid[min(k + 1, _GRID_SIZE - 1)]
+    z_star, neg_peak = _golden_section(lambda z: -_threshold(sys, z), lo, hi)
+    peak = -neg_peak
+    if not peak > vals[k]:
+        z_star, peak = float(z_grid[k]), float(vals[k])
+    value = min(float(e_max), peak)
+    if value <= e0_val:
         return E1Result(e0_val, None, False)
-    if admissible(e_max):
-        lo = e_max
-    else:
-        hi = e_max
-        lo = lo + tol
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if admissible(mid):
-                lo = mid
-            else:
-                hi = mid
-    value = float(lo)
 
     certificate = None
     for back in (tol, 2 * tol, 5 * tol, 1e-2, 5e-2):
         e_w = value - back
         if e_w <= e0_val:
             break
-        z_star, a_min = _min_latitude_action(sys, e_w, grid_size)
-        if a_min >= 0:
+        if latitude_circle_action(sys, e_w, z_star) >= 0:
             continue
         witness = _symmetric_witness(sys, e_w, z_star)
         a_disc = lifted_action_A(sys, e_w, witness)

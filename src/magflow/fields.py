@@ -201,6 +201,8 @@ def parse_drift(spec: str) -> float:
         raise ValidationError(spec, "unparseable drift spec")
     name, args = m.group(1), _parse_args(m.group(1), m.group(2))
     if name == "none":
+        if args:
+            raise ValidationError(spec, "none takes no arguments")
         return 0.0
     if name == "azimuthal":
         if len(args) != 1:

@@ -201,12 +201,14 @@ discretization.loop_nodes = 32
             ("flow", "flow.time = 1e13", None),
             ("critical-values", "system.potential = zonal_poly(nan, 1.0)", None),
             ("critical-values", "system.density = height(inf, 0.0)", None),
+            ("critical-values", "system.drift = none(5)", None),
         ],
         ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "v0-overflow", "grid-step-0",
              "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
              "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
              "config-missing", "grid-reversed", "grid-step-away", "grid-oversized",
-             "descent-grid-oversized", "flow-steps-oversized", "potential-nan", "density-inf"],
+             "descent-grid-oversized", "flow-steps-oversized", "potential-nan", "density-inf",
+             "drift-none-args"],
     )
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop):
         # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload;

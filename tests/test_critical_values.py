@@ -148,6 +148,70 @@ class TestE1Symmetric:
         again = lifted_action_A(sys_z, cert.energy, cert.witness)
         assert again == pytest.approx(cert.action_value, abs=1e-8)
 
+    def test_negative_total_flux_certificate(self):
+        # f = z - 0.2 has total flux -0.8 pi: the canonical lift of a
+        # latitude circle sits one deck shift off the cap-flux sheet
+        sysn = MagneticSystem(ScalarField.height(1.0, -0.2))
+        res = e1_lower_bound_symmetric(sysn, 0.3, tol=1e-4)
+        assert res.negative_found and res.value == 0.3
+        cert = res.certificate
+        assert cert is not None and cert.action_value < 0
+        z_star = cert.witness.nodes[0, 2]
+        # the 256-gon bounds slightly less than the circle's cap
+        assert cert.witness.flux == pytest.approx(cap_flux(sysn, z_star), abs=1e-4)
+        again = lifted_action_A(sysn, cert.energy, cert.witness)
+        assert again == pytest.approx(cert.action_value, abs=1e-8)
+
+    @pytest.mark.parametrize(
+        "potential, e_max",
+        [(ScalarField.height(0.05, 0.0), 0.02), (ScalarField.height(0.3, 0.0), 0.5)],
+        ids=["e_max-below-e0", "threshold-below-e0"],
+    )
+    def test_never_below_e0(self, potential, e_max):
+        sysu = MagneticSystem(ScalarField.height(1.0, 0.0), potential=potential)
+        res = e1_lower_bound_symmetric(sysu, e_max, tol=1e-4)
+        assert res.value == compute_e0(sysu)
+        assert not res.negative_found
+        assert res.certificate is None
+
+
+ZONAL_SYSTEMS = [
+    MagneticSystem(ScalarField.height(1.0, 0.0)),
+    MagneticSystem(ScalarField.height(1.0, 0.2)),
+    MagneticSystem(ScalarField.zonal_poly(0.0, -1.0, 0.0, 3.0)),
+    MagneticSystem(ScalarField.zonal_poly(0.3, 1.0, -0.5)),
+    MagneticSystem(ScalarField.height(1.0, 0.0), potential=ScalarField.height(0.02, 0.0)),
+    MagneticSystem(
+        ScalarField.height(1.0, 0.2), potential=ScalarField.zonal_poly(0.01, 0.0, 0.03)
+    ),
+]
+ZONAL_IDS = ["z", "z+0.2", "3z^3-z", "quadratic", "z-potential", "z+0.2-potential"]
+
+
+class TestClosedFormThreshold:
+    @pytest.mark.parametrize(
+        "density, expect",
+        [(ScalarField.height(1.0, 0.0), 1.0 / 8.0), (ScalarField.zonal_poly(0.0, -1.0, 0.0, 3.0), 8.0 / 81.0)],
+        ids=["z", "3z^3-z"],
+    )
+    def test_exact_value(self, density, expect):
+        # f = z: e*(z) = (1 - z^2)/8; f = 3z^3 - z: e* = (3z^2 + 1)^2 (1 - z^2)/32
+        res = e1_lower_bound_symmetric(MagneticSystem(density), 0.3, tol=1e-4)
+        assert res.value == pytest.approx(expect, abs=1e-12)
+
+    @pytest.mark.parametrize("sysu", ZONAL_SYSTEMS, ids=ZONAL_IDS)
+    def test_consistent_with_latitude_action(self, sysu):
+        res = e1_lower_bound_symmetric(sysu, 0.3, tol=1e-4)
+        assert res.negative_found and res.value < 0.3
+        z_star = res.certificate.witness.nodes[0, 2]
+        assert latitude_circle_action(sysu, res.value - 1e-6, z_star) < 0.0
+        above = [latitude_circle_action(sysu, res.value + 1e-6, z) for z in np.linspace(-1, 1, 4001)[1:-1]]
+        assert min(above) >= 0.0
+
+    @pytest.mark.parametrize("sysu", ZONAL_SYSTEMS[:4], ids=ZONAL_IDS[:4])
+    def test_cap_flux_at_the_pole_is_total_flux(self, sysu):
+        assert cap_flux(sysu, 1.0) == pytest.approx(sysu.total_flux(), abs=1e-12)
+
 
 class TestE1General:
     CFG = SolverConfig(tol=1e-5, max_iter=4000)
