@@ -11,13 +11,8 @@ accuracy.
 
 import numpy as np
 
-from magflow import MagneticSystem, ScalarField, SolverConfig, certify_orbit
-from magflow.variational import (
-    default_seed_builder,
-    minimax_between_labels,
-    polish_candidate,
-    prepare_waists,
-)
+from magflow import MagneticSystem, ScalarField, SolverConfig
+from magflow.variational import default_seed_builder, minimax_between_labels, prepare_waists
 
 system = MagneticSystem(ScalarField.height(1.0, 0.0))
 e = 0.02
@@ -33,9 +28,8 @@ print(f"minimax value {mm.value:+.6f}   (4*pi*e = {4 * np.pi * e:+.6f})")
 print(f"converged: {mm.converged}, saddle gradient norm {mm.saddle_gradient_norm:.2e}, "
       f"band stopped after {len(mm.history) - 1} sweeps ({mm.stop_reason})")
 
-rep = certify_orbit(system, polish_candidate(system, mm.saddle.loop, e), e)
-print(f"saddle shooting closure {rep.closure_residual:.2e}, "
-      f"mean-energy residual {rep.mean_energy_residual:+.2e}")
+print(f"saddle shooting closure {mm.report.closure_residual:.2e}, "
+      f"mean-energy residual {mm.report.mean_energy_residual:+.2e}")
 z = mm.saddle.nodes[:, 2]
 print(f"saddle latitude band: z in [{z.min():+.6f}, {z.max():+.6f}] "
       f"(the doubled circle at z = {np.sqrt(0.96):+.6f})")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys as _sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -204,43 +204,44 @@ def parse_config(path) -> RunConfig:
     return cfg
 
 
-def _emit(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=1, default=lambda o: o.tolist()))
+def _two_labels(cfg: RunConfig) -> list[tuple[int, int]]:
+    """The first two of ``run.labels``: the band's end classes."""
+    labels = cfg["run.labels"]
+    if len(labels) < 2:
+        raise ValidationError("run.labels", "need two labels")
+    return labels[:2]
 
 
-def _report_dict(report) -> dict:
-    return {
-        "gradient_norm": report.gradient_norm,
-        "mean_energy_residual": report.mean_energy_residual,
-        "closure_residual": report.closure_residual,
-        "self_intersections": report.self_intersections,
-    }
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A header line and one line per row of formatted cells."""
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
 
 
-def _cmd_flow(cfg: RunConfig, out: Path) -> int:
+def _cmd_flow(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     s0 = State.of(cfg["flow.q0"], cfg["flow.v0"])
     traj = integrate(system, s0, cfg["flow.time"], cfg["flow.step"])
     csv_path = out / "trajectory.csv"
-    with open(csv_path, "w") as fh:
-        fh.write("t,qx,qy,qz,vx,vy,vz,E\n")
-        for k in range(len(traj.times)):
-            row = [traj.times[k], *traj.positions[k], *traj.velocities[k], traj.energy_series[k]]
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
-    _emit(
-        {
-            "schema_version": 1,
-            "command": "flow",
-            "steps": len(traj.times) - 1,
-            "energy_drift": energy_drift(traj),
-            "final_energy": float(traj.energy_series[-1]),
-            "trajectory_csv": str(csv_path),
-        }
+    _write_csv(
+        csv_path,
+        ["t", "qx", "qy", "qz", "vx", "vy", "vz", "E"],
+        (
+            [repr(float(x)) for x in (t, *q, *v, en)]
+            for t, q, v, en in zip(traj.times, traj.positions, traj.velocities, traj.energy_series)
+        ),
     )
-    return 0
+    return 0, {
+        "steps": len(traj.times) - 1,
+        "energy_drift": energy_drift(traj),
+        "final_energy": float(traj.energy_series[-1]),
+        "trajectory_csv": str(csv_path),
+    }
 
 
-def _cmd_waist(cfg: RunConfig, out: Path) -> int:
+def _cmd_waist(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     e = cfg["run.energy"]
     seed = vr.default_seed_builder(
@@ -250,101 +251,68 @@ def _cmd_waist(cfg: RunConfig, out: Path) -> int:
     loop_path = out / "waist_loop.json"
     save_lifted(res.lifted, loop_path)
     nodes_to_csv(res.lifted.loop, out / "waist_nodes.csv")
-    _emit(
-        {
-            "schema_version": 1,
-            "command": "waist",
-            "energy": e,
-            "action": res.action,
-            "gradient_norm": res.gradient_norm,
-            "period": res.lifted.p,
-            "iterations": res.iterations,
-            "report": _report_dict(res.report),
-            "loop_file": str(loop_path),
-        }
-    )
-    return 0
+    return 0, {
+        "energy": e,
+        "action": res.action,
+        "gradient_norm": res.gradient_norm,
+        "period": res.lifted.p,
+        "iterations": res.iterations,
+        "report": asdict(res.report),
+        "loop_file": str(loop_path),
+    }
 
 
-def _cmd_minimax(cfg: RunConfig, out: Path) -> int:
+def _cmd_minimax(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     e = cfg["run.energy"]
-    labels = cfg["run.labels"]
-    if len(labels) < 2:
-        raise ValidationError("run.labels", "need two labels for minimax")
+    labels = _two_labels(cfg)
     solver = cfg.solver()
     seeds = vr.default_seed_builder(
         system, e, cfg["run.seed_z0"], cfg["run.seed_amplitude"], cfg["run.seed_mode"]
     )
     waists = vr.prepare_waists(
-        system, e, labels[:2], seeds, cfg["discretization.path_loop_nodes"], solver
+        system, e, labels, seeds, cfg["discretization.path_loop_nodes"], solver
     )
     mm = vr.minimax_between_labels(system, e, waists, labels[0], labels[1], solver)
-    rep = replace(
-        certify_orbit(system, vr.polish_candidate(system, mm.saddle.loop, e), e),
-        gradient_norm=mm.saddle_gradient_norm,
-    )
     saddle_path = out / "saddle_loop.json"
     save_lifted(mm.saddle, saddle_path)
-    _emit(
-        {
-            "schema_version": 1,
-            "command": "minimax",
-            "energy": e,
-            "labels": [list(labels[0]), list(labels[1])],
-            "value": mm.value,
-            "converged": mm.converged,
-            "saddle_gradient_norm": mm.saddle_gradient_norm,
-            "report": _report_dict(rep),
-            "loop_file": str(saddle_path),
-        }
+    return 0 if mm.converged else 2, {
+        "energy": e,
+        "labels": [list(labels[0]), list(labels[1])],
+        "value": mm.value,
+        "converged": mm.converged,
+        "saddle_gradient_norm": mm.saddle_gradient_norm,
+        "report": asdict(mm.report),
+        "loop_file": str(saddle_path),
+    }
+
+
+def _cmd_scan(cfg: RunConfig, out: Path) -> tuple[int, dict]:
+    rows = vr.scan_energy(
+        cfg.system(),
+        cfg["run.energy_grid"],
+        labels=_two_labels(cfg),
+        cfg=cfg.solver(),
+        path_n=cfg["discretization.path_loop_nodes"],
+        seed_z0=cfg["run.seed_z0"],
+        seed_amplitude=cfg["run.seed_amplitude"],
+        seed_mode=cfg["run.seed_mode"],
     )
-    return 0 if mm.converged else 2
-
-
-def _cmd_scan(cfg: RunConfig, out: Path) -> int:
-    system = cfg.system()
-    grid = cfg["run.energy_grid"]
-    if not grid:
-        rows = []
-    else:
-        rows = vr.scan_energy(
-            system,
-            grid,
-            labels=tuple(cfg["run.labels"][:2]),
-            cfg=cfg.solver(),
-            path_n=cfg["discretization.path_loop_nodes"],
-            seed_z0=cfg["run.seed_z0"],
-            seed_amplitude=cfg["run.seed_amplitude"],
-            seed_mode=cfg["run.seed_mode"],
-        )
     csv_path = out / "scan.csv"
     cols = [
-        "e",
-        "status",
-        "waist_action",
-        "waist_gradient_norm",
-        "waist_self_intersections",
-        "minimax_value",
-        "minimax_converged",
-        "saddle_gradient_norm",
-        "saddle_closure",
+        "e", "status", "waist_action", "waist_gradient_norm", "waist_self_intersections",
+        "minimax_value", "minimax_converged", "saddle_gradient_norm", "saddle_closure",
         "saddle_energy_residual",
     ]
-    with open(csv_path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in rows:
-            fh.write(",".join(repr(row[c]) if c in row else "" for c in cols) + "\n")
-    _emit({"schema_version": 1, "command": "scan", "rows": rows, "scan_csv": str(csv_path)})
+    _write_csv(csv_path, cols, ([repr(row[c]) if c in row else "" for c in cols] for row in rows))
     clean = all(r["status"] == "ok" and r.get("minimax_converged", False) for r in rows)
-    return 0 if clean else 2
+    return 0 if clean else 2, {"rows": rows, "scan_csv": str(csv_path)}
 
 
-def _cmd_multiplicity(cfg: RunConfig, out: Path) -> int:
-    system = cfg.system()
+def _cmd_multiplicity(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     e = cfg["run.energy"]
     result = vr.multiplicity_search(
-        system,
+        cfg.system(),
         e,
         cfg["run.labels"],
         cfg=cfg.solver(),
@@ -363,24 +331,19 @@ def _cmd_multiplicity(cfg: RunConfig, out: Path) -> int:
                 "action": rec.action,
                 "period": rec.lifted.p,
                 "primitive_period": rec.primitive.p,
-                "report": _report_dict(rec.report),
+                "report": asdict(rec.report),
                 "loop_file": str(loop_path),
             }
         )
-    _emit(
-        {
-            "schema_version": 1,
-            "command": "multiplicity",
-            "energy": e,
-            "distinct_count": result.distinct_count,
-            "orbits": orbits,
-            "failures": result.failures,
-        }
-    )
-    return 0 if not result.failures else 2
+    return 0 if not result.failures else 2, {
+        "energy": e,
+        "distinct_count": result.distinct_count,
+        "orbits": orbits,
+        "failures": result.failures,
+    }
 
 
-def _cmd_critical_values(cfg: RunConfig, out: Path) -> int:
+def _cmd_critical_values(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     e0_val = cv.compute_e0(system)
     try:
@@ -401,38 +364,27 @@ def _cmd_critical_values(cfg: RunConfig, out: Path) -> int:
             "action_value": res.certificate.action_value,
             "loop_file": str(cert_path),
         }
-    _emit(
-        {
-            "schema_version": 1,
-            "command": "critical-values",
-            "e0": e0_val,
-            "e1_lower_bound": res.value,
-            "negative_configuration_found": res.negative_found,
-            "method": method,
-            "certificate": cert,
-        }
-    )
-    return 0
+    return 0, {
+        "e0": e0_val,
+        "e1_lower_bound": res.value,
+        "negative_configuration_found": res.negative_found,
+        "method": method,
+        "certificate": cert,
+    }
 
 
-def _cmd_orbit_check(cfg: RunConfig, out: Path) -> int:
+def _cmd_orbit_check(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     if not cfg["run.loop_file"]:
         raise ValidationError("run.loop_file", "required for orbit-check")
     system = cfg.system()
     e = cfg["run.energy"]
     ll = load_lifted(cfg["run.loop_file"])
-    rep = certify_orbit(system, ll.loop, e)
-    _emit(
-        {
-            "schema_version": 1,
-            "command": "orbit-check",
-            "energy": e,
-            "action": lifted_action_A(system, e, ll),
-            "loop": {"nodes": len(ll.nodes), "period": ll.p, "flux": ll.flux},
-            "report": _report_dict(rep),
-        }
-    )
-    return 0
+    return 0, {
+        "energy": e,
+        "action": lifted_action_A(system, e, ll),
+        "loop": {"nodes": len(ll.nodes), "period": ll.p, "flux": ll.flux},
+        "report": asdict(certify_orbit(system, ll.loop, e)),
+    }
 
 
 _DISPATCH = {
@@ -447,11 +399,15 @@ _DISPATCH = {
 
 
 def run_command(command: str, cfg: RunConfig, out_dir) -> int:
-    """Dispatch a command; returns the process exit code."""
+    """Dispatch a command, print its payload as the one JSON summary, and
+    return the process exit code."""
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        return _DISPATCH[command](cfg, out)
+        code, payload = _DISPATCH[command](cfg, out)
+        payload = {"schema_version": 1, "command": command, **payload}
+        print(json.dumps(payload, sort_keys=True, indent=1, default=lambda o: o.tolist()))
+        return code
     except MaxIterations as exc:
         print(f"nonconvergence: {exc}", file=_sys.stderr)
         return 2

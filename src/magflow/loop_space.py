@@ -507,7 +507,8 @@ def load_lifted(path) -> LiftedLoop:
 
 
 def nodes_to_csv(loop: FreePeriodLoop, path) -> None:
+    """One x,y,z line per node, each coordinate as Python's round-trip repr."""
     with open(path, "w") as fh:
         fh.write("x,y,z\n")
         for row in loop.nodes:
-            fh.write(f"{row[0]!r},{row[1]!r},{row[2]!r}\n")
+            fh.write(",".join(repr(float(c)) for c in row) + "\n")

@@ -1,8 +1,8 @@
 """Geometry of the unit 2-sphere embedded in R^3.
 
 Provides projections, tangent frames, and signed flux quadrature of a
-2-form over spherical triangles and over the whole sphere (the 20
-icosahedron faces); the metric lives on ``MagneticSystem``.  A 2-form
+2-form over spherical triangles and over the whole sphere (the 8 octant
+faces); the metric lives on ``MagneticSystem``.  A 2-form
 enters as its density relative to the round area form: any callable on
 points, such as a ``ScalarField`` or ``MagneticSystem.round_density``.
 The one flux rule is Gauss-Legendre in geodesic polar coordinates about a
@@ -23,6 +23,7 @@ arrays this package passes around.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 import numpy as np
@@ -183,40 +184,21 @@ def triangles_flux(density: Density, tris: np.ndarray, depth: int = FLUX_DEPTH) 
     return float(np.sum(ws[:half] @ (g[:half] + g[::-1][:half])))
 
 
-def icosahedron_faces() -> np.ndarray:
-    """The 20 outward-oriented faces of a regular icosahedron, shape (20, 3, 3)."""
-    phi = (1.0 + np.sqrt(5.0)) / 2.0
-    verts = []
-    for s1 in (-1.0, 1.0):
-        for s2 in (-1.0, 1.0):
-            verts.append([0.0, s1, s2 * phi])
-            verts.append([s1, s2 * phi, 0.0])
-            verts.append([s2 * phi, 0.0, s1])
-    v = project_to_sphere(np.array(verts))
-    # faces by nearest-neighbor edges: every vertex pair at the minimal distance
-    d = v @ v.T
-    edge_cos = np.sort(np.unique(np.round(d, 9)))[-2]
-    faces = []
-    n = len(v)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(d[i, j] - edge_cos) > 1e-6:
-                continue
-            for k in range(j + 1, n):
-                if abs(d[i, k] - edge_cos) < 1e-6 and abs(d[j, k] - edge_cos) < 1e-6:
-                    tri = [i, j, k]
-                    det = np.dot(v[tri[0]], np.cross(v[tri[1]], v[tri[2]]))
-                    if det < 0:
-                        tri = [i, k, j]
-                    faces.append(tri)
-    assert len(faces) == 20
-    return v[np.array(faces)]
+def octant_faces() -> np.ndarray:
+    """The 8 outward-oriented octant faces (sx ex, sy ey, sz ez) of the
+    sphere, shape (8, 3, 3); a face with sx sy sz < 0 swaps its last two
+    vertices."""
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    faces = signs[:, :, None] * np.eye(3)
+    flip = np.prod(signs, axis=1) < 0.0
+    faces[flip] = faces[flip][:, [0, 2, 1]]
+    return faces
 
 
 def total_flux(density: Density, depth: int = FLUX_DEPTH) -> float:
     """Flux of the 2-form with round-area density ``density`` through the
-    whole sphere: ``triangles_flux`` over the 20 icosahedron faces, each
-    about its first vertex."""
+    whole sphere: ``triangles_flux`` over the 8 octant faces, each about its
+    first vertex."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    return triangles_flux(density, icosahedron_faces(), depth)
+    return triangles_flux(density, octant_faces(), depth)

@@ -19,9 +19,9 @@ resampling, chain link, Newton polish) carries its ledger through
 ``loop_space.deform``; descent trials and band updates share one capped,
 reprojected trial step.
 
-``scan_energy`` and ``multiplicity_search`` orchestrate these over energy
-grids and (iterate, deck) label sets and certify every converged output by
-shooting along the flow.
+``find_waist`` and ``minimax_path`` certify their outputs by shooting along
+the flow; ``scan_energy`` and ``multiplicity_search`` orchestrate them over
+energy grids and (iterate, deck) label sets.
 """
 
 from __future__ import annotations
@@ -114,6 +114,7 @@ class MinimaxResult:
     converged: bool
     history: list[float]
     saddle: LiftedLoop
+    report: OrbitReport
     path: list[LiftedLoop] = field(repr=False, default_factory=list)
     stop_reason: str = "sweep budget"  # or "polished", "identical endpoints"
 
@@ -461,7 +462,8 @@ def minimax_path(
     once more.  ``saddle``, ``argmax_index``, ``value`` and
     ``saddle_gradient_norm`` all describe one image: the polished one when
     ``converged``, else the band maximum, whose action is an upper bound
-    for the true minimax of the connecting family.
+    for the true minimax of the connecting family.  ``report`` certifies
+    that image by shooting, converged or not.
     """
     M = cfg.path_nodes
     if M < 8:
@@ -473,7 +475,7 @@ def minimax_path(
 
     if np.array_equal(end_a.nodes, end_b.nodes) and end_a.p == end_b.p and end_a.flux == end_b.flux:
         value = lifted_action_A(sys, e, end_a)
-        return MinimaxResult(value, 0, 0.0, True, [value], end_a, [end_a, end_b], "identical endpoints")
+        return _certified(sys, e, value, 0, 0.0, True, [value], [end_a, end_b], "identical endpoints")
 
     # run the whole band in a ledger relative to end_a: deck-shifting both
     # endpoints then reproduces the identical computation, so minimax values
@@ -555,7 +557,15 @@ def minimax_path(
     value = float(actions[climb]) + flux_base
     history = [h + flux_base for h in history] + [value]
     path = [LiftedLoop(u.loop, u.flux + flux_base) for u in path]
-    return MinimaxResult(value, climb, float(saddle_dual), converged, history, path[climb], path, stop_reason)
+    return _certified(sys, e, value, climb, float(saddle_dual), converged, history, path, stop_reason)
+
+
+def _certified(sys, e, value, climb, dual, converged, history, path, stop_reason) -> MinimaxResult:
+    """The band result with image ``climb`` of ``path`` as its saddle, shot at
+    its fourth-order period; the report carries the saddle's dual norm."""
+    saddle = path[climb]
+    report = replace(certify_orbit(sys, polish_candidate(sys, saddle.loop, e), e), gradient_norm=dual)
+    return MinimaxResult(value, climb, dual, converged, history, saddle, report, path, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -636,9 +646,8 @@ def scan_energy(
             row["minimax_value"] = mm.value
             row["minimax_converged"] = mm.converged
             row["saddle_gradient_norm"] = mm.saddle_gradient_norm
-            rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e)
-            row["saddle_closure"] = rep.closure_residual
-            row["saddle_energy_residual"] = rep.mean_energy_residual
+            row["saddle_closure"] = mm.report.closure_residual
+            row["saddle_energy_residual"] = mm.report.mean_energy_residual
         except (MagflowError, ValueError, ArithmeticError) as exc:  # rows must not kill the scan
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
@@ -749,11 +758,9 @@ def multiplicity_search(
                     {"pair": pair, "reason": f"nonconvergence (saddle grad {mm.saddle_gradient_norm:.2e})"}
                 )
                 continue
-            rep = certify_orbit(sys, polish_candidate(sys, mm.saddle.loop, e), e)
-            rep = replace(rep, gradient_norm=mm.saddle_gradient_norm)
-            if rep.closure_residual > CERTIFY_CLOSURE_TOL:
+            if mm.report.closure_residual > CERTIFY_CLOSURE_TOL:
                 failures.append(
-                    {"pair": pair, "reason": f"certification failed (closure {rep.closure_residual:.2e})"}
+                    {"pair": pair, "reason": f"certification failed (closure {mm.report.closure_residual:.2e})"}
                 )
                 continue
             records.append(
@@ -761,7 +768,7 @@ def multiplicity_search(
                     source=f"minimax {pair[0]}-{pair[1]}",
                     lifted=mm.saddle,
                     action=mm.value,
-                    report=rep,
+                    report=mm.report,
                     primitive=_primitive(mm.saddle.loop),
                 )
             )

@@ -202,13 +202,14 @@ discretization.loop_nodes = 32
             ("critical-values", "system.potential = zonal_poly(nan, 1.0)", None),
             ("critical-values", "system.density = height(inf, 0.0)", None),
             ("critical-values", "system.drift = none(5)", None),
+            ("scan", "run.labels = (1,0)\nrun.energy_grid = 0.02", None),
         ],
         ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "v0-overflow", "grid-step-0",
              "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
              "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
              "config-missing", "grid-reversed", "grid-step-away", "grid-oversized",
              "descent-grid-oversized", "flow-steps-oversized", "potential-nan", "density-inf",
-             "drift-none-args"],
+             "drift-none-args", "scan-one-label"],
     )
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop):
         # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload;
@@ -278,6 +279,24 @@ run.loop_file = {loop_file}
         assert payload["action"] == pytest.approx(-0.6 * np.pi, abs=4e-3)
         assert abs(payload["report"]["mean_energy_residual"]) < 1e-6
 
+    def test_waist_nodes_csv_is_numeric(self, tmp_path, capsys):
+        cfg = write(
+            tmp_path,
+            """
+system.density = height(1.0, 0.0)
+run.energy = 0.02
+run.seed_amplitude = 0.02
+discretization.loop_nodes = 64
+solver.max_iter = 6000
+""",
+        )
+        assert main(["waist", "--config", cfg, "--out", str(tmp_path)]) == 0
+        loop_file = json.loads(capsys.readouterr().out)["loop_file"]
+        lines = (tmp_path / "waist_nodes.csv").read_text().splitlines()
+        assert lines[0] == "x,y,z"
+        nodes = [[float(cell) for cell in line.split(",")] for line in lines[1:]]
+        assert nodes == json.loads(Path(loop_file).read_text())["nodes"]
+
     def test_scan_empty_grid(self, tmp_path, capsys):
         cfg = write(tmp_path, "system.density = height(1.0, 0.0)\n")
         code = main(["scan", "--config", cfg, "--out", str(tmp_path)])
@@ -299,17 +318,22 @@ class TestSchemaStability:
             "schema_version", "command", "energy", "labels", "value", "converged",
             "saddle_gradient_norm", "report", "loop_file",
         },
+        "scan": {"schema_version", "command", "rows", "scan_csv"},
+        "multiplicity": {"schema_version", "command", "energy", "distinct_count", "orbits", "failures"},
         "critical-values": {
             "schema_version", "command", "e0", "e1_lower_bound",
             "negative_configuration_found", "method", "certificate",
         },
+        "orbit-check": {"schema_version", "command", "energy", "action", "loop", "report"},
     }
     REPORT_KEYS = {"gradient_norm", "mean_energy_residual", "closure_residual", "self_intersections"}
-
-    def test_emitted_keys_frozen(self, tmp_path, capsys):
-        cfg = write(
-            tmp_path,
-            """
+    ROW_KEYS = {
+        "e", "status", "waist_action", "waist_gradient_norm", "waist_self_intersections",
+        "minimax_value", "minimax_converged", "saddle_gradient_norm", "saddle_closure",
+        "saddle_energy_residual",
+    }
+    ORBIT_KEYS = {"source", "action", "period", "primitive_period", "report", "loop_file"}
+    TINY = """
 system.density = height(1.0, 0.0)
 run.energy = 0.02
 run.seed_amplitude = 0.02
@@ -317,17 +341,49 @@ discretization.loop_nodes = 64
 discretization.path_loop_nodes = 128
 solver.max_iter = 6000
 flow.time = 1.0
-""",
-        )
+"""
+
+    def run(self, tmp_path, capsys, command, text, code=0):
+        cfg = write(tmp_path, text)
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == code
+        payload = json.loads(capsys.readouterr().out)
+        assert set(payload) == self.EXPECTED[command]
+        if "report" in payload:
+            assert set(payload["report"]) == self.REPORT_KEYS
+        return payload
+
+    def test_emitted_keys_frozen(self, tmp_path, capsys):
         for command in ("flow", "waist", "minimax", "critical-values"):
-            code = main([command, "--config", cfg, "--out", str(tmp_path)])
-            assert code == 0
-            payload = json.loads(capsys.readouterr().out)
-            assert set(payload) == self.EXPECTED[command]
-            if "report" in payload:
-                assert set(payload["report"]) == self.REPORT_KEYS
+            payload = self.run(tmp_path, capsys, command, self.TINY)
             if command == "minimax":
                 assert payload["report"]["gradient_norm"] == payload["saddle_gradient_norm"]
+
+    def test_scan_keys_frozen(self, tmp_path, capsys):
+        payload = self.run(tmp_path, capsys, "scan", self.TINY + "run.energy_grid = 0.02\n")
+        assert len(payload["rows"]) == 1
+        assert all(set(row) == self.ROW_KEYS for row in payload["rows"])
+
+    def test_multiplicity_keys_frozen(self, tmp_path, capsys):
+        # the (1,0)-(2,0) saddle fails certification at N = 128, so the run exits 2
+        payload = self.run(tmp_path, capsys, "multiplicity", self.TINY, code=2)
+        assert len(payload["orbits"]) == 1 and len(payload["failures"]) == 1
+        for orbit in payload["orbits"]:
+            assert set(orbit) == self.ORBIT_KEYS
+            assert set(orbit["report"]) == self.REPORT_KEYS
+        assert all(set(failure) == {"pair", "reason"} for failure in payload["failures"])
+
+    def test_orbit_check_keys_frozen(self, tmp_path, capsys):
+        loop_path = tmp_path / "loop.json"
+        loop_path.write_text(json.dumps({"nodes": latitude_loop(0.0, 64).nodes.tolist(), "p": 30.0, "flux": 0.0}))
+        payload = self.run(tmp_path, capsys, "orbit-check", self.TINY + f"run.loop_file = {loop_path}\n")
+        assert set(payload["loop"]) == {"nodes", "period", "flux"}
+
+    def test_general_descent_keys_frozen(self, tmp_path, capsys):
+        # a non-zonal density leaves the latitude oracle for the descent over an energy grid
+        text = "system.density = linear(0.3, 0, 1, 0)\nrun.e_max = 0.1\nrun.grid_step = 0.05\n"
+        payload = self.run(tmp_path, capsys, "critical-values", text)
+        assert payload["method"] == "general-descent"
+        assert set(payload["certificate"]) == {"energy", "action_value", "loop_file"}
 
 
 class TestDeprecatedKeys:

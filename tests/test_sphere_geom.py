@@ -7,8 +7,8 @@ from magflow.sphere_geom import (
     angular_distance,
     cyclic_shift,
     dot3,
-    icosahedron_faces,
     norm3,
+    octant_faces,
     solid_angle,
     triangles_flux,
 )
@@ -134,8 +134,8 @@ class TestTotalFlux:
 
 
 class TestAreaRoutines:
-    def test_icosahedron_orientation(self):
-        faces = icosahedron_faces()
+    def test_octant_orientation(self):
+        faces = octant_faces()
         dets = np.einsum("tj,tj->t", faces[:, 0], np.cross(faces[:, 1], faces[:, 2]))
         assert np.all(dets > 0)
         a, b, c = faces[:, 0], faces[:, 1], faces[:, 2]
