@@ -4,8 +4,8 @@ Configs are flat ``section.key = value`` text files with ``#`` comments and a
 strict schema: unknown keys are errors, deprecated keys are ignored with one
 warning line on stderr.  Every command writes one JSON summary to stdout
 (schema_version 1, keys sorted, so identical runs are byte-identical) and CSV
-artifacts under ``--out``.  Exit codes: 0 success, 2 nonconvergence, 1 any
-other error.
+artifacts under ``--out``.  Exit codes: 0 success, 2 nonconvergence (or a
+saddle that fails ``OrbitReport.certified``), 1 any other error.
 """
 
 from __future__ import annotations
@@ -276,7 +276,7 @@ def _cmd_minimax(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     mm = vr.minimax_between_labels(system, e, waists, labels[0], labels[1], solver)
     saddle_path = out / "saddle_loop.json"
     save_lifted(mm.saddle, saddle_path)
-    return 0 if mm.converged else 2, {
+    return 0 if mm.converged and mm.report.certified else 2, {
         "energy": e,
         "labels": [list(labels[0]), list(labels[1])],
         "value": mm.value,

@@ -226,6 +226,11 @@ class OrbitReport:
         if not all(np.isfinite(v) for v in vals):
             raise ValueError("orbit report residuals must be finite")
 
+    @property
+    def certified(self) -> bool:
+        """The one closure verdict: shooting closes within ``CERTIFY_CLOSURE_TOL``."""
+        return self.closure_residual <= CERTIFY_CLOSURE_TOL
+
 
 def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     """Transverse crossings of the closed geodesic polygon through the nodes.

@@ -32,6 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .sphere_geom import (
+    BASE_POINT,
     FLUX_DEPTH,
     angular_distance,
     cross3,
@@ -50,15 +51,9 @@ _SUBSTEP = 0.1
 _MIN_NODES = 16
 VALLEY_TAU_CAP = 0.1
 
+# cone apexes: the base point first, then the other five axis points
 _APEX_CANDIDATES = np.array(
-    [
-        [-1.0, 0.0, 0.0],
-        [0.0, 0.0, -1.0],
-        [0.0, 0.0, 1.0],
-        [0.0, 1.0, 0.0],
-        [0.0, -1.0, 0.0],
-        [1.0, 0.0, 0.0],
-    ]
+    [BASE_POINT, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]
 )
 
 
@@ -428,11 +423,18 @@ def h1_precondition(loop: FreePeriodLoop, grad: LoopGradient) -> tuple[np.ndarra
     The node metric is <xi, eta> + N^2 <Delta xi, Delta eta> (circulant, so a
     real FFT solve), the period block is the identity.  Returns the
     tangent-projected preconditioned node direction and the dual norm
-    sqrt(<raw, M^{-1} raw> + p_grad^2).
+    sqrt(<raw, M^{-1} raw> + p_grad^2) (``h1_dual``).
     """
-    sol = h1_solve(grad.node_grads)
-    dual_sq = float(np.sum(grad.node_grads * sol)) + grad.p_grad**2
-    return tangent_project(loop.nodes, sol), float(np.sqrt(max(dual_sq, 0.0)))
+    sol, dual = h1_dual(grad.node_grads, grad.p_grad)
+    return tangent_project(loop.nodes, sol), dual
+
+
+def h1_dual(node_grads: np.ndarray, p_grad: float) -> tuple[np.ndarray, float]:
+    """H^1 solve of raw node gradients and the dual norm
+    sqrt(<raw, M^{-1} raw> + p_grad^2) of the full gradient."""
+    sol = h1_solve(node_grads)
+    dual_sq = float(np.sum(node_grads * sol)) + p_grad**2
+    return sol, float(np.sqrt(max(dual_sq, 0.0)))
 
 
 # ---------------------------------------------------------------------------

@@ -32,13 +32,14 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EndpointNotMinimal, MagflowError, MaxIterations, ValleyCollapse
-from .flow import CERTIFY_CLOSURE_TOL, OrbitReport, certify_orbit
+from .flow import OrbitReport, certify_orbit
 from .loop_space import (
     FreePeriodLoop,
     LiftedLoop,
     action_gradient,
     deck_transform,
     deform,
+    h1_dual,
     h1_precondition,
     h1_solve,
     in_valley,
@@ -353,6 +354,74 @@ def _flat_dot(nodes_a, pa, nodes_b, pb):
     return float(np.sum(nodes_a * nodes_b)) + pa * pb
 
 
+def _minres(matvec, b: np.ndarray, psolve, rtol: float, maxiter: int) -> np.ndarray:
+    """Preconditioned MINRES for a symmetric system A x = b, from x0 = 0.
+
+    ``matvec`` applies A and ``psolve`` the preconditioner.  The method is
+    Paige & Saunders, SIAM J. Numer. Anal. 12 (1975) 617-629, with the
+    recurrence and stopping tests of the SOL reference code (``minres.m``).
+    It stops once ||r|| / (||A|| ||x||) or ||A r|| / (||A|| ||r||) is at most
+    ``rtol`` (or eps/2, the code's ``1 + test <= 1``), once the condition
+    estimate reaches 0.1/eps or ||A|| ||x|| eps reaches ||b||_M, after
+    ``maxiter`` steps, or after a first step with beta/beta1 <= 10 eps.
+    ``psolve`` must be symmetric positive definite: a negative Lanczos beta
+    raises ``ValueError``.
+    """
+    eps = float(np.finfo(float).eps)
+    tol = max(rtol, eps / 2.0)
+    x = np.zeros_like(b)
+    r1 = r2 = b
+    y = psolve(r1)
+    beta1 = float(r1 @ y)
+    if beta1 < 0.0:
+        raise ValueError("indefinite preconditioner")
+    if beta1 == 0.0:
+        return x
+    beta1 = math.sqrt(beta1)
+    beta, oldb, dbar, epsln, phibar, tnorm2 = beta1, 0.0, 0.0, 0.0, beta1, 0.0
+    cs, sn, gmax, gmin = -1.0, 0.0, 0.0, float(np.finfo(float).max)
+    w = w2 = np.zeros_like(b)
+    for itn in range(1, maxiter + 1):
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = float(v @ y)
+        y = y - (alfa / beta) * r2
+        r1, r2 = r2, y
+        y = psolve(r2)
+        oldb, beta = beta, float(r2 @ y)
+        if beta < 0.0:
+            raise ValueError("non-symmetric matrix or indefinite preconditioner")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # apply the previous plane rotation, then build the next one; the
+        # 2-norms go through numpy's dot, which keeps the iterates bitwise
+        # equal to the SOL code's numpy translation the tests compare against
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = float(np.linalg.norm([gbar, dbar]))
+        gamma = max(float(np.linalg.norm([gbar, beta])), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+        gmax, gmin = max(gmax, gamma), min(gmin, gamma)
+        if itn == 1 and beta / beta1 <= 10.0 * eps:
+            break
+        anorm = math.sqrt(tnorm2)
+        ynorm = float(np.linalg.norm(x))
+        test1 = phibar / (anorm * ynorm) if anorm and ynorm else math.inf
+        test2 = root / anorm if anorm else math.inf
+        if test1 <= tol or test2 <= tol or gmax / gmin >= 0.1 / eps or anorm * ynorm * eps >= beta1:
+            break
+    return x
+
+
 def refine_stationary(
     sys: MagneticSystem,
     e: float,
@@ -361,14 +430,12 @@ def refine_stationary(
 ) -> tuple[FreePeriodLoop, float]:
     """Polish any stationary point (minimizer or saddle) of the lifted action.
 
-    Matrix-free Newton-Krylov: MINRES on the exact-gradient system with
-    Hessian-vector products by central differences of the action gradient
-    and the H^1 metric as preconditioner.  MINRES tolerates the indefinite
-    Hessian of a mountain pass and the reparametrization zero mode.  The
-    ledger never enters: the gradient depends on the loop alone.
+    Matrix-free Newton-Krylov: MINRES (``_minres``) on the exact-gradient
+    system with Hessian-vector products by central differences of the action
+    gradient and the H^1 metric as preconditioner.  MINRES tolerates the
+    indefinite Hessian of a mountain pass and the reparametrization zero
+    mode.  The ledger never enters: the gradient depends on the loop alone.
     """
-    from scipy.sparse.linalg import LinearOperator, minres
-
     start_nodes = loop.nodes.copy()
     n = loop.n
 
@@ -377,40 +444,34 @@ def refine_stationary(
         return np.concatenate([g.node_grads.ravel(), [g.p_grad]])
 
     def dual_norm_of(flat: np.ndarray) -> float:
-        nodes_part = flat[:-1].reshape(n, 3)
-        sol = h1_solve(nodes_part)
-        return float(np.sqrt(max(float(np.sum(nodes_part * sol)) + flat[-1] ** 2, 0.0)))
+        return h1_dual(flat[:-1].reshape(n, 3), flat[-1])[1]
 
     def retract(lp: FreePeriodLoop, flat_step: np.ndarray, scale: float) -> FreePeriodLoop:
         dn = flat_step[:-1].reshape(n, 3) * scale
         dp = flat_step[-1] * scale
         return FreePeriodLoop(project_to_sphere(lp.nodes + dn), max(lp.p + dp, 1e-9))
 
+    def hess_vec(v: np.ndarray) -> np.ndarray:
+        vn = float(np.linalg.norm(v))
+        if vn == 0.0:
+            return np.zeros_like(v)
+        eps = 1e-6 / vn
+        gp = raw_grad(retract(loop, v, eps))
+        gm = raw_grad(retract(loop, v, -eps))
+        return (gp - gm) / (2.0 * eps)
+
+    def precond(v: np.ndarray) -> np.ndarray:
+        out = np.empty_like(v)
+        out[:-1] = h1_solve(v[:-1].reshape(n, 3)).ravel()
+        out[-1] = v[-1]
+        return out
+
     g = raw_grad(loop)
     dual = dual_norm_of(g)
     for _ in range(MAX_NEWTON):
         if dual <= tol:
             break
-
-        def hess_vec(v: np.ndarray) -> np.ndarray:
-            vn = float(np.linalg.norm(v))
-            if vn == 0.0:
-                return np.zeros_like(v)
-            eps = 1e-6 / vn
-            gp = raw_grad(retract(loop, v, eps))
-            gm = raw_grad(retract(loop, v, -eps))
-            return (gp - gm) / (2.0 * eps)
-
-        def precond(v: np.ndarray) -> np.ndarray:
-            out = np.empty_like(v)
-            out[:-1] = h1_solve(v[:-1].reshape(n, 3)).ravel()
-            out[-1] = v[-1]
-            return out
-
-        dim = 3 * n + 1
-        H = LinearOperator((dim, dim), matvec=hess_vec)
-        Minv = LinearOperator((dim, dim), matvec=precond)
-        step, _ = minres(H, -g, M=Minv, rtol=1e-2, maxiter=200)
+        step = _minres(hess_vec, -g, precond, rtol=1e-2, maxiter=200)
 
         improved = False
         alpha = 1.0
@@ -628,7 +689,8 @@ def scan_energy(
     seed_mode: int = 3,
 ):
     """Waist action and minimax upper bound per energy; rows carry error
-    markers instead of aborting the scan."""
+    markers instead of aborting the scan, and a saddle that shooting does not
+    close (``OrbitReport.certified``) marks its row's status."""
     e_grid = list(e_grid)
     if any(b <= a for a, b in zip(e_grid, e_grid[1:])):
         raise ValueError("energy grid must be strictly increasing")
@@ -648,6 +710,8 @@ def scan_energy(
             row["saddle_gradient_norm"] = mm.saddle_gradient_norm
             row["saddle_closure"] = mm.report.closure_residual
             row["saddle_energy_residual"] = mm.report.mean_energy_residual
+            if not mm.report.certified:
+                row["status"] = f"certification failed (closure {mm.report.closure_residual:.2e})"
         except (MagflowError, ValueError, ArithmeticError) as exc:  # rows must not kill the scan
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
@@ -758,7 +822,7 @@ def multiplicity_search(
                     {"pair": pair, "reason": f"nonconvergence (saddle grad {mm.saddle_gradient_norm:.2e})"}
                 )
                 continue
-            if mm.report.closure_residual > CERTIFY_CLOSURE_TOL:
+            if not mm.report.certified:
                 failures.append(
                     {"pair": pair, "reason": f"certification failed (closure {mm.report.closure_residual:.2e})"}
                 )

@@ -354,13 +354,18 @@ flow.time = 1.0
 
     def test_emitted_keys_frozen(self, tmp_path, capsys):
         for command in ("flow", "waist", "minimax", "critical-values"):
-            payload = self.run(tmp_path, capsys, command, self.TINY)
+            # the converged (1,0)-(2,0) saddle fails certification at N = 128
+            # (closure 4.7e-4 > 1e-4), so minimax exits 2
+            code = 2 if command == "minimax" else 0
+            payload = self.run(tmp_path, capsys, command, self.TINY, code=code)
             if command == "minimax":
                 assert payload["report"]["gradient_norm"] == payload["saddle_gradient_norm"]
 
     def test_scan_keys_frozen(self, tmp_path, capsys):
-        payload = self.run(tmp_path, capsys, "scan", self.TINY + "run.energy_grid = 0.02\n")
+        # the row's saddle fails certification at N = 128, so the scan exits 2
+        payload = self.run(tmp_path, capsys, "scan", self.TINY + "run.energy_grid = 0.02\n", code=2)
         assert len(payload["rows"]) == 1
+        assert payload["rows"][0]["status"].startswith("certification failed (closure ")
         assert all(set(row) == self.ROW_KEYS for row in payload["rows"])
 
     def test_multiplicity_keys_frozen(self, tmp_path, capsys):
@@ -446,11 +451,21 @@ rng.seed = ７
         assert outputs[0] == outputs[1]
 
 
-def test_import_leaves_scipy_unloaded():
-    # the entry point loads numpy only; scipy waits for the first Newton polish
+def test_import_leaves_scipy_unloaded(tmp_path):
+    # the package needs numpy only: neither the entry point nor a minimax
+    # solve (waists, band, Newton-Krylov polish, certification) loads scipy
     src = str(Path(magflow.__file__).resolve().parents[1])
-    probe = "import sys, magflow.cli; print('scipy' in sys.modules)"
+    cfg = write(tmp_path, TestSchemaStability.TINY)
+    probe = (
+        "import contextlib, io, sys, magflow.cli\n"
+        "after_import = 'scipy' in sys.modules\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    magflow.cli.main(['minimax', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+        "print(after_import, 'scipy' in sys.modules)"
+    )
     env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    out = subprocess.run(
+        [sys.executable, "-c", probe, cfg, str(tmp_path)], env=env, capture_output=True, text=True
+    )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "False False"

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -264,6 +265,14 @@ class TestCertify:
         loop = loop.with_period(optimal_period(sys_z, loop, 0.02))
         rep = certify_orbit(sys_z, loop, 0.02)
         assert rep.closure_residual > 1e-3
+
+    def test_certified_is_the_closure_bound(self):
+        def report(closure):
+            return flow.OrbitReport(0.0, 0.0, closure, 0)
+
+        assert report(flow.CERTIFY_CLOSURE_TOL).certified
+        assert not report(np.nextafter(flow.CERTIFY_CLOSURE_TOL, 1.0)).certified
+        assert "certified" not in dataclasses.asdict(report(0.0))  # no stdout key
 
     def test_period_guard(self, sys_z):
         loop = latitude_loop(0.0, 32)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
 from scipy import optimize
+from scipy.sparse.linalg import LinearOperator, minres
 
 from magflow import (
     LiftedLoop,
@@ -24,11 +25,13 @@ from magflow import (
 )
 from magflow import variational
 from magflow.errors import EndpointNotMinimal, MaxIterations, ValleyCollapse
+from magflow.loop_space import h1_solve
 from magflow.variational import (
     CLIMB_WARMUP,
     DEDUPE_HAUSDORFF,
     DEDUPE_PERIOD,
     _dual_norm,
+    _minres,
     _primitive,
     build_connecting_chain,
     default_seed_builder,
@@ -145,6 +148,62 @@ class TestRefineStationary:
         assert dual <= 1e-8
         assert np.ptp(refined.nodes[:, 2]) < 1e-4
         assert np.mean(refined.nodes[:, 2]) == pytest.approx(z0, abs=1e-4)
+
+
+class TestMinres:
+    N = 64
+
+    def precond(self, v):
+        """The H^1 preconditioner of ``refine_stationary``."""
+        out = np.empty_like(v)
+        out[:-1] = h1_solve(v[:-1].reshape(self.N, 3)).ravel()
+        out[-1] = v[-1]
+        return out
+
+    def system(self):
+        """Random symmetric indefinite A = L Q D Q^T L^T of size 3*64+1,
+        with L L^T the H^1 metric, so the preconditioned spectrum is D."""
+        rng = np.random.default_rng(7)
+        dim = 3 * self.N + 1
+        metric = np.linalg.inv(np.column_stack([self.precond(col) for col in np.eye(dim)]))
+        lower = np.linalg.cholesky((metric + metric.T) / 2.0)
+        q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+        d = np.concatenate([-rng.uniform(0.5, 2.0, dim // 3), rng.uniform(0.5, 3.0, dim - dim // 3)])
+        a = lower @ (q * d) @ q.T @ lower.T
+        return (a + a.T) / 2.0, rng.standard_normal(dim)
+
+    @pytest.mark.parametrize("rtol", [1e-2, 1e-10])
+    def test_matches_scipy(self, rtol):
+        a, b = self.system()
+        dim = len(b)
+        mine = _minres(lambda v: a @ v, b, self.precond, rtol, 5 * dim)
+        ref, info = minres(
+            LinearOperator((dim, dim), matvec=lambda v: a @ v),
+            b,
+            M=LinearOperator((dim, dim), matvec=self.precond),
+            rtol=rtol,
+            maxiter=5 * dim,
+        )
+        assert info == 0
+        assert np.linalg.norm(mine - ref) <= 1e-10 * np.linalg.norm(ref)
+        if rtol == 1e-10:
+            assert np.linalg.norm(a @ mine - b) <= 1e-6 * np.linalg.norm(b)
+
+    def test_zero_rhs(self):
+        x = _minres(lambda v: v, np.zeros(5), lambda v: v, 1e-2, 10)
+        assert np.array_equal(x, np.zeros(5))
+
+    @pytest.mark.parametrize("first", [-1.0, 1.0])
+    def test_indefinite_preconditioner_raises(self, first):
+        # b = e_0: with first = -1 the initial beta is negative; with
+        # first = +1 it is positive and a later Lanczos beta turns negative
+        a, _ = self.system()
+        b = np.zeros(len(a))
+        b[0] = 1.0
+        signs = -np.ones(len(a))
+        signs[0] = first
+        with pytest.raises(ValueError):
+            _minres(lambda v: a @ v, b, lambda v: signs * v, 1e-2, 200)
 
 
 class TestConnectingChain:
