@@ -264,15 +264,13 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
             in_j = (sign * ja >= cos_len[lo:hi]) & (sign * jb >= cos_len[lo:hi])
             count += int(np.sum(~parallel & in_i & in_j))
         # tangential near-miss: endpoints of one arc touching the other arc
-        for j in lo + np.flatnonzero(parallel):
-            d = min(
-                float(angular_distance(a[i], a[j])),
-                float(angular_distance(a[i], b[j])),
-                float(angular_distance(b[i], a[j])),
-                float(angular_distance(b[i], b[j])),
+        j = lo + np.flatnonzero(parallel)
+        if len(j):
+            d = np.minimum(
+                np.minimum(angular_distance(a[i], a[j]), angular_distance(a[i], b[j])),
+                np.minimum(angular_distance(b[i], a[j]), angular_distance(b[i], b[j])),
             )
-            if d < tol:
-                count += 1
+            count += int(np.sum(d < tol))
     return count
 
 

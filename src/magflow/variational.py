@@ -1,9 +1,11 @@
-"""Waist finding by preconditioned descent and mountain-pass minimax search.
+"""Waist finding by L-BFGS descent and mountain-pass minimax search.
 
-``find_waist`` runs a backtracking gradient descent on the lifted action with
-the period eliminated through its closed-form optimality condition; the flux
-ledger follows every accepted step, and a valley guard aborts seeds that
-collapse toward constant loops.
+``find_waist`` runs limited-memory BFGS on the lifted action with the period
+eliminated through its closed-form optimality condition: the two-loop
+recursion starts from the scaled H^1 preconditioner, and a halving line search
+from the unit step keeps the action from rising.  The flux ledger follows
+every accepted step, and a valley guard aborts seeds that collapse toward
+constant loops.
 
 ``minimax_path`` relaxes an elastic band of lifted loops between two local
 minimizers with a climbing-image treatment of the running maximum.  The band
@@ -61,17 +63,20 @@ from .sphere_geom import (
     project_to_sphere,
     slerp,
     tangent_basis,
+    tangent_project,
 )
 from .tonelli import MagneticSystem
 
 
-# descent line search: first step, floor, growth and shrink factors, and
-# the largest nodewise move of one step (radians; also caps band steps)
-STEP0 = 1.0
+# descent line search: step floor and shrink factor, and the largest
+# nodewise move of one step (radians; also caps band steps)
 STEP_MIN = 1e-12
-STEP_GROW = 1.3
 STEP_SHRINK = 0.5
 MAX_STEP_RAD = 0.25
+# descent L-BFGS: stored (node change, gradient change) pairs, and the
+# curvature floor s.y > LBFGS_CURVATURE |s||y| a pair must clear
+LBFGS_MEMORY = 8
+LBFGS_CURVATURE = 1e-12
 # band: sweeps before the climbing image engages (and first hands over to
 # Newton polish), sweeps between equal-arc respacings, first per-image step,
 # and the largest endpoint dual norm accepted
@@ -144,8 +149,38 @@ def _trial_step(sys: MagneticSystem, ll: LiftedLoop, d: np.ndarray, p: float) ->
     return deform(sys, ll, FreePeriodLoop(project_to_sphere(ll.nodes + d), p))
 
 
+def _lbfgs_direction(nodes: np.ndarray, node_grads: np.ndarray, pairs: list) -> np.ndarray:
+    """Tangent-projected L-BFGS direction (two-loop recursion) for the raw
+    node gradients, from the stored ``(s, y, 1 / s.y)`` pairs, oldest first.
+
+    The initial inverse Hessian is gamma * ``h1_solve`` with the scaling
+    gamma = s.y / (y . H1^{-1} y) of the newest pair; with no pairs this is
+    ``h1_precondition``'s direction, bit for bit.
+    """
+    q = node_grads
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        a = rho * float(np.sum(s * q))
+        q = q - a * y
+        alphas.append(a)
+    r = h1_solve(q)
+    if pairs:
+        s, y, rho = pairs[-1]
+        r = r / (rho * float(np.sum(y * h1_solve(y))))
+    for (s, y, rho), a in zip(pairs, reversed(alphas)):
+        r = r + (a - rho * float(np.sum(y * r))) * s
+    return tangent_project(nodes, r)
+
+
 def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfig = SolverConfig()):
     """Descend the lifted action to a local minimizer and certify it.
+
+    Each iteration evaluates one gradient, takes the L-BFGS direction
+    (``_lbfgs_direction``, at most ``LBFGS_MEMORY`` pairs; Nocedal 1980,
+    Liu & Nocedal 1989) and halves the unit step until the lifted action
+    does not rise.  The period is reduced to its closed-form optimum after
+    every move, so the pairs see the nodes alone.  A direction that does not
+    descend clears the memory and falls back to the H^1 direction.
 
     Raises ``ValleyCollapse`` when the iterate enters the short-loop valley
     and ``MaxIterations`` (carrying the best iterate) when the budget runs
@@ -156,16 +191,28 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
     if in_valley(sys, ll.loop, tau):
         raise ValleyCollapse("seed lies in the short-loop valley")
     action = lifted_action_A(sys, e, ll)
-    step = STEP0
     history = [action]
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []
+    prev = None
 
     for it in range(cfg.max_iter):
         grad = action_gradient(sys, e, ll)
-        direction, dual = h1_precondition(ll.loop, grad)
+        h1_dir, dual = h1_precondition(ll.loop, grad)
         if dual <= cfg.tol:
             report = replace(certify_orbit(sys, ll.loop, e), gradient_norm=dual)
             return WaistResult(ll, report, action, dual, it, history)
 
+        if prev is not None:
+            s, y = ll.nodes - prev[0], grad.node_grads - prev[1]
+            sy = float(np.sum(s * y))
+            if sy > LBFGS_CURVATURE * float(np.linalg.norm(s) * np.linalg.norm(y)):
+                pairs = (pairs + [(s, y, 1.0 / sy)])[-LBFGS_MEMORY:]
+        prev = (ll.nodes, grad.node_grads)
+        direction = _lbfgs_direction(ll.nodes, grad.node_grads, pairs)
+        if float(np.sum(direction * grad.node_grads)) <= 0.0:
+            pairs, direction = [], h1_dir
+
+        step = 1.0
         accepted = False
         while step >= STEP_MIN:
             try:
@@ -177,7 +224,6 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
             if trial_action <= action:
                 ll, action = trial, trial_action
                 history.append(action)
-                step = min(step * STEP_GROW, 1e3)
                 accepted = True
                 break
             step *= STEP_SHRINK

@@ -11,6 +11,7 @@ from magflow import (
     State,
     certify_orbit,
     energy_drift,
+    great_circle_loop,
     integrate,
     latitude_loop,
     magnetic_el_field,
@@ -359,3 +360,9 @@ class TestSelfIntersections:
         equator = np.tile(latitude_loop(0.0, 64).nodes, (2, 1))
         assert count_self_intersections(circle) == crossings_reference(circle) == 88
         assert count_self_intersections(equator) == crossings_reference(equator) == 192
+
+    def test_great_circle_simple(self):
+        # every segment pair of an exact great circle is parallel, so each
+        # one takes the near-miss branch; none of them touches
+        axis = np.array([0.0, 1.0, 0.3])
+        assert count_self_intersections(great_circle_loop(axis, 512).nodes) == 0
