@@ -1,12 +1,11 @@
 """Mountain-pass saddles between a waist and its double cover.
 
-The band of loops connects the waist to its 2-fold iterate through the
+A chain of loops connects the waist to its 2-fold iterate through the
 valley of short loops, where covering multiplicity changes cost almost
-nothing.  A short climbing-image relaxation finds the saddle's basin and
-Newton-Krylov polish takes the climbing image to a stationary point; for the
-odd density the saddle is the doubled small circle near the pole with action
-close to 4*pi*e, and shooting along the flow closes to certification
-accuracy.
+nothing.  Newton-Krylov polish takes the chain's highest loop to a
+stationary point; for the odd density the saddle is the doubled small
+circle near the pole with action close to 4*pi*e, and shooting along the
+flow closes to certification accuracy.
 """
 
 import numpy as np
@@ -25,8 +24,8 @@ print(f"waist action {a1:+.6f}; double-cover endpoint action {2 * a1:+.6f}")
 
 mm = minimax_between_labels(system, e, waists, (1, 0), (2, 0), cfg)
 print(f"minimax value {mm.value:+.6f}   (4*pi*e = {4 * np.pi * e:+.6f})")
-print(f"converged: {mm.converged}, saddle gradient norm {mm.saddle_gradient_norm:.2e}, "
-      f"band stopped after {len(mm.history) - 1} sweeps ({mm.stop_reason})")
+print(f"converged: {mm.converged} ({mm.stop_reason} from chain image {mm.argmax_index}), "
+      f"saddle gradient norm {mm.saddle_gradient_norm:.2e}")
 
 print(f"saddle shooting closure {mm.report.closure_residual:.2e}, "
       f"mean-energy residual {mm.report.mean_energy_residual:+.2e}")

@@ -55,7 +55,6 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "discretization.path_loop_nodes": ("int:16,8192", "512"),
     "solver.tol": ("float:>0", "1e-6"),
     "solver.max_iter": ("int:1,1000000", "20000"),
-    "solver.max_sweeps": ("int:1,100000", "1500"),
     "run.energy": ("float", "0.02"),
     "run.energy_grid": ("grid", ""),
     "run.labels": ("labels", "(1,0);(2,0)"),
@@ -79,6 +78,7 @@ _DEPRECATED: dict[str, str] = {
     "system.quad_depth": "every flux quadrature runs at one fixed depth",
     "system.lift_depth": "every flux quadrature runs at one fixed depth",
     "system.metric": "the metric is round exactly when system.conformal_exponent is zero",
+    "solver.max_sweeps": "minimax runs Newton from the chain maximum; there is no band",
 }
 
 
@@ -101,7 +101,6 @@ class RunConfig:
         return vr.SolverConfig(
             tol=self["solver.tol"],
             max_iter=self["solver.max_iter"],
-            max_sweeps=self["solver.max_sweeps"],
             path_nodes=self["discretization.path_nodes"],
         )
 
@@ -205,7 +204,7 @@ def parse_config(path) -> RunConfig:
 
 
 def _two_labels(cfg: RunConfig) -> list[tuple[int, int]]:
-    """The first two of ``run.labels``: the band's end classes."""
+    """The first two of ``run.labels``: the minimax path's end classes."""
     labels = cfg["run.labels"]
     if len(labels) < 2:
         raise ValidationError("run.labels", "need two labels")

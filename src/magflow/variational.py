@@ -7,19 +7,17 @@ from the unit step keeps the action from rising.  The flux ledger follows
 every accepted step, and a valley guard aborts seeds that collapse toward
 constant loops.
 
-``minimax_path`` relaxes an elastic band of lifted loops between two local
-minimizers with a climbing-image treatment of the running maximum.  The band
-only has to find the saddle's basin: when the climbing image engages, Newton
-polish (``refine_stationary``) takes over and the band stops once it reaches
-the tolerance.  Initial bands are built through the valley: shrink one
-endpoint to a tiny loop, adjust covering multiplicity and deck winding there
-(where all such classes meet cheaply), and expand to the other endpoint, so
-the band starts in the correct cover class by construction.
+``minimax_path`` finds the mountain-pass saddle between two local minimizers
+by Newton from the chain maximum: a connecting chain of lifted loops is
+resampled to equal arc, and its highest image is polished to a stationary
+point (``refine_stationary``).  Connecting chains are built through the
+valley: shrink one endpoint to a tiny loop, adjust covering multiplicity and
+deck winding there (where all such classes meet cheaply), and expand to the
+other endpoint, so the chain lies in the correct cover class by construction.
 
-Every move of a lifted loop (descent trial, band image update, equal-arc
-resampling, chain link, Newton polish) carries its ledger through
-``loop_space.deform``; descent trials and band updates share one capped,
-reprojected trial step.
+Every move of a lifted loop (descent trial, equal-arc resampling, chain link,
+Newton polish) carries its ledger through ``loop_space.deform``; descent
+trials take one capped, reprojected trial step.
 
 ``find_waist`` and ``minimax_path`` certify their outputs by shooting along
 the flow; ``scan_energy`` and ``multiplicity_search`` orchestrate them over
@@ -69,7 +67,7 @@ from .tonelli import MagneticSystem
 
 
 # descent line search: step floor and shrink factor, and the largest
-# nodewise move of one step (radians; also caps band steps)
+# nodewise move of one step (radians)
 STEP_MIN = 1e-12
 STEP_SHRINK = 0.5
 MAX_STEP_RAD = 0.25
@@ -77,12 +75,7 @@ MAX_STEP_RAD = 0.25
 # curvature floor s.y > LBFGS_CURVATURE |s||y| a pair must clear
 LBFGS_MEMORY = 8
 LBFGS_CURVATURE = 1e-12
-# band: sweeps before the climbing image engages (and first hands over to
-# Newton polish), sweeps between equal-arc respacings, first per-image step,
-# and the largest endpoint dual norm accepted
-CLIMB_WARMUP = 10
-REPARAM_EVERY = 5
-BAND_STEP0 = 0.25
+# minimax: the largest endpoint dual norm accepted
 ENDPOINT_TOL = 1e-4
 # two orbits coincide below this trace distance and relative period gap
 DEDUPE_HAUSDORFF = 1e-3
@@ -99,7 +92,6 @@ class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 20000
     path_nodes: int = 12
-    max_sweeps: int = 1500
 
 
 @dataclass
@@ -118,11 +110,11 @@ class MinimaxResult:
     argmax_index: int
     saddle_gradient_norm: float
     converged: bool
-    history: list[float]
+    history: list[float]  # [value]
     saddle: LiftedLoop
     report: OrbitReport
     path: list[LiftedLoop] = field(repr=False, default_factory=list)
-    stop_reason: str = "sweep budget"  # or "polished", "identical endpoints"
+    stop_reason: str = "not polished"  # or "polished", "identical endpoints"
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +385,7 @@ def _equal_arc(sys, chain, M):
 
 
 # ---------------------------------------------------------------------------
-# climbing-image elastic band
-
-
-def _flat_dot(nodes_a, pa, nodes_b, pb):
-    return float(np.sum(nodes_a * nodes_b)) + pa * pb
+# Newton polish and the minimax saddle
 
 
 def _minres(matvec, b: np.ndarray, psolve, rtol: float, maxiter: int) -> np.ndarray:
@@ -538,15 +526,6 @@ def refine_stationary(
     return loop, dual
 
 
-def _reparametrize(sys, path, climb):
-    """Equal-arc respacing, holding endpoints and the climbing node fixed."""
-    out = list(path)
-    for lo, hi in ((0, climb), (climb, len(path) - 1)):
-        if hi - lo >= 2:
-            out[lo : hi + 1] = _equal_arc(sys, path[lo : hi + 1], hi - lo + 1)
-    return out
-
-
 def minimax_path(
     sys: MagneticSystem,
     e: float,
@@ -557,20 +536,21 @@ def minimax_path(
     mult_b: int = 1,
     deck_shift: int = 0,
 ) -> MinimaxResult:
-    """Climbing-image elastic band between two local minimizers.
+    """Mountain-pass saddle between two local minimizers by Newton from the
+    chain maximum.
 
-    Interior nodes descend along the action gradient orthogonally to the
-    band tangent; the running argmax ascends along the tangent instead.
-    From sweep ``CLIMB_WARMUP`` on, the climbing image is handed to
-    ``refine_stationary``; the band stops (``stop_reason`` "polished") as
-    soon as that reaches ``cfg.tol``.  A failed polish is discarded and
-    tried again once the climbing image's dual norm has halved; after
-    ``cfg.max_sweeps`` ("sweep budget") the running maximum is polished
-    once more.  ``saddle``, ``argmax_index``, ``value`` and
-    ``saddle_gradient_norm`` all describe one image: the polished one when
-    ``converged``, else the band maximum, whose action is an upper bound
-    for the true minimax of the connecting family.  ``report`` certifies
-    that image by shooting, converged or not.
+    The connecting chain is resampled to ``cfg.path_nodes`` images evenly
+    spaced in path distance, and its highest interior image is handed once
+    to ``refine_stationary`` with tolerance ``1e-3 * cfg.tol``: Newton
+    converges quadratically, so the tighter target usually costs one step
+    and takes the saddle well below ``cfg.tol``, which keeps a marginal
+    shooting closure under its bound.  The result is ``converged`` (stop
+    reason "polished") when the polished dual norm is at most ``cfg.tol``.
+    Otherwise (stop reason "not polished") ``saddle`` is the unpolished
+    chain maximum; the images sample the chain, so its action can lie below
+    the pass.  ``saddle``, ``argmax_index``, ``value`` and
+    ``saddle_gradient_norm`` describe one image, and ``report`` certifies it
+    by shooting, converged or not.
     """
     M = cfg.path_nodes
     if M < 8:
@@ -584,95 +564,39 @@ def minimax_path(
         value = lifted_action_A(sys, e, end_a)
         return _certified(sys, e, value, 0, 0.0, True, [value], [end_a, end_b], "identical endpoints")
 
-    # run the whole band in a ledger relative to end_a: deck-shifting both
-    # endpoints then reproduces the identical computation, so minimax values
-    # are exactly equivariant under the deck action
+    # work in a ledger relative to end_a: deck-shifting both endpoints then
+    # reproduces the identical computation, so minimax values are exactly
+    # equivariant under the deck action
     flux_base = end_a.flux
     end_a = LiftedLoop(end_a.loop, 0.0)
     end_b = LiftedLoop(end_b.loop, end_b.flux - flux_base)
 
     chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift)
     path = _equal_arc(sys, chain, M)
-
     actions = [lifted_action_A(sys, e, u) for u in path]
-    etas = np.full(M, BAND_STEP0)
-    history: list[float] = []
-    polished = None
-    retry_dual = np.inf  # climbing-image dual norm that warrants a Newton try
+    top = int(np.argmax(actions))
 
-    for sweep in range(cfg.max_sweeps):
-        climb = int(np.argmax(actions))
-        climbing_active = sweep >= CLIMB_WARMUP and 0 < climb < M - 1
-        for j in range(1, M - 1):
-            u = path[j]
-            grad = action_gradient(sys, e, u)
-            direction, dual = h1_precondition(u.loop, grad)
-            if j == climb and climbing_active and dual <= retry_dual:
-                polished = refine_stationary(sys, e, u.loop, tol=cfg.tol)
-                if polished[1] <= cfg.tol:
-                    break
-                polished, retry_dual = None, 0.5 * dual
-            tan_nodes = path[j + 1].nodes - path[j - 1].nodes
-            tan_p = path[j + 1].p - path[j - 1].p
-            tnorm = math.sqrt(_flat_dot(tan_nodes, tan_p, tan_nodes, tan_p))
-            if tnorm > 1e-14:
-                tan_nodes = tan_nodes / tnorm
-                tan_p = tan_p / tnorm
-            proj = _flat_dot(direction, grad.p_grad, tan_nodes, tan_p)
-            if j == climb and climbing_active:
-                step_nodes = direction - 2.0 * proj * tan_nodes
-                step_p = grad.p_grad - 2.0 * proj * tan_p
-            else:
-                step_nodes = direction - proj * tan_nodes
-                step_p = grad.p_grad - proj * tan_p
-            try:
-                trial = _trial_step(sys, u, -etas[j] * step_nodes, max(u.p - etas[j] * step_p, 1e-6))
-            except ValueError:
-                etas[j] *= 0.5
-                continue
-            trial_action = lifted_action_A(sys, e, trial)
-            if j == climb and climbing_active:
-                path[j], actions[j] = trial, trial_action
-                etas[j] = min(etas[j] * 1.1, 2.0)
-            elif trial_action <= actions[j] + 1e-13 * (1.0 + abs(actions[j])):
-                path[j], actions[j] = trial, trial_action
-                etas[j] = min(etas[j] * 1.2, 2.0)
-            else:
-                etas[j] *= 0.5
-        if polished is not None:
-            break
-        if (sweep + 1) % REPARAM_EVERY == 0:
-            path = _reparametrize(sys, path, int(np.argmax(actions)))
-            actions = [lifted_action_A(sys, e, u) for u in path]
-        history.append(max(actions))
-
-    stop_reason = "polished"
-    if polished is None:
-        # the sweep budget ran out: polish the running maximum once more
-        stop_reason = "sweep budget"
-        climb = int(np.argmax(actions))
-        if 0 < climb < M - 1:
-            polished = refine_stationary(sys, e, path[climb].loop, tol=cfg.tol)
-    # the saddle is image climb, polished only if Newton reached tol there
-    converged = polished is not None and polished[1] <= cfg.tol
+    converged = False
+    if 0 < top < M - 1:
+        polished, dual = refine_stationary(sys, e, path[top].loop, tol=1e-3 * cfg.tol)
+        converged = dual <= cfg.tol
     if converged:  # MAX_NEWTON_MOVE bounds this move
-        path[climb] = deform(sys, path[climb], polished[0])
-        actions[climb] = lifted_action_A(sys, e, path[climb])
-        saddle_dual = polished[1]
+        path[top] = deform(sys, path[top], polished)
+        actions[top] = lifted_action_A(sys, e, path[top])
     else:
-        saddle_dual = _dual_norm(sys, e, path[climb])
-    value = float(actions[climb]) + flux_base
-    history = [h + flux_base for h in history] + [value]
+        dual = _dual_norm(sys, e, path[top])
+    value = float(actions[top]) + flux_base
     path = [LiftedLoop(u.loop, u.flux + flux_base) for u in path]
-    return _certified(sys, e, value, climb, float(saddle_dual), converged, history, path, stop_reason)
+    stop_reason = "polished" if converged else "not polished"
+    return _certified(sys, e, value, top, float(dual), converged, [value], path, stop_reason)
 
 
-def _certified(sys, e, value, climb, dual, converged, history, path, stop_reason) -> MinimaxResult:
-    """The band result with image ``climb`` of ``path`` as its saddle, shot at
-    its fourth-order period; the report carries the saddle's dual norm."""
-    saddle = path[climb]
+def _certified(sys, e, value, top, dual, converged, history, path, stop_reason) -> MinimaxResult:
+    """The minimax result with image ``top`` of ``path`` as its saddle, shot
+    at its fourth-order period; the report carries the saddle's dual norm."""
+    saddle = path[top]
     report = replace(certify_orbit(sys, polish_candidate(sys, saddle.loop, e), e), gradient_norm=dual)
-    return MinimaxResult(value, climb, dual, converged, history, saddle, report, path, stop_reason)
+    return MinimaxResult(value, top, dual, converged, history, saddle, report, path, stop_reason)
 
 
 # ---------------------------------------------------------------------------
@@ -734,7 +658,7 @@ def scan_energy(
     seed_amplitude: float = 0.05,
     seed_mode: int = 3,
 ):
-    """Waist action and minimax upper bound per energy; rows carry error
+    """Waist action and minimax value per energy; rows carry error
     markers instead of aborting the scan, and a saddle that shooting does not
     close (``OrbitReport.certified``) marks its row's status."""
     e_grid = list(e_grid)

@@ -90,7 +90,7 @@ class TestParseConfig:
             parse_config(write(tmp_path, MINIMAL + "system.drift = azimuthal(0.25, 1)\n"))
 
     def test_schema_size(self):
-        assert len(_SCHEMA) == 23
+        assert len(_SCHEMA) == 22
 
     def test_readme_config_table_names_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -407,6 +407,7 @@ solver.max_iter = 6000
         "system.quad_depth": "6",
         "system.lift_depth": "2",
         "system.metric": "conformal",
+        "solver.max_sweeps": "1500",
     }
 
     def waist(self, tmp_path, capsys, text, *extra):
@@ -453,7 +454,7 @@ rng.seed = ７
 
 def test_import_leaves_scipy_unloaded(tmp_path):
     # the package needs numpy only: neither the entry point nor a minimax
-    # solve (waists, band, Newton-Krylov polish, certification) loads scipy
+    # solve (waists, chain, Newton-Krylov polish, certification) loads scipy
     src = str(Path(magflow.__file__).resolve().parents[1])
     cfg = write(tmp_path, TestSchemaStability.TINY)
     probe = (

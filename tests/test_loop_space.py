@@ -312,7 +312,7 @@ class TestIterate:
     @pytest.mark.parametrize("n, m", [(1500, 3), (1000, 5), (700, 7), (4096, 2)])
     def test_long_iterate_tiles_nodes(self, n, m):
         # m * n > 4096: the iterate retraces every node, so the two ends of
-        # a band from a loop to its m-fold iterate share the node count
+        # a chain from a loop to its m-fold iterate share the node count
         loop = latitude_loop(0.3, n)
         it = iterate(LiftedLoop(loop, 0.25), m)
         assert np.array_equal(it.nodes, np.tile(loop.nodes, (m, 1)))
