@@ -23,7 +23,11 @@ plain round formula.
 
 Certification (``certify_orbit``) shoots a candidate loop for one period
 with that integrator and picks the number of steps by step doubling against
-``SHOOT_BUDGET``, 1/1000 of the closure bound ``CERTIFY_CLOSURE_TOL``.
+``SHOOT_BUDGET``, 1/1000 of the closure bound ``CERTIFY_CLOSURE_TOL``.  The
+doubling starts at ``MAX_STEP``, the coarsest step ``integrate`` accepts,
+and a shot that explodes there only means the step must shrink.  Its
+self-intersection count rules out far-apart segment pairs in one blocked
+pass and tests the rest in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -47,15 +51,18 @@ from .sphere_geom import (
 from .tonelli import MagneticSystem
 
 _EXPLOSION_BOUND = 1e6
-# most RK4 steps one ``integrate`` call may take (its arrays then hold 560 MB)
+# largest RK4 step ``integrate`` accepts, and the most steps one call may
+# take (its arrays then hold 560 MB)
+MAX_STEP = 0.1
 MAX_STEPS = 10_000_000
 # largest shooting closure residual of a certified orbit, and the error
 # budget of the RK4 shot that measures it (step doubling stops below it)
 CERTIFY_CLOSURE_TOL = 1e-4
 SHOOT_BUDGET = CERTIFY_CLOSURE_TOL / 1000
-# certification's coarsest RK4 step and fewest steps per period
-SHOOT_H0 = 2e-2
+# certification's fewest RK4 steps per period
 SHOOT_MIN_STEPS = 64
+# most segment pairs in one block of ``count_self_intersections``' first pass
+_PAIR_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -148,8 +155,8 @@ def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np
 
 def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
     """Integrate for time T with (approximately) step h, landing exactly at T."""
-    if not (0.0 < h <= 0.1):
-        raise ValueError("step must satisfy 0 < h <= 1e-1")
+    if not (0.0 < h <= MAX_STEP):
+        raise ValueError(f"step must satisfy 0 < h <= {MAX_STEP:g}")
     if h > T:
         raise ValueError("step must not exceed the total time")
     if T / h > MAX_STEPS:
@@ -237,6 +244,14 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
 
     Pairs of non-adjacent segments are tested for great-circle arc crossings;
     tangential near-misses closer than ``tol`` radians also count.
+
+    A point x of a segment's great circle lies on the minor arc from a to b
+    when x.a >= a.b, x.b >= a.b and x.(a + b) > 0; the last test rules out
+    the far side of the circle, which the first two admit once the arc is
+    longer than 2 pi / 3.  Pairs whose start points lie farther apart than
+    their two arc lengths plus ``tol`` can neither cross nor touch, so a
+    first pass over blocks of at most ``_PAIR_BLOCK`` pairs keeps only the
+    others, and the exact test runs on those.
     """
     n = len(nodes)
     a = nodes
@@ -245,32 +260,47 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     nn = norm3(normals)[:, None]
     normals = normals / np.where(nn > 1e-15, nn, 1.0)
     cos_len = dot3(a, b)
+    length = angular_distance(a, b)
+    cols = np.arange(n)
 
     count = 0
-    for i in range(n):
+    rows_per_block = max(1, _PAIR_BLOCK // n)
+    for lo in range(0, n, rows_per_block):
+        rows = cols[lo : lo + rows_per_block]
+        # cos(min(pi, L_i + L_j + tol)) - 1e-12, computed in place; the dot
+        # products avoid a BLAS matmul, whose work buffer would add about
+        # 0.5 MB to the resident memory of a solve that makes no other one
+        bound = np.add.outer(length[rows] + tol, length)
+        np.cos(np.minimum(bound, np.pi, out=bound), out=bound)
+        bound -= 1e-12
+        near = dot3(a[rows, None], a) >= bound
         # strictly later segments, excluding the two adjacent ones
-        lo, hi = i + 2, (n if i > 0 else n - 1)
-        if lo >= hi:
+        near &= cols >= rows[:, None] + 2
+        if lo == 0:
+            near[0, n - 1] = False
+        i, j = np.nonzero(near)
+        if not len(i):
             continue
-        u = cross3(normals[i], normals[lo:hi])
-        un = norm3(u)[:, None]
-        parallel = un[:, 0] < 1e-12
-        u = u / np.where(un > 1e-15, un, 1.0)
+        i += lo
+        u = cross3(normals[i], normals[j])
+        un = norm3(u)
+        parallel = un < 1e-12
+        u = u / np.where(un > 1e-15, un, 1.0)[:, None]
         # the two antipodal intersection points +u and -u; negation is exact
-        ua, ub = u @ a[i], u @ b[i]
-        ja, jb = dot3(u, a[lo:hi]), dot3(u, b[lo:hi])
-        for sign in (1.0, -1.0):
-            in_i = (sign * ua >= cos_len[i]) & (sign * ub >= cos_len[i])
-            in_j = (sign * ja >= cos_len[lo:hi]) & (sign * jb >= cos_len[lo:hi])
-            count += int(np.sum(~parallel & in_i & in_j))
+        ua, ub = dot3(u, a[i]), dot3(u, b[i])
+        ja, jb = dot3(u, a[j]), dot3(u, b[j])
+        for s in (1.0, -1.0):
+            in_i = (s * ua >= cos_len[i]) & (s * ub >= cos_len[i]) & (s * (ua + ub) > 0.0)
+            in_j = (s * ja >= cos_len[j]) & (s * jb >= cos_len[j]) & (s * (ja + jb) > 0.0)
+            count += int(np.count_nonzero(~parallel & in_i & in_j))
         # tangential near-miss: endpoints of one arc touching the other arc
-        j = lo + np.flatnonzero(parallel)
-        if len(j):
+        i, j = i[parallel], j[parallel]
+        if len(i):
             d = np.minimum(
                 np.minimum(angular_distance(a[i], a[j]), angular_distance(a[i], b[j])),
                 np.minimum(angular_distance(b[i], a[j]), angular_distance(b[i], b[j])),
             )
-            count += int(np.sum(d < tol))
+            count += int(np.count_nonzero(d < tol))
     return count
 
 
@@ -282,12 +312,16 @@ def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> O
     action discretization itself uses, so a converged waist reports the same
     residual that its period equation drove to zero.
 
-    The RK4 step is chosen by step doubling: shoot with n and 2n steps per
-    period, starting from n = max(SHOOT_MIN_STEPS, p / SHOOT_H0), and take
-    |y_2n - y_n| / 15 as the error of the finer end state (the Richardson
-    estimate of a 4th-order method).  While that exceeds ``SHOOT_BUDGET``,
-    the finer run becomes the coarse one and n doubles again, until the next
-    run would pass ``MAX_STEPS``.  The closure residual is the finest run's.
+    The RK4 step is chosen by step doubling from the coarsest step
+    ``integrate`` accepts: the first shot takes n = max(SHOOT_MIN_STEPS,
+    p / MAX_STEP) steps per period, and each later one twice as many as the
+    one before.  Two successive shots with n and 2n steps give |y_2n - y_n| / 15
+    as the error of the finer end state (the Richardson estimate of a
+    4th-order method); doubling stops once that is at most ``SHOOT_BUDGET``,
+    or when the next shot would pass ``MAX_STEPS``.  A shot that raises
+    ``StepExplosion`` is unresolved, not a failure: its step is too coarse
+    for the field, so n doubles again.  Only an explosion at the last shot
+    propagates.  The closure residual is the finest shot's.
     """
     nodes = np.asarray(candidate.nodes, dtype=float)
     p = float(candidate.p)
@@ -297,14 +331,26 @@ def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> O
     mean_e = float(np.mean(sys.energy(nodes, w / p)))
     v0 = candidate.fourth_order_velocities()[0] / p
     s0 = State.of(nodes[0], v0)
-    n = max(SHOOT_MIN_STEPS, math.ceil(p / SHOOT_H0))
-    coarse = integrate(sys, s0, p, p / n).final_state
+    n = max(SHOOT_MIN_STEPS, math.ceil(p / MAX_STEP))
+    if p / n > MAX_STEP:  # p / MAX_STEP rounded down onto a whole number
+        n += 1
+    coarse = None
     while True:
-        n *= 2
-        fine = integrate(sys, s0, p, p / n).final_state
-        if state_distance(fine, coarse) / 15.0 <= SHOOT_BUDGET or 2 * n > MAX_STEPS:
+        last = 2 * n > MAX_STEPS
+        try:
+            fine = integrate(sys, s0, p, p / n).final_state
+        except StepExplosion:
+            if last:
+                raise
+            fine = None
+        if last or (
+            fine is not None
+            and coarse is not None
+            and state_distance(fine, coarse) / 15.0 <= SHOOT_BUDGET
+        ):
             break
         coarse = fine
+        n *= 2
     return OrbitReport(
         gradient_norm=0.0,
         mean_energy_residual=mean_e - e,

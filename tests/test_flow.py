@@ -28,7 +28,8 @@ EY = np.array([0.0, 1.0, 0.0])
 
 def crossings_reference(nodes: np.ndarray, tol: float = 1e-6) -> int:
     """All-pairs count of arc crossings and tangential near-misses, one
-    segment pair at a time."""
+    segment pair at a time.  A point p of a segment's great circle is on the
+    minor arc when p.a >= a.b, p.b >= a.b and p.(a + b) > 0."""
     n = len(nodes)
     count = 0
     for i in range(n):
@@ -45,8 +46,9 @@ def crossings_reference(nodes: np.ndarray, tol: float = 1e-6) -> int:
                 count += gap < tol
                 continue
             for p in (u / un, -u / un):
-                if min(p @ ai, p @ bi) >= ai @ bi and min(p @ aj, p @ bj) >= aj @ bj:
-                    count += 1
+                on_i = min(p @ ai, p @ bi) >= ai @ bi and p @ (ai + bi) > 0
+                on_j = min(p @ aj, p @ bj) >= aj @ bj and p @ (aj + bj) > 0
+                count += on_i and on_j
     return count
 
 
@@ -320,7 +322,7 @@ class TestCertify:
         loop = loop.with_period(optimal_period(sys_z, loop, 0.02))
         steps = self.spy_on_integrate(monkeypatch)
         certify_orbit(sys_z, loop, 0.02)
-        n = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.SHOOT_H0))
+        n = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.MAX_STEP))
         assert steps == [n, 2 * n]
 
     def test_doubling_stops_at_step_cap(self, monkeypatch):
@@ -330,7 +332,35 @@ class TestCertify:
         monkeypatch.setattr(flow, "MAX_STEPS", 1000)
         steps = self.spy_on_integrate(monkeypatch)
         certify_orbit(sys, loop, 2.0)
-        assert steps == [150, 300, 600]  # a fourth run would take 1200 steps
+        # every shot up to the cap, and none past it
+        n, expected = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.MAX_STEP)), []
+        while n <= flow.MAX_STEPS:
+            expected.append(n)
+            n *= 2
+        assert len(expected) >= 3
+        assert steps == expected
+
+    def test_first_shot_at_step_cap(self, sys_z, monkeypatch):
+        # 6.500000000000001 / 0.1 rounds to 65.0, and 65 steps would each be
+        # a hair longer than the cap
+        loop = latitude_loop(0.0, 32).with_period(6.500000000000001)
+        assert loop.p / math.ceil(loop.p / flow.MAX_STEP) > flow.MAX_STEP
+        steps = self.spy_on_integrate(monkeypatch)
+        certify_orbit(sys_z, loop, 0.02)
+        assert steps[0] == 66
+
+    def test_strong_field_explosion_refines(self):
+        # the first shots of f = 200z near the pole explode (the step is too
+        # coarse for the gyration), which only means the step must shrink
+        sys = MagneticSystem(ScalarField.height(200.0, 0.0))
+        loop = latitude_loop(0.9, 128)
+        loop = loop.with_period(optimal_period(sys, loop, 0.02))
+        n = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.MAX_STEP))
+        with pytest.raises(StepExplosion):
+            self.fixed_step_closure(sys, loop, loop.p / n)  # the first shot
+        rep = certify_orbit(sys, loop, 0.02)
+        # a fixed 1e-4 step errs by 1.9e-7 on this orbit; 5e-5 by about 1e-8
+        assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 5e-5)) <= 1e-7
 
 
 class TestSelfIntersections:
@@ -352,6 +382,44 @@ class TestSelfIntersections:
         expected = crossings_reference(nodes)
         assert expected > 50
         assert count_self_intersections(nodes) == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("spread", [0.05, 1.0])
+    def test_seeded_polygons_exact(self, seed, spread):
+        # tight polygons have short arcs and few near pairs; wide ones have
+        # arcs longer than 2 pi / 3, whose far side the counter must reject
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 101))
+        nodes = project_to_sphere(rng.normal(size=(n, 3)) * spread + np.array([0.0, 0.0, 1.0]))
+        assert count_self_intersections(nodes) == crossings_reference(nodes)
+
+    def test_long_arcs_do_not_cross(self):
+        # two 2.5-rad arcs on great circles that meet at +x and -x; x is off
+        # the equator arc and -x off the tilted arc, so they do not cross.  x
+        # passes the equator arc's two dot-product tests all the same: it lies
+        # in the arc's far side, which only x.(a + b) > 0 rules out
+        def equator(t):
+            return np.array([np.cos(t), np.sin(t), 0.0])
+
+        x = equator(-1.89)
+        w = np.cos(1.0) * equator(-1.89 + np.pi / 2) + np.sin(1.0) * np.array([0.0, 0.0, 1.0])
+        arc = [np.cos(t) * x + np.sin(t) * w for t in (-0.2, 2.3)]
+        nodes = np.array([equator(0.0), equator(2.5), *arc])
+        assert np.allclose(angular_distance(nodes, np.roll(nodes, -1, axis=0))[[0, 2]], 2.5)
+        assert count_self_intersections(nodes) == crossings_reference(nodes) == 0
+
+    @pytest.mark.parametrize("block", [1, 500])
+    def test_pair_blocks_do_not_change_the_count(self, monkeypatch, block):
+        rng = np.random.default_rng(7)
+        loops = [
+            project_to_sphere(rng.normal(size=(40, 3)) * 0.3 + np.array([0.0, 0.0, 1.0])),
+            project_to_sphere(rng.normal(size=(64, 3))),
+            np.tile(latitude_loop(0.3, 64).nodes, (2, 1)),
+            np.tile(latitude_loop(0.0, 64).nodes, (2, 1)),
+        ]
+        expected = [count_self_intersections(nodes) for nodes in loops]
+        monkeypatch.setattr(flow, "_PAIR_BLOCK", block)
+        assert [count_self_intersections(nodes) for nodes in loops] == expected
 
     def test_retraced_loops_exact(self):
         # a 2-fold retraced loop puts every segment on top of its copy, which
