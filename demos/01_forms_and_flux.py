@@ -3,8 +3,9 @@
 A 2-form is a scalar density against the metric area form.  This script
 evaluates one against the round area form, integrates it over a spherical
 triangle by Gauss-Legendre quadrature in geodesic polar coordinates about
-the first vertex (2^depth nodes per axis), and computes total fluxes for the
-built-in density family.
+the first vertex (2^depth radial nodes, and as many on the far edge of a
+wide triangle such as the octant; a thin one takes as few as 4 there), and
+computes total fluxes for the built-in density family.
 """
 
 import numpy as np

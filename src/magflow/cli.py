@@ -11,6 +11,7 @@ saddle that fails ``OrbitReport.certified``), 1 any other error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from dataclasses import asdict, dataclass, field
@@ -397,10 +398,18 @@ _DISPATCH = {
 }
 
 
+@functools.lru_cache(maxsize=16)
+def _out_path(out_dir) -> Path:
+    """The ``--out`` directory as a Path, parsed once per directory: a Path
+    interns each component, and the dead entries of repeated in-process calls
+    make the interpreter's string table resize."""
+    return Path(out_dir)
+
+
 def run_command(command: str, cfg: RunConfig, out_dir) -> int:
     """Dispatch a command, print its payload as the one JSON summary, and
     return the process exit code."""
-    out = Path(out_dir)
+    out = _out_path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
         code, payload = _DISPATCH[command](cfg, out)

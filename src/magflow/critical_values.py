@@ -77,7 +77,7 @@ def _require_symmetric(sys: MagneticSystem) -> None:
 def cap_flux(sys: MagneticSystem, z0):
     """Flux through the region below the latitude z0: 2*pi*int_{-1}^{z0} f,
     exactly, from the density's polynomial in z; vectorized over z0."""
-    return 2.0 * np.pi * sys.density.zonal_polynomial.integ(lbnd=-1.0)(z0)
+    return 2.0 * np.pi * sys.density.zonal_antiderivative(z0)
 
 
 def latitude_circle_action(sys: MagneticSystem, e: float, z0: float) -> float:

@@ -108,7 +108,7 @@ class ScalarField:
             g[..., 0], g[..., 1], g[..., 2] = self.coeffs[0], self.coeffs[1], self.coeffs[2]
             return g
         if self.kind == "zonal_poly":
-            g[..., 2] = self.zonal_polynomial.deriv()(q[..., 2])
+            g[..., 2] = self.zonal_derivative(q[..., 2])
             return g
         raise ValidationError(self.kind, "unknown scalar field kind")
 
@@ -171,6 +171,16 @@ class ScalarField:
             return np.polynomial.Polynomial((self.coeffs[3], self.coeffs[2]))
         return np.polynomial.Polynomial(self.coeffs)
 
+    @cached_property
+    def zonal_derivative(self) -> np.polynomial.Polynomial:
+        """d/dz of ``zonal_polynomial``."""
+        return self.zonal_polynomial.deriv()
+
+    @cached_property
+    def zonal_antiderivative(self) -> np.polynomial.Polynomial:
+        """The antiderivative of ``zonal_polynomial`` that vanishes at z = -1."""
+        return self.zonal_polynomial.integ(lbnd=-1.0)
+
     def bounds(self) -> tuple[float, float]:
         """Exact (min, max) of the field over the sphere.
 
@@ -184,9 +194,8 @@ class ScalarField:
             ax, ay, az, c = self.coeffs
             r = float(np.sqrt(ax * ax + ay * ay + az * az))
             return c - r, c + r
-        poly = self.zonal_polynomial
-        z = np.concatenate(([-1.0, 1.0], np.clip(poly.deriv().roots().real, -1.0, 1.0)))
-        vals = poly(z)
+        z = np.concatenate(([-1.0, 1.0], np.clip(self.zonal_derivative.roots().real, -1.0, 1.0)))
+        vals = self.zonal_polynomial(z)
         return float(vals.min()), float(vals.max())
 
     def spec(self) -> str:

@@ -470,7 +470,7 @@ def valley_tau(sys: MagneticSystem) -> float:
 
 def lifted_to_dict(ll: LiftedLoop) -> dict:
     return {
-        "nodes": [[float(x) for x in row] for row in ll.nodes],
+        "nodes": ll.nodes.tolist(),
         "p": float(ll.p),
         "flux": float(ll.flux),
     }

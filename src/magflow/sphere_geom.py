@@ -6,7 +6,9 @@ faces); the metric lives on ``MagneticSystem``.  A 2-form
 enters as its density relative to the round area form: any callable on
 points, such as a ``ScalarField`` or ``MagneticSystem.round_density``.
 The one flux rule is Gauss-Legendre in geodesic polar coordinates about a
-triangle's first vertex, with 2^depth nodes per axis; for smooth densities
+triangle's first vertex, with 2^depth radial nodes and as few far-edge
+nodes as the largest apex angle allows (4 for the thin cone triangles of a
+lift, 2^depth for the octant faces of ``total_flux``); for smooth densities
 it converges spectrally, to rounding at depth 4 (``FLUX_DEPTH``) on the
 loops this package lifts.
 
@@ -23,6 +25,7 @@ arrays this package passes around.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Callable
 
@@ -34,8 +37,12 @@ Density = Callable[[np.ndarray], np.ndarray]
 
 BASE_POINT = np.array([-1.0, 0.0, 0.0])
 
-# Gauss-Legendre depth of every flux quadrature: 2^depth nodes per axis
+# Gauss-Legendre depth of every flux quadrature: 2^depth radial nodes, and
+# at most that many on the far edges
 FLUX_DEPTH = 4
+
+# largest apex angle (rad) whose far edges take 4 Gauss-Legendre nodes
+EDGE_PHI = 0.06
 
 _MIN_NORM = 1e-9
 
@@ -146,29 +153,37 @@ def triangles_flux(density: Density, tris: np.ndarray, depth: int = FLUX_DEPTH) 
     with Theta(t) the angle from a to e(t), d(t) the unit direction from a
     towards e(t), and psi' = det[a, e, e'] / sin^2(Theta), which for the
     great arc of angle w is w det[a, b, c] / (sin(w) sin^2(Theta)).  Both
-    integrals use 2^depth Gauss-Legendre nodes, so a triangle costs 4^depth
-    density evaluations; the t-nodes are visited one at a time, so at most
-    T * 2^depth points exist at once.  The edge points of mirrored t-nodes
-    are formed from the same two coefficients and summed in pairs, so
-    reversing (a, b, c) to (a, c, b) negates the flux exactly.
+    integrals are Gauss-Legendre: the radial one takes 2^depth nodes, the
+    edge one m nodes, fixed once per call from the largest angle phi that a
+    far edge b -> c subtends at its apex a (``_edge_nodes``: 4 up to
+    ``EDGE_PHI`` = 0.06 rad, doubling with each doubling of phi, at most
+    2^depth), so a triangle costs m * 2^depth density evaluations.  The
+    t-nodes are visited one at a time, so at most T * 2^depth points exist
+    at once.  The edge points of mirrored t-nodes are formed from the same
+    two coefficients and summed in pairs, and phi is symmetric in b and c,
+    so reversing (a, b, c) to (a, c, b) negates the flux exactly.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     tris = np.asarray(tris, dtype=float)
     a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
-    n, half = 2**depth, 2 ** (depth - 1)
-    x, w = np.polynomial.legendre.leggauss(n)
-    s, ws = 0.5 * (x + 1.0), 0.5 * w
-    t = s[:half, None]
+    n = 2**depth
+    s, ws = _unit_gauss_legendre(n)
+    det = dot3(a, cross3(b, c))
+    phi = np.arctan2(np.abs(det), dot3(b, c) - dot3(a, b) * dot3(a, c))
+    m = _edge_nodes(float(np.max(phi, initial=0.0)), n)
+    half = m // 2
+    st, wst = _unit_gauss_legendre(m)
+    t, wt = st[:half, None], wst[:half]
     omega = angular_distance(b, c)
     # e(t) is proportional to sin((1 - t) w) b + sin(t w) c; sinc keeps a
     # zero-length edge finite
     near = t * np.sinc(t * omega / np.pi)
     far = (1.0 - t) * np.sinc((1.0 - t) * omega / np.pi)
-    scale = dot3(a, cross3(b, c)) / np.sinc(omega / np.pi)
-    g = np.empty((n, len(tris)))
-    for j in range(n):
-        wb, wc = (far[j], near[j]) if j < half else (near[n - 1 - j], far[n - 1 - j])
+    scale = det / np.sinc(omega / np.pi)
+    g = np.empty((m, len(tris)))
+    for j in range(m):
+        wb, wc = (far[j], near[j]) if j < half else (near[m - 1 - j], far[m - 1 - j])
         e = project_to_sphere(wb[:, None] * b + wc[:, None] * c)
         cos_max = dot3(a, e)
         u = e - cos_max[:, None] * a
@@ -181,7 +196,28 @@ def triangles_flux(density: Density, tris: np.ndarray, depth: int = FLUX_DEPTH) 
         th = s[:, None] * theta_max
         q = np.cos(th)[..., None] * a + np.sin(th)[..., None] * d
         g[j] = scale * jac * (ws @ (density(q) * np.sin(th)))
-    return float(np.sum(ws[:half] @ (g[:half] + g[::-1][:half])))
+    return float(np.sum(wt @ (g[:half] + g[::-1][:half])))
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n-node Gauss-Legendre rule on
+    [0, 1], built once per order: numpy's leggauss solves an eigenvalue
+    problem on every call."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    s.flags.writeable = ws.flags.writeable = False
+    return s, ws
+
+
+def _edge_nodes(phi: float, n: int) -> int:
+    """Gauss-Legendre nodes on the far edges for a largest apex angle phi:
+    4 while phi <= ``EDGE_PHI``, doubled with each doubling of that bound,
+    at most n (a NaN angle takes n)."""
+    m, bound = min(4, n), EDGE_PHI
+    while m < n and not phi <= bound:
+        m, bound = 2 * m, 2.0 * bound
+    return m
 
 
 def octant_faces() -> np.ndarray:

@@ -432,6 +432,24 @@ solver.max_iter = 6000
 
 
 class TestDeterminism:
+    @pytest.mark.parametrize(
+        "out, loop_file",
+        [
+            ("out", "out/e1_witness.json"),
+            ("./out", "out/e1_witness.json"),
+            ("out/", "out/e1_witness.json"),
+            ("a//b", "a/b/e1_witness.json"),
+        ],
+    )
+    def test_loop_file_spelling(self, tmp_path, capsys, monkeypatch, out, loop_file):
+        # the printed path is pathlib's spelling of --out, on every call
+        monkeypatch.chdir(tmp_path)
+        cfg = write(tmp_path, "system.density = height(1.0, 0.0)\nrun.e_max = 0.3\n")
+        for _ in range(2):
+            assert main(["critical-values", "--config", cfg, "--out", out]) == 0
+            assert json.loads(capsys.readouterr().out)["certificate"]["loop_file"] == loop_file
+        assert (tmp_path / loop_file).is_file()
+
     def test_repeat_runs_byte_identical(self, tmp_path, capsys):
         cfg = write(
             tmp_path,

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,8 @@ from magflow.loop_space import (
     h1_solve,
     lifted_from_dict,
     lifted_to_dict,
+    load_lifted,
+    save_lifted,
 )
 from magflow.sphere_geom import (
     BASE_POINT,
@@ -112,6 +116,21 @@ class TestLoopContainers:
         assert back.p == ll.p and back.flux == ll.flux
 
 
+    def test_save_lifted_bytes(self, sys_z, rng, tmp_path):
+        ll = random_lifted(sys_z, rng)
+        path = tmp_path / "loop.json"
+        save_lifted(ll, path)
+        record = {
+            "nodes": [[float(x) for x in row] for row in ll.nodes],
+            "p": float(ll.p),
+            "flux": float(ll.flux),
+        }
+        assert lifted_to_dict(ll) == record
+        assert path.read_text() == json.dumps(record, indent=1, sort_keys=True)
+        back = load_lifted(path)
+        assert np.array_equal(back.nodes, ll.nodes)
+        assert back.p == ll.p and back.flux == ll.flux
+
 class TestDiscreteAction:
     def test_constant_loop_value(self):
         # stationary curve: A = p * (L(q, 0) + e) with L(q, 0) = -U(q)
@@ -187,6 +206,26 @@ class TestLift:
         )
         for loop in (ORACLE_LOOPS["perturbed-latitude"](), random_loop(rng, 256)):
             assert cone_flux(sysc, loop, 4) == pytest.approx(cone_flux(sysc, loop, 6), abs=1e-13)
+
+
+    @pytest.mark.parametrize("n", [16, 32, 128, 2048])
+    def test_edge_rule_matches_depth_six(self, sys_shifted, n):
+        # thin cone triangles take 4 far-edge nodes at depth 4; the cone
+        # still agrees with depth 6 to rounding
+        systems = (
+            sys_shifted,
+            MagneticSystem(
+                ScalarField.height(1.0, 0.0), conformal_exponent=ScalarField.height(0.15, 0.0)
+            ),
+            MagneticSystem(ScalarField.zonal_poly(0.1, -0.5, 0.2, 0.9, -0.3, 0.25, 0.6)),
+        )
+        loops = (
+            perturb_normal(latitude_loop(-0.6, n), 0.2, 7),
+            perturb_normal(latitude_loop(0.5, n), 0.1, 2),
+        )
+        for sys_ in systems:
+            for loop in loops:
+                assert cone_flux(sys_, loop) == pytest.approx(cone_flux(sys_, loop, 6), abs=1e-13)
 
 
 class TestSweepFlux:

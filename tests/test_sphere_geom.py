@@ -4,6 +4,10 @@ import pytest
 from magflow import ScalarField, project_to_sphere, total_flux
 from magflow.errors import NearZeroVector
 from magflow.sphere_geom import (
+    BASE_POINT,
+    EDGE_PHI,
+    _edge_nodes,
+    _unit_gauss_legendre,
     angular_distance,
     cyclic_shift,
     dot3,
@@ -131,6 +135,72 @@ class TestTotalFlux:
         poly = np.polynomial.Polynomial(coeffs).integ()
         exact = 2.0 * np.pi * (poly(1.0) - poly(-1.0))
         assert total_flux(ScalarField.zonal_poly(*coeffs), 4) == pytest.approx(exact, abs=1e-13)
+
+
+class TestEdgeRule:
+    """The far edges take as few Gauss-Legendre nodes as the apex angle allows."""
+
+    @staticmethod
+    def thin_cone(n, z0=0.3):
+        """The apex triangles of a latitude circle seen from the base point."""
+        t = 2.0 * np.pi * np.arange(n + 1) / n
+        r = np.sqrt(1.0 - z0 * z0)
+        ring = np.stack([r * np.cos(t), r * np.sin(t), np.full(n + 1, z0)], axis=1)
+        return np.stack([np.broadcast_to(BASE_POINT, (n, 3)), ring[1:], ring[:-1]], axis=1)
+
+    @pytest.mark.parametrize(
+        "phi, n, m",
+        [
+            (0.0, 16, 4),
+            (EDGE_PHI, 16, 4),
+            (1.01 * EDGE_PHI, 16, 8),
+            (2.0 * EDGE_PHI, 16, 8),
+            (3.0 * EDGE_PHI, 16, 16),
+            (np.pi / 2, 16, 16),
+            (np.nan, 16, 16),
+            (0.0, 2, 2),
+            # octant faces keep the isotropic rule up to depth 7
+            (np.pi / 2, 2**7, 2**7),
+            (np.pi / 2, 2**8, 2**7),
+        ],
+    )
+    def test_edge_nodes(self, phi, n, m):
+        assert _edge_nodes(phi, n) == m
+
+    @pytest.mark.parametrize("n", [2, 4, 16])
+    def test_unit_rule_is_leggauss_on_unit_interval(self, n):
+        s, ws = _unit_gauss_legendre(n)
+        x, w = np.polynomial.legendre.leggauss(n)
+        assert np.array_equal(s, 0.5 * (x + 1.0)) and np.array_equal(ws, 0.5 * w)
+        with pytest.raises(ValueError):
+            s[0] = 0.0
+
+    def test_thin_cone_takes_four_edge_nodes(self):
+        tris = self.thin_cone(512)
+        seen = []
+
+        def counting(q):
+            seen.append(q.shape[:-1])
+            return q[..., 2]
+
+        triangles_flux(counting, tris, 4)
+        assert seen == [(16, 512)] * 4
+
+    @pytest.mark.parametrize("depth", [1, 3, 4, 6])
+    def test_reversal_negates_exactly(self, rng, depth):
+        f = ScalarField.zonal_poly(0.3, -1.0, 0.5, 0.7)
+        tiny = self.thin_cone(2048)
+        long = project_to_sphere(rng.normal(size=(40, 3, 3)))
+        for tris in (tiny, np.concatenate((tiny[::37], long, tiny[5::91]))):
+            fwd = triangles_flux(f, tris, depth)
+            assert triangles_flux(f, tris[:, [0, 2, 1]], depth) == -fwd
+
+    @pytest.mark.parametrize("depth", [4, 5, 6])
+    def test_total_flux_zonal_exact(self, depth):
+        coeffs = (0.1, -0.5, 0.2, 0.9, -0.3, 0.25, 0.6)
+        poly = np.polynomial.Polynomial(coeffs).integ()
+        exact = 2.0 * np.pi * (poly(1.0) - poly(-1.0))
+        assert total_flux(ScalarField.zonal_poly(*coeffs), depth) == pytest.approx(exact, abs=1e-13)
 
 
 class TestAreaRoutines:
