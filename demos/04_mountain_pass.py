@@ -24,7 +24,7 @@ print(f"waist action {a1:+.6f}; double-cover endpoint action {2 * a1:+.6f}")
 
 mm = minimax_between_labels(system, e, waists, (1, 0), (2, 0), cfg)
 print(f"minimax value {mm.value:+.6f}   (4*pi*e = {4 * np.pi * e:+.6f})")
-print(f"converged: {mm.converged} ({mm.stop_reason} from chain image {mm.argmax_index}), "
+print(f"converged: {mm.converged} ({mm.stop_reason} from chain link {mm.argmax_index}), "
       f"saddle gradient norm {mm.saddle_gradient_norm:.2e}")
 
 print(f"saddle shooting closure {mm.report.closure_residual:.2e}, "

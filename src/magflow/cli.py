@@ -52,7 +52,6 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "system.potential": ("scalar_field", "constant(0.0)"),
     "system.drift": ("drift_field", "none"),
     "discretization.loop_nodes": ("int:16,8192", "128"),
-    "discretization.path_nodes": ("int:8,256", "12"),
     "discretization.path_loop_nodes": ("int:16,8192", "512"),
     "solver.tol": ("float:>0", "1e-6"),
     "solver.max_iter": ("int:1,1000000", "20000"),
@@ -80,6 +79,9 @@ _DEPRECATED: dict[str, str] = {
     "system.lift_depth": "every flux quadrature runs at one fixed depth",
     "system.metric": "the metric is round exactly when system.conformal_exponent is zero",
     "solver.max_sweeps": "minimax runs Newton from the chain maximum; there is no band",
+    "discretization.path_nodes": (
+        "minimax polishes the highest link of the connecting chain; nothing is resampled"
+    ),
 }
 
 
@@ -102,7 +104,6 @@ class RunConfig:
         return vr.SolverConfig(
             tol=self["solver.tol"],
             max_iter=self["solver.max_iter"],
-            path_nodes=self["discretization.path_nodes"],
         )
 
 

@@ -244,12 +244,13 @@ def optimal_period_fourth(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -
 def _choose_apex(nodes: np.ndarray) -> np.ndarray:
     """Cone apex for the nodes: the base point when it keeps a 0.2 rad
     antipodal margin, otherwise the candidate with the largest margin."""
-    margins = np.pi - np.array(
-        [float(np.max(angular_distance(apex, nodes))) for apex in _APEX_CANDIDATES]
-    )
-    if margins[0] >= 0.2:
+
+    def margin(apex: np.ndarray) -> float:
+        return np.pi - float(np.max(angular_distance(apex, nodes)))
+
+    if margin(_APEX_CANDIDATES[0]) >= 0.2:
         return _APEX_CANDIDATES[0]
-    return _APEX_CANDIDATES[int(np.argmax(margins))]
+    return _APEX_CANDIDATES[int(np.argmax([margin(apex) for apex in _APEX_CANDIDATES]))]
 
 
 def cone_flux(

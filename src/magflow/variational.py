@@ -8,16 +8,16 @@ every accepted step, and a valley guard aborts seeds that collapse toward
 constant loops.
 
 ``minimax_path`` finds the mountain-pass saddle between two local minimizers
-by Newton from the chain maximum: a connecting chain of lifted loops is
-resampled to equal arc, and its highest image is polished to a stationary
-point (``refine_stationary``).  Connecting chains are built through the
-valley: shrink one endpoint to a tiny loop, adjust covering multiplicity and
-deck winding there (where all such classes meet cheaply), and expand to the
-other endpoint, so the chain lies in the correct cover class by construction.
+by Newton from the chain maximum: the highest link of a connecting chain of
+lifted loops is polished to a stationary point (``refine_stationary``).
+Connecting chains are built through the valley: shrink one endpoint to a tiny
+loop, adjust covering multiplicity and deck winding there (where all such
+classes meet cheaply), and expand to the other endpoint, so the chain lies in
+the correct cover class by construction.
 
-Every move of a lifted loop (descent trial, equal-arc resampling, chain link,
-Newton polish) carries its ledger through ``loop_space.deform``; descent
-trials take one capped, reprojected trial step.
+Every move of a lifted loop (descent trial, chain link, Newton polish)
+carries its ledger through ``loop_space.deform``; descent trials take one
+capped, reprojected trial step.
 
 ``find_waist`` and ``minimax_path`` certify their outputs by shooting along
 the flow; ``scan_energy`` and ``multiplicity_search`` orchestrate them over
@@ -91,7 +91,6 @@ MAX_NEWTON_MOVE = 0.25
 class SolverConfig:
     tol: float = 1e-6
     max_iter: int = 20000
-    path_nodes: int = 12
 
 
 @dataclass
@@ -355,35 +354,6 @@ def build_connecting_chain(
     return chain
 
 
-def _path_distance(u: LiftedLoop, v: LiftedLoop) -> float:
-    diff = u.nodes - v.nodes
-    d2 = float(np.mean(dot3(diff, diff)))
-    return math.sqrt(d2 + (u.p - v.p) ** 2)
-
-
-def _equal_arc(sys, chain, M):
-    """Resample a chain of lifted loops to M nodes evenly spaced in path
-    distance, keeping both ends.
-
-    Each interior node interpolates its bracketing chain nodes geodesically
-    and takes its ledger from the nearer one through ``deform``.
-    """
-    dists = [_path_distance(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    cum = np.concatenate([[0.0], np.cumsum(dists)])
-    targets = np.linspace(0.0, cum[-1], M)
-    path = [chain[0]]
-    for j in range(1, M - 1):
-        k = int(np.searchsorted(cum, targets[j], side="right") - 1)
-        k = min(k, len(chain) - 2)
-        t = (targets[j] - cum[k]) / (dists[k] if dists[k] > 1e-15 else 1.0)
-        nodes = slerp(chain[k].nodes, chain[k + 1].nodes, np.full(chain[k].loop.n, t))
-        p = (1.0 - t) * chain[k].p + t * chain[k + 1].p
-        anchor = chain[k] if t <= 0.5 else chain[k + 1]
-        path.append(deform(sys, anchor, FreePeriodLoop(nodes, p)))
-    path.append(chain[-1])
-    return path
-
-
 # ---------------------------------------------------------------------------
 # Newton polish and the minimax saddle
 
@@ -539,22 +509,19 @@ def minimax_path(
     """Mountain-pass saddle between two local minimizers by Newton from the
     chain maximum.
 
-    The connecting chain is resampled to ``cfg.path_nodes`` images evenly
-    spaced in path distance, and its highest interior image is handed once
-    to ``refine_stationary`` with tolerance ``1e-3 * cfg.tol``: Newton
-    converges quadratically, so the tighter target usually costs one step
-    and takes the saddle well below ``cfg.tol``, which keeps a marginal
-    shooting closure under its bound.  The result is ``converged`` (stop
-    reason "polished") when the polished dual norm is at most ``cfg.tol``.
-    Otherwise (stop reason "not polished") ``saddle`` is the unpolished
-    chain maximum; the images sample the chain, so its action can lie below
-    the pass.  ``saddle``, ``argmax_index``, ``value`` and
-    ``saddle_gradient_norm`` describe one image, and ``report`` certifies it
-    by shooting, converged or not.
+    The highest interior link of the connecting chain
+    (``build_connecting_chain``) is handed once to ``refine_stationary``
+    with tolerance ``1e-3 * cfg.tol``: Newton converges quadratically, so
+    the tighter target usually costs one step and takes the saddle well
+    below ``cfg.tol``, which keeps a marginal shooting closure under its
+    bound.  The result is ``converged`` (stop reason "polished") when the
+    polished dual norm is at most ``cfg.tol``.  Otherwise (stop reason "not
+    polished") ``saddle`` is the unpolished chain maximum; the links sample
+    the pass, so its action can lie below it.  ``path`` is the chain, with
+    the polished saddle in place of its highest link; ``saddle``,
+    ``argmax_index``, ``value`` and ``saddle_gradient_norm`` describe that
+    link, and ``report`` certifies it by shooting, converged or not.
     """
-    M = cfg.path_nodes
-    if M < 8:
-        raise ValueError("need at least 8 path nodes")
     for name, end in (("end_a", end_a), ("end_b", end_b)):
         dual = _dual_norm(sys, e, end)
         if dual > ENDPOINT_TOL:
@@ -572,27 +539,26 @@ def minimax_path(
     end_b = LiftedLoop(end_b.loop, end_b.flux - flux_base)
 
     chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift)
-    path = _equal_arc(sys, chain, M)
-    actions = [lifted_action_A(sys, e, u) for u in path]
+    actions = [lifted_action_A(sys, e, u) for u in chain]
     top = int(np.argmax(actions))
 
     converged = False
-    if 0 < top < M - 1:
-        polished, dual = refine_stationary(sys, e, path[top].loop, tol=1e-3 * cfg.tol)
+    if 0 < top < len(chain) - 1:
+        polished, dual = refine_stationary(sys, e, chain[top].loop, tol=1e-3 * cfg.tol)
         converged = dual <= cfg.tol
     if converged:  # MAX_NEWTON_MOVE bounds this move
-        path[top] = deform(sys, path[top], polished)
-        actions[top] = lifted_action_A(sys, e, path[top])
+        chain[top] = deform(sys, chain[top], polished)
+        actions[top] = lifted_action_A(sys, e, chain[top])
     else:
-        dual = _dual_norm(sys, e, path[top])
+        dual = _dual_norm(sys, e, chain[top])
     value = float(actions[top]) + flux_base
-    path = [LiftedLoop(u.loop, u.flux + flux_base) for u in path]
+    path = [LiftedLoop(u.loop, u.flux + flux_base) for u in chain]
     stop_reason = "polished" if converged else "not polished"
     return _certified(sys, e, value, top, float(dual), converged, [value], path, stop_reason)
 
 
 def _certified(sys, e, value, top, dual, converged, history, path, stop_reason) -> MinimaxResult:
-    """The minimax result with image ``top`` of ``path`` as its saddle, shot
+    """The minimax result with link ``top`` of ``path`` as its saddle, shot
     at its fourth-order period; the report carries the saddle's dual norm."""
     saddle = path[top]
     report = replace(certify_orbit(sys, polish_candidate(sys, saddle.loop, e), e), gradient_norm=dual)

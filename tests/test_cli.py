@@ -90,7 +90,7 @@ class TestParseConfig:
             parse_config(write(tmp_path, MINIMAL + "system.drift = azimuthal(0.25, 1)\n"))
 
     def test_schema_size(self):
-        assert len(_SCHEMA) == 22
+        assert len(_SCHEMA) == 21
 
     def test_readme_config_table_names_every_key(self):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -408,6 +408,7 @@ solver.max_iter = 6000
         "system.lift_depth": "2",
         "system.metric": "conformal",
         "solver.max_sweeps": "1500",
+        "discretization.path_nodes": "12",
     }
 
     def waist(self, tmp_path, capsys, text, *extra):

@@ -84,12 +84,43 @@ def circle_through_base(n=96, radius=0.5):
     return FreePeriodLoop(np.cos(radius) * center + np.sin(radius) * ring, 1.0)
 
 
+def all_candidates_apex(nodes):
+    """Reference apex rule: the antipodal margin of all six candidates, then
+    the base point when it keeps 0.2 rad, otherwise the largest margin."""
+    candidates = np.array(
+        [BASE_POINT, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]
+    )
+    margins = np.pi - np.array([float(np.max(angular_distance(c, nodes))) for c in candidates])
+    if margins[0] >= 0.2:
+        return candidates[0]
+    return candidates[int(np.argmax(margins))]
+
+
+def circle_near_antipode(offset, radius=0.3, n=128):
+    """Small circle whose center lies ``offset`` rad from the base point's
+    antipode, so its nodes keep about ``offset - radius`` rad from it."""
+    anti = -BASE_POINT
+    e1, _ = tangent_basis(anti)
+    center = np.cos(offset) * anti + np.sin(offset) * e1
+    c1, c2 = tangent_basis(center)
+    t = 2.0 * np.pi * np.arange(n) / n
+    ring = np.cos(t)[:, None] * c1 + np.sin(t)[:, None] * c2
+    return FreePeriodLoop(np.cos(radius) * center + np.sin(radius) * ring, 1.0)
+
+
 ORACLE_LOOPS = {
     "perturbed-latitude": lambda: perturb_normal(latitude_loop(0.3, 128), 0.05, 3),
     "random": lambda: random_loop(np.random.default_rng(1), 512),
     "through-apex": circle_through_base,
     # a great circle through the base point's antipode forces a fallback apex
     "fallback-apex": lambda: great_circle_loop(np.array([0.0, 1.0, 0.3]), 200),
+}
+
+# loops on both sides of the base point's 0.2 rad antipodal margin
+APEX_LOOPS = {
+    **ORACLE_LOOPS,
+    **{f"latitude-{z}": (lambda z=z: latitude_loop(z, 96)) for z in (0.0, 0.15, 0.19, 0.21, 0.5, -0.95)},
+    **{f"near-antipode-{d}": (lambda d=d: circle_near_antipode(d)) for d in (0.0, 0.2, 0.45, 0.49, 0.51, 0.6, 1.5, 3.0)},
 }
 
 
@@ -197,6 +228,16 @@ class TestLift:
         if name == "fallback-apex":
             assert not np.array_equal(apex, BASE_POINT)
         assert cone_flux(sys_z, loop) == pytest.approx(line_flux_of_height(loop.nodes), abs=1e-13)
+
+    @pytest.mark.parametrize("name", list(APEX_LOOPS))
+    def test_apex_matches_all_candidates(self, sys_shifted, name):
+        # the base point is tested first; the six candidates are scanned only
+        # when its margin is short, and the lift is the same bit for bit
+        loop = APEX_LOOPS[name]()
+        apex = _choose_apex(loop.nodes)
+        ref = all_candidates_apex(loop.nodes)
+        assert np.array_equal(apex, ref)
+        assert cone_flux(sys_shifted, loop) == cone_flux(sys_shifted, loop, apex=ref)
 
     def test_conformal_depths_agree(self, rng):
         # the system of the conformal full-stack descent: its density f e^{2u}

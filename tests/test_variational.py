@@ -30,6 +30,7 @@ from magflow.variational import (
     DEDUPE_HAUSDORFF,
     DEDUPE_PERIOD,
     _dual_norm,
+    _endpoint_for_label,
     _lbfgs_direction,
     _minres,
     _primitive,
@@ -248,7 +249,7 @@ class TestMinimax:
         loop = latitude_loop(0.0, 64)
         loop = loop.with_period(optimal_period(sys_z, loop, E))
         ll = lift_loop(sys_z, loop)
-        res = minimax_path(sys_z, E, ll, ll, cfg=SolverConfig(path_nodes=8))
+        res = minimax_path(sys_z, E, ll, ll, cfg=SolverConfig())
         assert res.converged
         assert res.stop_reason == "identical endpoints"
         assert res.value == lifted_action_A(sys_z, E, ll)
@@ -261,10 +262,10 @@ class TestMinimax:
         good = lift_loop(sys_z, loop)
         bad = random_lifted(sys_z, rng)
         with pytest.raises(EndpointNotMinimal):
-            minimax_path(sys_z, E, good, bad, cfg=SolverConfig(path_nodes=8))
+            minimax_path(sys_z, E, good, bad, cfg=SolverConfig())
 
     def test_iterate_pair_converges(self, sys_z):
-        cfg = SolverConfig(path_nodes=10)
+        cfg = SolverConfig()
         seeds = default_seed_builder(sys_z, E)
         waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], seeds, 512, cfg)
         mm = minimax_between_labels(sys_z, E, waists, (1, 0), (2, 0), cfg)
@@ -289,7 +290,7 @@ class TestMinimax:
         assert abs(rep.mean_energy_residual) <= 1e-5
 
     def test_deck_equivariance(self, sys_shifted):
-        cfg = SolverConfig(path_nodes=9)
+        cfg = SolverConfig()
         seeds = default_seed_builder(sys_shifted, E, z0=-0.2)
         waists = prepare_waists(sys_shifted, E, [(1, 0)], seeds, 128, cfg)
         base = minimax_between_labels(sys_shifted, E, waists, (1, 0), (1, 1), cfg)
@@ -308,10 +309,10 @@ class TestMinimax:
     def test_failed_polish_reports_chain_maximum(self, sys_z, monkeypatch):
         # when Newton misses the tolerance the result is the unpolished chain
         # maximum, reporting its own gradient norm.  Its value is the highest
-        # sampled image, not an upper bound for the pass: here it reads
-        # 0.2386 against the polished 0.2517 (the 12 images step over the
-        # top of the doubled-circle family)
-        cfg = SolverConfig(path_nodes=12)
+        # link of the connecting chain, not an upper bound for the pass: here
+        # it reads 0.2420 against the polished 0.2517 (the links step over
+        # the top of the doubled-circle family)
+        cfg = SolverConfig()
         labels = [(1, 0), (2, 0)]
         waists = prepare_waists(sys_z, E, labels, default_seed_builder(sys_z, E), 128, cfg)
         assert minimax_between_labels(sys_z, E, waists, *labels, cfg).converged
@@ -323,10 +324,20 @@ class TestMinimax:
         assert mm.history == [mm.value]
         assert mm.saddle is mm.path[mm.argmax_index]
         assert mm.value == pytest.approx(max(lifted_action_A(sys_z, E, u) for u in mm.path), rel=1e-12)
-        assert 0 < mm.argmax_index < cfg.path_nodes - 1
+        assert 0 < mm.argmax_index < len(mm.path) - 1
         assert mm.saddle_gradient_norm > cfg.tol
         assert mm.saddle_gradient_norm == pytest.approx(_dual_norm(sys_z, E, mm.saddle), rel=1e-12)
         assert mm.report.gradient_norm == mm.saddle_gradient_norm
+        # the path is the connecting chain itself, link by link, with the
+        # endpoint ledger added back
+        end_a, end_b = (_endpoint_for_label(sys_z, E, waists, *lbl) for lbl in labels)
+        rel_a = LiftedLoop(end_a.loop, 0.0)
+        rel_b = LiftedLoop(end_b.loop, end_b.flux - end_a.flux)
+        chain = build_connecting_chain(sys_z, E, rel_a, rel_b, 1, 2, 0)
+        assert len(mm.path) == len(chain)
+        for u, v in zip(mm.path, chain):
+            assert np.array_equal(u.nodes, v.nodes) and u.p == v.p
+            assert u.flux == v.flux + end_a.flux
 
         res = multiplicity_search(sys_z, E, labels, cfg, path_n=128)
         assert [f["pair"] for f in res.failures] == [tuple(labels)]
@@ -379,7 +390,7 @@ class TestScan:
 
 class TestMultiplicity:
     def test_single_label_returns_waist(self, sys_shifted):
-        cfg = SolverConfig(path_nodes=8)
+        cfg = SolverConfig()
         res = multiplicity_search(sys_shifted, E, [(1, 0)], cfg, path_n=96, seed_z0=-0.2)
         assert res.distinct_count == 1
         assert res.orbits[0].source == "waist"
