@@ -14,7 +14,7 @@ from .errors import (
 from .fields import ScalarField
 from .sphere_geom import project_to_sphere, total_flux
 from .tonelli import MagneticSystem
-from .flow import OrbitReport, State, Trajectory, certify_orbit, energy_drift, integrate, magnetic_el_field
+from .flow import OrbitReport, State, Trajectory, certify_orbit, energy_drift, integrate
 from .loop_space import (
     FreePeriodLoop,
     LiftedLoop,
@@ -35,7 +35,6 @@ from .loop_space import (
     perturb_normal,
     sweep_flux,
     valley_tau,
-    zeta_loop,
 )
 from .variational import (
     MinimaxResult,

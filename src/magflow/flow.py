@@ -26,8 +26,9 @@ with that integrator and picks the number of steps by step doubling against
 ``SHOOT_BUDGET``, 1/1000 of the closure bound ``CERTIFY_CLOSURE_TOL``.  The
 doubling starts at ``MAX_STEP``, the coarsest step ``integrate`` accepts,
 and a shot that explodes there only means the step must shrink.  Its
-self-intersection count rules out far-apart segment pairs in one blocked
-pass and tests the rest in one vectorized pass.
+self-intersection count groups consecutive segments into runs, expands only
+the run pairs whose bounding caps meet, and tests the segment pairs that pass
+a per-pair distance bound in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -61,8 +62,13 @@ CERTIFY_CLOSURE_TOL = 1e-4
 SHOOT_BUDGET = CERTIFY_CLOSURE_TOL / 1000
 # certification's fewest RK4 steps per period
 SHOOT_MIN_STEPS = 64
-# most segment pairs in one block of ``count_self_intersections``' first pass
-_PAIR_BLOCK = 16384
+# ``count_self_intersections``' prune: segments per run, the angle (rad) by
+# which two runs' caps may miss and still be expanded (the pair bound's 1e-12
+# cosine slack widens an angle by at most sqrt(2e-12), about 1.4e-6), and the
+# most run pairs or segment pairs one block holds
+_RUN = 16
+_CAP_SLACK = 1e-4
+_PAIR_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -144,13 +150,6 @@ def _equations(sys: MagneticSystem):
         return 0.5 * vv + pot(qx, qy, qz)
 
     return rhs, energy
-
-
-def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side (dq, dv) of the equations of motion at a state."""
-    rhs, _ = _equations(sys)
-    out = rhs(*(float(c) for c in state.q), *(float(c) for c in state.v))
-    return np.array(out[:3]), np.array(out[3:])
 
 
 def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
@@ -239,6 +238,76 @@ class OrbitReport:
         return self.closure_residual <= CERTIFY_CLOSURE_TOL
 
 
+def _near_pairs(a: np.ndarray, length: np.ndarray, tol: float):
+    """Blocks (i, j) of the non-adjacent segment pairs, i < j, whose start
+    points lie within their two arc lengths plus ``tol`` of each other.
+
+    Consecutive segments form runs of ``_RUN``.  A run's cap is centred on its
+    normalized mean start point and reaches its farthest start point plus its
+    longest arc (all of the sphere when the mean is near zero), so two
+    segments can pass the pair bound only when their runs' caps meet within
+    ``_CAP_SLACK``.  Runs are paired, and the run pairs that meet are
+    expanded, at most ``_PAIR_BLOCK`` pairs at a time; each pair takes the bound
+    dot(a_i, a_j) >= cos(min(pi, L_i + L_j + tol)) - 1e-12.  Dot products are
+    summed in ``dot3``'s order and no BLAS matmul runs, whose work buffer
+    would add about 0.5 MB to the resident memory of a solve that makes no
+    other one.
+    """
+    n = len(a)
+    starts = np.arange(0, n, _RUN)
+    m = len(starts)
+    sums = np.add.reduceat(a, starts, axis=0)
+    mn = norm3(sums)
+    centers = sums / np.where(mn > 1e-9, mn, 1.0)[:, None]
+    spread = np.maximum.reduceat(angular_distance(centers[np.arange(n) // _RUN], a), starts)
+    reach = np.where(mn > 1e-9, spread + np.maximum.reduceat(length, starts), np.pi)
+    # segment positions past the end of the last run fail every bound
+    padded = np.full(m * _RUN, np.nan)
+    padded[:n] = length
+    runs = np.arange(m)
+    run_rows = max(1, _PAIR_BLOCK // m)
+    chunk = max(1, _PAIR_BLOCK // (_RUN * _RUN))
+    for lo in range(0, m, run_rows):
+        rows = runs[lo : lo + run_rows]
+        bound = np.add.outer(reach[rows] + (tol + _CAP_SLACK), reach)
+        np.cos(np.minimum(bound, np.pi, out=bound), out=bound)
+        bound -= 1e-12
+        meet = dot3(centers[rows, None], centers) >= bound
+        meet &= runs >= rows[:, None]
+        r_all, s_all = np.nonzero(meet)
+        r_all += lo
+        for k in range(0, len(r_all), chunk):
+            i, j = _pair_bound(a, padded, r_all[k : k + chunk], s_all[k : k + chunk], tol)
+            if len(i):
+                yield i, j
+
+
+def _pair_bound(a, padded, r, s, tol):
+    """The pairs of segments from runs r[k] and s[k] that pass the pair bound."""
+    n = len(a)
+    offsets = np.arange(_RUN)
+    seg_i = r[:, None] * _RUN + offsets
+    seg_j = s[:, None] * _RUN + offsets
+    ai = a[np.minimum(seg_i, n - 1)][:, :, None]
+    aj = a[np.minimum(seg_j, n - 1)][:, None, :]
+    # two (K, _RUN, _RUN) buffers: the dot products, then the bound in the
+    # second one
+    dot = ai[..., 0] * aj[..., 0]
+    buf = ai[..., 1] * aj[..., 1]
+    dot += buf
+    dot += np.multiply(ai[..., 2], aj[..., 2], out=buf)
+    np.add((padded[seg_i] + tol)[:, :, None], padded[seg_j][:, None, :], out=buf)
+    np.cos(np.minimum(buf, np.pi, out=buf), out=buf)
+    buf -= 1e-12
+    near = dot >= buf
+    del dot, buf
+    # strictly later segments, excluding the two adjacent ones
+    rows, cols = seg_i[:, :, None], seg_j[:, None, :]
+    near &= cols >= rows + 2
+    near &= cols <= rows + (n - 2)
+    return np.broadcast_to(rows, near.shape)[near], np.broadcast_to(cols, near.shape)[near]
+
+
 def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     """Transverse crossings of the closed geodesic polygon through the nodes.
 
@@ -249,11 +318,10 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     when x.a >= a.b, x.b >= a.b and x.(a + b) > 0; the last test rules out
     the far side of the circle, which the first two admit once the arc is
     longer than 2 pi / 3.  Pairs whose start points lie farther apart than
-    their two arc lengths plus ``tol`` can neither cross nor touch, so a
-    first pass over blocks of at most ``_PAIR_BLOCK`` pairs keeps only the
-    others, and the exact test runs on those.
+    their two arc lengths plus ``tol`` can neither cross nor touch; a
+    run-cap prune (``_near_pairs``) drops them, and the exact test runs on
+    the others.
     """
-    n = len(nodes)
     a = nodes
     b = cyclic_shift(nodes, 1)
     normals = cross3(a, b)
@@ -261,46 +329,32 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     normals = normals / np.where(nn > 1e-15, nn, 1.0)
     cos_len = dot3(a, b)
     length = angular_distance(a, b)
-    cols = np.arange(n)
 
+    return sum(_crossings(a, b, normals, cos_len, i, j, tol) for i, j in _near_pairs(a, length, tol))
+
+
+def _crossings(a, b, normals, cos_len, i, j, tol) -> int:
+    """Exact crossings and tangential near-misses of segment pairs (i, j)."""
+    u = cross3(normals[i], normals[j])
+    un = norm3(u)
+    parallel = un < 1e-12
+    u /= np.where(un > 1e-15, un, 1.0)[:, None]
+    # the two antipodal intersection points +u and -u; negation is exact
+    ua, ub = dot3(u, a[i]), dot3(u, b[i])
+    ja, jb = dot3(u, a[j]), dot3(u, b[j])
     count = 0
-    rows_per_block = max(1, _PAIR_BLOCK // n)
-    for lo in range(0, n, rows_per_block):
-        rows = cols[lo : lo + rows_per_block]
-        # cos(min(pi, L_i + L_j + tol)) - 1e-12, computed in place; the dot
-        # products avoid a BLAS matmul, whose work buffer would add about
-        # 0.5 MB to the resident memory of a solve that makes no other one
-        bound = np.add.outer(length[rows] + tol, length)
-        np.cos(np.minimum(bound, np.pi, out=bound), out=bound)
-        bound -= 1e-12
-        near = dot3(a[rows, None], a) >= bound
-        # strictly later segments, excluding the two adjacent ones
-        near &= cols >= rows[:, None] + 2
-        if lo == 0:
-            near[0, n - 1] = False
-        i, j = np.nonzero(near)
-        if not len(i):
-            continue
-        i += lo
-        u = cross3(normals[i], normals[j])
-        un = norm3(u)
-        parallel = un < 1e-12
-        u = u / np.where(un > 1e-15, un, 1.0)[:, None]
-        # the two antipodal intersection points +u and -u; negation is exact
-        ua, ub = dot3(u, a[i]), dot3(u, b[i])
-        ja, jb = dot3(u, a[j]), dot3(u, b[j])
-        for s in (1.0, -1.0):
-            in_i = (s * ua >= cos_len[i]) & (s * ub >= cos_len[i]) & (s * (ua + ub) > 0.0)
-            in_j = (s * ja >= cos_len[j]) & (s * jb >= cos_len[j]) & (s * (ja + jb) > 0.0)
-            count += int(np.count_nonzero(~parallel & in_i & in_j))
-        # tangential near-miss: endpoints of one arc touching the other arc
-        i, j = i[parallel], j[parallel]
-        if len(i):
-            d = np.minimum(
-                np.minimum(angular_distance(a[i], a[j]), angular_distance(a[i], b[j])),
-                np.minimum(angular_distance(b[i], a[j]), angular_distance(b[i], b[j])),
-            )
-            count += int(np.count_nonzero(d < tol))
+    for s in (1.0, -1.0):
+        in_i = (s * ua >= cos_len[i]) & (s * ub >= cos_len[i]) & (s * (ua + ub) > 0.0)
+        in_j = (s * ja >= cos_len[j]) & (s * jb >= cos_len[j]) & (s * (ja + jb) > 0.0)
+        count += int(np.count_nonzero(~parallel & in_i & in_j))
+    # tangential near-miss: endpoints of one arc touching the other arc
+    i, j = i[parallel], j[parallel]
+    if len(i):
+        d = np.minimum(
+            np.minimum(angular_distance(a[i], a[j]), angular_distance(a[i], b[j])),
+            np.minimum(angular_distance(b[i], a[j]), angular_distance(b[i], b[j])),
+        )
+        count += int(np.count_nonzero(d < tol))
     return count
 
 

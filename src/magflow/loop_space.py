@@ -157,30 +157,6 @@ def great_circle_loop(axis: np.ndarray, n: int = 128, p: float = 1.0) -> FreePer
     return FreePeriodLoop(nodes, p)
 
 
-def zeta_loop(s: float, n: int = 128) -> FreePeriodLoop:
-    """Member of the deck-generator family: the pencil of circles through the
-    base point cut by planes whose normal tilts from the base direction to
-    its opposite.  The family starts and ends at the (numerically tiny)
-    constant loop at the base point, and sweeping s over [0, 1] covers the
-    sphere exactly once positively, so chaining ``sweep_flux`` along it
-    accumulates the total flux of the magnetic form.
-    """
-    s_eff = min(max(s, 1e-3), 1.0 - 1e-3)  # keep endpoint loops non-degenerate
-    cs, sn = np.cos(np.pi * s_eff), np.sin(np.pi * s_eff)
-    normal = np.array([cs, sn, 0.0])
-    center = -cs * normal
-    radius = sn
-    u1 = np.array([-sn, cs, 0.0])
-    u2 = np.array([0.0, 0.0, 1.0])  # normal x u1
-    t = 2.0 * np.pi * np.arange(n) / n
-    nodes = (
-        center
-        + radius * np.cos(t)[:, None] * u1
-        - radius * np.sin(t)[:, None] * u2
-    )
-    return FreePeriodLoop(project_to_sphere(nodes), 1.0)
-
-
 def perturb_normal(loop: FreePeriodLoop, amplitude: float, mode: int) -> FreePeriodLoop:
     """Bump the loop along its in-sphere normal with a cosine profile."""
     nodes = loop.nodes

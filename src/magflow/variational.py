@@ -19,8 +19,10 @@ Every move of a lifted loop (descent trial, chain link, Newton polish)
 carries its ledger through ``loop_space.deform``; descent trials take one
 capped, reprojected trial step.
 
-``find_waist`` and ``minimax_path`` certify their outputs by shooting along
-the flow; ``scan_energy`` and ``multiplicity_search`` orchestrate them over
+Outputs are certified by shooting along the flow: ``minimax_path`` shoots
+its saddle, and a waist's report is computed when it is first read, so a
+waist that only serves as a minimax endpoint is never shot.
+``scan_energy`` and ``multiplicity_search`` orchestrate the solvers over
 energy grids and (iterate, deck) label sets.
 """
 
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -95,12 +98,18 @@ class SolverConfig:
 
 @dataclass
 class WaistResult:
+    sys: MagneticSystem = field(repr=False)
+    e: float
     lifted: LiftedLoop
-    report: OrbitReport
     action: float
     gradient_norm: float
     iterations: int
     history: list[float] = field(default_factory=list, repr=False)
+
+    @cached_property
+    def report(self) -> OrbitReport:
+        """Shooting certificate of the waist, computed when first read."""
+        return replace(certify_orbit(self.sys, self.lifted.loop, self.e), gradient_norm=self.gradient_norm)
 
 
 @dataclass
@@ -164,7 +173,7 @@ def _lbfgs_direction(nodes: np.ndarray, node_grads: np.ndarray, pairs: list) -> 
 
 
 def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfig = SolverConfig()):
-    """Descend the lifted action to a local minimizer and certify it.
+    """Descend the lifted action to a local minimizer.
 
     Each iteration evaluates one gradient, takes the L-BFGS direction
     (``_lbfgs_direction``, at most ``LBFGS_MEMORY`` pairs; Nocedal 1980,
@@ -172,6 +181,9 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
     does not rise.  The period is reduced to its closed-form optimum after
     every move, so the pairs see the nodes alone.  A direction that does not
     descend clears the memory and falls back to the H^1 direction.
+
+    The result's ``report`` certifies the waist by shooting when it is
+    first read, and keeps that report for later reads.
 
     Raises ``ValleyCollapse`` when the iterate enters the short-loop valley
     and ``MaxIterations`` (carrying the best iterate) when the budget runs
@@ -190,8 +202,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
         grad = action_gradient(sys, e, ll)
         h1_dir, dual = h1_precondition(ll.loop, grad)
         if dual <= cfg.tol:
-            report = replace(certify_orbit(sys, ll.loop, e), gradient_norm=dual)
-            return WaistResult(ll, report, action, dual, it, history)
+            return WaistResult(sys, e, ll, action, dual, it, history)
 
         if prev is not None:
             s, y = ll.nodes - prev[0], grad.node_grads - prev[1]
@@ -580,7 +591,7 @@ def _endpoint_for_label(sys, e, waists_by_mult, m, n):
 
 
 def prepare_waists(sys, e, labels, seed_builder, path_n, cfg) -> dict[int, WaistResult]:
-    """Converge and certify one waist per covering multiplicity at path_n/m nodes."""
+    """Converge one waist per covering multiplicity at path_n/m nodes."""
     mults = sorted({m for (m, _) in labels})
     out: dict[int, WaistResult] = {}
     for m in mults:

@@ -31,7 +31,6 @@ from magflow import (
     lifted_action_A,
     sweep_flux,
     valley_tau,
-    zeta_loop,
 )
 from magflow.cli import main as cli_main
 from magflow.loop_space import cone_flux
@@ -44,7 +43,7 @@ from magflow.variational import (
     prepare_waists,
     scan_energy,
 )
-from tests.conftest import random_loop
+from tests.conftest import random_loop, zeta_loop
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from magflow import (
     great_circle_loop,
     integrate,
     latitude_loop,
-    magnetic_el_field,
     optimal_period,
 )
 from magflow import flow
@@ -28,28 +28,54 @@ EY = np.array([0.0, 1.0, 0.0])
 
 def crossings_reference(nodes: np.ndarray, tol: float = 1e-6) -> int:
     """All-pairs count of arc crossings and tangential near-misses, one
-    segment pair at a time.  A point p of a segment's great circle is on the
-    minor arc when p.a >= a.b, p.b >= a.b and p.(a + b) > 0."""
-    n = len(nodes)
+    segment pair at a time in Python floats.  A point p of a segment's great
+    circle is on the minor arc when p.a >= a.b, p.b >= a.b and p.(a + b) > 0.
+    A segment whose ends coincide has no great circle, so it takes the
+    near-miss test against every other segment."""
+
+    def cross(x, y):
+        return (x[1] * y[2] - x[2] * y[1], x[2] * y[0] - x[0] * y[2], x[0] * y[1] - x[1] * y[0])
+
+    def dot(x, y):
+        return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
+
+    def angle(x, y):
+        c = cross(x, y)
+        return math.atan2(math.sqrt(dot(c, c)), dot(x, y))
+
+    pts = [tuple(float(c) for c in q) for q in nodes]
+    n = len(pts)
+    segs = [(pts[i], pts[(i + 1) % n]) for i in range(n)]
+    normals = []
+    for a, b in segs:
+        c = cross(a, b)
+        r = math.sqrt(dot(c, c))
+        normals.append(tuple(x / r for x in c) if r > 0.0 else (0.0, 0.0, 0.0))
     count = 0
     for i in range(n):
+        ai, bi = segs[i]
         for j in range(i + 2, n):
             if i == 0 and j == n - 1:
                 continue  # the closing segment is adjacent to the first
-            ai, bi, aj, bj = nodes[i], nodes[(i + 1) % n], nodes[j], nodes[(j + 1) % n]
-            ni = np.cross(ai, bi) / np.linalg.norm(np.cross(ai, bi))
-            nj = np.cross(aj, bj) / np.linalg.norm(np.cross(aj, bj))
-            u = np.cross(ni, nj)
-            un = np.linalg.norm(u)
+            aj, bj = segs[j]
+            u = cross(normals[i], normals[j])
+            un = math.sqrt(dot(u, u))
             if un < 1e-12:
-                gap = min(float(angular_distance(x, y)) for x in (ai, bi) for y in (aj, bj))
-                count += gap < tol
+                count += min(angle(x, y) for x in (ai, bi) for y in (aj, bj)) < tol
                 continue
-            for p in (u / un, -u / un):
-                on_i = min(p @ ai, p @ bi) >= ai @ bi and p @ (ai + bi) > 0
-                on_j = min(p @ aj, p @ bj) >= aj @ bj and p @ (aj + bj) > 0
+            for s in (1.0, -1.0):
+                p = tuple(s * x / un for x in u)
+                on_i = min(dot(p, ai), dot(p, bi)) >= dot(ai, bi) and dot(p, ai) + dot(p, bi) > 0
+                on_j = min(dot(p, aj), dot(p, bj)) >= dot(aj, bj) and dot(p, aj) + dot(p, bj) > 0
                 count += on_i and on_j
     return count
+
+
+def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side (dq, dv) of the equations of motion at a state."""
+    rhs, _ = flow._equations(sys)
+    out = rhs(*(float(c) for c in state.q), *(float(c) for c in state.v))
+    return np.array(out[:3]), np.array(out[3:])
 
 
 def field_reference(sys: MagneticSystem, q: np.ndarray, v: np.ndarray):
@@ -428,9 +454,87 @@ class TestSelfIntersections:
         equator = np.tile(latitude_loop(0.0, 64).nodes, (2, 1))
         assert count_self_intersections(circle) == crossings_reference(circle) == 88
         assert count_self_intersections(equator) == crossings_reference(equator) == 192
+        # 3-fold: every segment lies on two copies of itself
+        circle = np.tile(latitude_loop(0.3, 64).nodes, (3, 1))
+        equator = np.tile(latitude_loop(0.0, 64).nodes, (3, 1))
+        assert count_self_intersections(circle) == crossings_reference(circle) == 264
+        assert count_self_intersections(equator) == crossings_reference(equator) == 576
 
     def test_great_circle_simple(self):
         # every segment pair of an exact great circle is parallel, so each
         # one takes the near-miss branch; none of them touches
         axis = np.array([0.0, 1.0, 0.3])
         assert count_self_intersections(great_circle_loop(axis, 512).nodes) == 0
+
+
+class TestRunCapPrune:
+    """The run-cap prune drops only segment pairs that cannot meet."""
+
+    # tracemalloc peaks of one count at N = 2048 under the all-pairs blocked
+    # first pass this prune replaced (numpy 2.4): the pruned count must not
+    # hold more memory
+    BLOCKED_PASS_PEAK_KIB = {"great circle": 693, "wide": 2877}
+
+    @pytest.mark.parametrize("n", [16, 17, 100, 513])
+    @pytest.mark.parametrize("spread", [0.05, 1.0], ids=["tight", "wide"])
+    def test_matches_reference(self, n, spread):
+        # run length 16 divides only some of these node counts
+        rng = np.random.default_rng(n)
+        nodes = project_to_sphere(rng.normal(size=(n, 3)) * spread + np.array([0.0, 0.0, 1.0]))
+        assert count_self_intersections(nodes) == crossings_reference(nodes)
+
+    @pytest.mark.parametrize("n", [16, 40])
+    def test_arcs_longer_than_two_thirds_pi(self, n):
+        nodes = project_to_sphere(np.random.default_rng(n).normal(size=(n, 3)))
+        length = angular_distance(nodes, np.roll(nodes, -1, axis=0))
+        assert length.max() > 2.0 * np.pi / 3.0
+        assert count_self_intersections(nodes) == crossings_reference(nodes)
+
+    def test_coincident_nodes(self):
+        # a great circle that stalls for 20 nodes: the stall's zero-length
+        # segments span a run boundary and touch their neighbours
+        nodes = great_circle_loop(np.array([0.0, 1.0, 0.3]), 64).nodes
+        nodes = np.concatenate([nodes[:10], np.repeat(nodes[10:11], 20, axis=0), nodes[11:]])
+        expected = crossings_reference(nodes)
+        assert expected > 0
+        assert count_self_intersections(nodes) == expected
+
+    def test_run_spanning_a_great_circle(self):
+        # the first run of 16 nodes goes once round a great circle, so its
+        # mean is near zero and its cap takes the whole sphere
+        ring = great_circle_loop(np.array([0.0, 0.0, 1.0]), 16).nodes
+        t = np.linspace(0.0, 2.0 * np.pi, 24, endpoint=False)
+        tilted = np.stack([0.8 + 0.0 * t, 0.6 * np.cos(t), 0.6 * np.sin(t)], axis=1)
+        nodes = np.concatenate([ring, project_to_sphere(tilted)])
+        assert np.linalg.norm(ring.sum(axis=0)) < 1e-9
+        expected = crossings_reference(nodes)
+        assert expected > 0
+        assert count_self_intersections(nodes) == expected
+
+    @pytest.mark.parametrize("run", [1, 7, 64])
+    def test_run_length_does_not_change_the_count(self, monkeypatch, run):
+        rng = np.random.default_rng(7)
+        loops = [
+            project_to_sphere(rng.normal(size=(100, 3)) * 0.3 + np.array([0.0, 0.0, 1.0])),
+            project_to_sphere(rng.normal(size=(64, 3))),
+            np.tile(latitude_loop(0.3, 64).nodes, (2, 1)),
+        ]
+        expected = [count_self_intersections(nodes) for nodes in loops]
+        monkeypatch.setattr(flow, "_RUN", run)
+        assert [count_self_intersections(nodes) for nodes in loops] == expected
+
+    @pytest.mark.parametrize("shape", ["great circle", "wide"])
+    def test_peak_memory_at_2048(self, shape):
+        if shape == "great circle":
+            nodes = great_circle_loop(np.array([0.0, 1.0, 0.3]), 2048).nodes
+        else:
+            nodes = project_to_sphere(np.random.default_rng(5).normal(size=(2048, 3)))
+        count_self_intersections(nodes)  # first-call allocations stay out
+        tracemalloc.start()
+        try:
+            count_self_intersections(nodes)
+            peak = tracemalloc.get_traced_memory()[1] / 1024.0
+        finally:
+            tracemalloc.stop()
+        # measured 551 and 1251 KiB
+        assert peak <= self.BLOCKED_PASS_PEAK_KIB[shape]

@@ -23,7 +23,6 @@ from magflow import (
     perturb_normal,
     sweep_flux,
     valley_tau,
-    zeta_loop,
 )
 from magflow.loop_space import (
     _choose_apex,
@@ -42,7 +41,7 @@ from magflow.sphere_geom import (
     tangent_basis,
     triangles_flux,
 )
-from tests.conftest import random_lifted, random_loop
+from tests.conftest import random_lifted, random_loop, zeta_loop
 
 E = 0.02
 

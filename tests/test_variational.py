@@ -1,3 +1,5 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from scipy import integrate as sp_integrate
@@ -76,6 +78,29 @@ class TestFindWaist:
         assert abs(res.report.mean_energy_residual) <= 1e-6
         assert res.report.self_intersections == 0
         assert np.max(np.abs(res.lifted.nodes[:, 2])) < 1e-3
+
+    def test_report_is_certified_on_first_read(self, sys_z, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return certify_orbit(*args)
+
+        monkeypatch.setattr(variational, "certify_orbit", counting)
+        seed = default_seed_builder(sys_z, E, z0=0.0, amplitude=0.05, mode=3)(128)
+        res = find_waist(sys_z, E, seed, SolverConfig())
+        assert calls == []
+        eager = replace(certify_orbit(sys_z, res.lifted.loop, E), gradient_norm=res.gradient_norm)
+        report = res.report
+        assert res.report is report
+        assert len(calls) == 1
+        # field for field, bit for bit
+        for f in fields(report):
+            got, want = getattr(report, f.name), getattr(eager, f.name)
+            assert type(got) is type(want)
+            assert (got.hex() if isinstance(got, float) else got) == (
+                want.hex() if isinstance(want, float) else want
+            ), f.name
 
     def test_lbfgs_iterations_acceptance_04_seed(self, sys_z):
         seed = default_seed_builder(sys_z, E, z0=0.0, amplitude=0.05, mode=3)(128)
@@ -288,6 +313,22 @@ class TestMinimax:
         rep = certify_orbit(sys_z, polish_candidate(sys_z, mm.saddle.loop, E), E)
         assert rep.closure_residual <= 1e-4
         assert abs(rep.mean_energy_residual) <= 1e-5
+
+    def test_benchmark_pair_shoots_only_the_saddle(self, sys_z, monkeypatch):
+        # the endpoint waists' reports are never read, so they are never shot
+        calls = []
+
+        def counting(sys, candidate, e):
+            calls.append(candidate)
+            return certify_orbit(sys, candidate, e)
+
+        monkeypatch.setattr(variational, "certify_orbit", counting)
+        cfg = SolverConfig()
+        seeds = default_seed_builder(sys_z, E, amplitude=0.05)
+        waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], seeds, 512, cfg)
+        mm = minimax_between_labels(sys_z, E, waists, (1, 0), (2, 0), cfg)
+        assert len(calls) == 1
+        assert np.array_equal(calls[0].nodes, mm.saddle.nodes)
 
     def test_deck_equivariance(self, sys_shifted):
         cfg = SolverConfig()
