@@ -5,6 +5,7 @@ from .errors import (
     MagflowError,
     MaxIterations,
     NearZeroVector,
+    NonFiniteAction,
     NotSymmetric,
     ParseError,
     StepExplosion,

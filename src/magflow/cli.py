@@ -59,7 +59,7 @@ _SCHEMA: dict[str, tuple[str, str]] = {
     "run.energy_grid": ("grid", ""),
     "run.labels": ("labels", "(1,0);(2,0)"),
     "run.seed_z0": ("float:open_pm1", "0.0"),
-    "run.seed_amplitude": ("float", "0.05"),
+    "run.seed_amplitude": ("float:open_pm1", "0.05"),
     "run.seed_mode": ("int:0,64", "3"),
     "run.e_max": ("float:>0", "0.3"),
     "run.grid_step": ("float:>0", "0.01"),

@@ -9,10 +9,17 @@ whenever the system is rotationally symmetric about the z-axis), and
 ``e1_lower_bound_general`` descends from a coarse seed bank and accepts any
 embedded local minimizer with negative action.  Both report lower bounds:
 multi-component configurations are not searched.
+
+The latitude oracle runs on the zonal coefficient tuples of ``fields``: one
+array evaluation over the open z grid, then golden-section steps on Python
+floats.  A descent that meets a non-finite action raises
+``NonFiniteAction``, which the general bound does not treat as a failed
+seed: the system itself overflows.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +38,7 @@ from .loop_space import (
 from .tonelli import MagneticSystem
 from .variational import SolverConfig, find_waist
 
-_INV_PHI = (np.sqrt(5.0) - 1.0) / 2.0
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_SIZE = 401  # open z grid that brackets the threshold's maximum
 
 
@@ -91,11 +98,11 @@ def latitude_circle_action(sys: MagneticSystem, e: float, z0: float) -> float:
     _require_symmetric(sys)
     if not -1.0 < z0 < 1.0:
         raise ValueError("z0 must lie strictly between -1 and 1")
-    u_val = float(sys.potential.zonal_polynomial(np.array(z0)))
+    u_val = float(sys.potential.zonal_polynomial(z0))
     if e <= u_val:
-        return np.inf
-    length = 2.0 * np.pi * np.sqrt(1.0 - z0 * z0)
-    return length * np.sqrt(2.0 * (e - u_val)) + cap_flux(sys, z0)
+        return math.inf
+    length = 2.0 * math.pi * math.sqrt(1.0 - z0 * z0)
+    return length * math.sqrt(2.0 * (e - u_val)) + cap_flux(sys, z0)
 
 
 def _threshold(sys: MagneticSystem, z):
@@ -103,16 +110,20 @@ def _threshold(sys: MagneticSystem, z):
 
     With P = cap_flux / 2 pi the action 2 pi (sqrt(1 - z^2) sqrt(2 (e - U)) + P)
     increases with e and is negative exactly when P < 0 and
-    e < U + P^2 / (2 (1 - z^2)); where P >= 0 the value is -inf.
+    e < U + P^2 / (2 (1 - z^2)); where P >= 0 the value is -inf.  A float
+    z gives a float, an array z an array.
     """
-    p = cap_flux(sys, z) / (2.0 * np.pi)
+    p = cap_flux(sys, z) / (2.0 * math.pi)
     e_star = sys.potential.zonal_polynomial(z) + p * p / (2.0 * (1.0 - z * z))
-    return np.where(p < 0.0, e_star, -np.inf)
+    if isinstance(z, float):
+        return e_star if p < 0.0 else -math.inf
+    return np.where(p < 0.0, e_star, -math.inf)
 
 
 def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
     """Minimum of a unimodal fn on [lo, hi] by golden-section search, with
-    the bracket narrowed to width 1e-12; returns (argmin, min)."""
+    the bracket narrowed to width 1e-12; returns (argmin, min).  Runs on
+    Python floats: pass a float bracket and a fn that returns floats."""
     c, d = hi - _INV_PHI * (hi - lo), lo + _INV_PHI * (hi - lo)
     fc, fd = fn(c), fn(d)
     while hi - lo > 1e-12:
@@ -124,7 +135,7 @@ def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
             lo, c, fc = c, d, fd
             d = lo + _INV_PHI * (hi - lo)
             fd = fn(d)
-    return (float(c), float(fc)) if fc < fd else (float(d), float(fd))
+    return (c, fc) if fc < fd else (d, fd)
 
 
 def _symmetric_witness(sys, e, z0, n=256) -> LiftedLoop:
@@ -153,7 +164,7 @@ def e1_lower_bound_symmetric(sys: MagneticSystem, e_max: float, tol: float = 1e-
     z_grid = np.linspace(-1.0, 1.0, _GRID_SIZE + 2)[1:-1]
     vals = _threshold(sys, z_grid)
     k = int(np.argmax(vals))
-    lo, hi = z_grid[max(k - 1, 0)], z_grid[min(k + 1, _GRID_SIZE - 1)]
+    lo, hi = float(z_grid[max(k - 1, 0)]), float(z_grid[min(k + 1, _GRID_SIZE - 1)])
     z_star, neg_peak = _golden_section(lambda z: -_threshold(sys, z), lo, hi)
     peak = -neg_peak
     if not peak > vals[k]:

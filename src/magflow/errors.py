@@ -28,6 +28,11 @@ class MaxIterations(MagflowError):
         self.best = best
 
 
+class NonFiniteAction(MagflowError):
+    """The lifted action or its gradient norm is not finite: the system's
+    values overflow on the loop, and no descent from it can converge."""
+
+
 class EndpointNotMinimal(MagflowError):
     """A minimax endpoint is not a converged local minimizer."""
 

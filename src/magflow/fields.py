@@ -13,19 +13,40 @@ about the z-axis W(q) = a * (z_hat x q); ``parse_drift`` reads its rate a:
 
     none                   a = 0
     azimuthal(a)           rate a
+
+A zonal field is a polynomial in z.  Its coefficient tuple, and those of its
+derivative and of its antiderivative from z = -1 (derived once with numpy's
+``polyder`` and ``polyint``), are evaluated by the one Horner rule
+``horner`` on floats and arrays alike: the field values, gradients, bounds,
+the plain-Python evaluators of the flow and the latitude oracle of
+``critical_values`` all go through it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ValidationError
 
 _SPEC_RE = re.compile(r"^\s*([a-z_]+)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
+
+
+def horner(coeffs: tuple[float, ...], z):
+    """sum_k coeffs[k] z^k for a float or an array z, by Horner's rule.
+
+    The steps are numpy's ``polyval``, so the values equal those of a
+    ``numpy.polynomial.Polynomial`` on its default domain bit for bit (the
+    domain map only turns a -0.0 argument into +0.0).
+    """
+    it = reversed(coeffs)
+    out = next(it) + z * 0
+    for ck in it:
+        out = ck + out * z
+    return out
 
 
 def _parse_args(name: str, argstr: str | None) -> tuple[float, ...]:
@@ -121,15 +142,8 @@ class ScalarField:
             ax, ay, az, c = self.coeffs
             return lambda x, y, z: ax * x + ay * y + az * z + c
         if self.kind == "zonal_poly":
-            coeffs = self.coeffs
-
-            def poly(x, y, z):
-                out = 0.0
-                for ck in reversed(coeffs):
-                    out = out * z + ck
-                return out
-
-            return poly
+            poly = self.zonal_polynomial
+            return lambda x, y, z: poly(z)
         raise ValidationError(self.kind, "unknown scalar field kind")
 
     def grad_fn(self):
@@ -140,15 +154,8 @@ class ScalarField:
             ax, ay, az, _ = self.coeffs
             return lambda x, y, z: (ax, ay, az)
         if self.kind == "zonal_poly":
-            coeffs = self.coeffs
-
-            def dpoly(x, y, z):
-                out = 0.0
-                for k in range(len(coeffs) - 1, 0, -1):
-                    out = out * z + k * coeffs[k]
-                return (0.0, 0.0, out)
-
-            return dpoly
+            dpoly = self.zonal_derivative
+            return lambda x, y, z: (0.0, 0.0, dpoly(z))
         raise ValidationError(self.kind, "unknown scalar field kind")
 
     @cached_property
@@ -163,23 +170,35 @@ class ScalarField:
         return True
 
     @cached_property
-    def zonal_polynomial(self) -> np.polynomial.Polynomial:
-        """The field as a polynomial in z (requires ``is_zonal``)."""
+    def zonal_coeffs(self) -> tuple[float, ...]:
+        """Coefficients of the field as a polynomial in z, lowest degree
+        first (requires ``is_zonal``)."""
         if not self.is_zonal:
             raise ValidationError(self.spec(), "field is not zonal")
         if self.kind == "linear":
-            return np.polynomial.Polynomial((self.coeffs[3], self.coeffs[2]))
-        return np.polynomial.Polynomial(self.coeffs)
+            return (self.coeffs[3], self.coeffs[2])
+        return self.coeffs
 
     @cached_property
-    def zonal_derivative(self) -> np.polynomial.Polynomial:
+    def zonal_polynomial(self):
+        """The field as a polynomial in z: a callable on floats and arrays."""
+        return partial(horner, self.zonal_coeffs)
+
+    @cached_property
+    def zonal_derivative_coeffs(self) -> tuple[float, ...]:
+        """Coefficients of d/dz of ``zonal_polynomial``, from numpy's polyder."""
+        return tuple(np.polynomial.polynomial.polyder(self.zonal_coeffs).tolist())
+
+    @cached_property
+    def zonal_derivative(self):
         """d/dz of ``zonal_polynomial``."""
-        return self.zonal_polynomial.deriv()
+        return partial(horner, self.zonal_derivative_coeffs)
 
     @cached_property
-    def zonal_antiderivative(self) -> np.polynomial.Polynomial:
+    def zonal_antiderivative(self):
         """The antiderivative of ``zonal_polynomial`` that vanishes at z = -1."""
-        return self.zonal_polynomial.integ(lbnd=-1.0)
+        coeffs = np.polynomial.polynomial.polyint(self.zonal_coeffs, lbnd=-1.0)
+        return partial(horner, tuple(coeffs.tolist()))
 
     def bounds(self) -> tuple[float, float]:
         """Exact (min, max) of the field over the sphere.
@@ -194,7 +213,8 @@ class ScalarField:
             ax, ay, az, c = self.coeffs
             r = float(np.sqrt(ax * ax + ay * ay + az * az))
             return c - r, c + r
-        z = np.concatenate(([-1.0, 1.0], np.clip(self.zonal_derivative.roots().real, -1.0, 1.0)))
+        roots = np.polynomial.polynomial.polyroots(self.zonal_derivative_coeffs)
+        z = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
         vals = self.zonal_polynomial(z)
         return float(vals.min()), float(vals.max())
 

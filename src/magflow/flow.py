@@ -175,25 +175,27 @@ def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(n):
-        a1 = rhs(qx, qy, qz, vx, vy, vz)
-        a2 = rhs(
-            qx + half * a1[0], qy + half * a1[1], qz + half * a1[2],
-            vx + half * a1[3], vy + half * a1[4], vz + half * a1[5],
+        # stages a, b, c, d: the derivatives of qx, qy, qz, vx, vy, vz are
+        # named by the letter of the stage and then x, y, z, u, v, w
+        ax, ay, az, au, av, aw = rhs(qx, qy, qz, vx, vy, vz)
+        bx, by, bz, bu, bv, bw = rhs(
+            qx + half * ax, qy + half * ay, qz + half * az,
+            vx + half * au, vy + half * av, vz + half * aw,
         )
-        a3 = rhs(
-            qx + half * a2[0], qy + half * a2[1], qz + half * a2[2],
-            vx + half * a2[3], vy + half * a2[4], vz + half * a2[5],
+        cx, cy, cz, cu, cv, cw = rhs(
+            qx + half * bx, qy + half * by, qz + half * bz,
+            vx + half * bu, vy + half * bv, vz + half * bw,
         )
-        a4 = rhs(
-            qx + dt * a3[0], qy + dt * a3[1], qz + dt * a3[2],
-            vx + dt * a3[3], vy + dt * a3[4], vz + dt * a3[5],
+        dx, dy, dz, du, dv, dw = rhs(
+            qx + dt * cx, qy + dt * cy, qz + dt * cz,
+            vx + dt * cu, vy + dt * cv, vz + dt * cw,
         )
-        qx += sixth * (a1[0] + 2.0 * (a2[0] + a3[0]) + a4[0])
-        qy += sixth * (a1[1] + 2.0 * (a2[1] + a3[1]) + a4[1])
-        qz += sixth * (a1[2] + 2.0 * (a2[2] + a3[2]) + a4[2])
-        vx += sixth * (a1[3] + 2.0 * (a2[3] + a3[3]) + a4[3])
-        vy += sixth * (a1[4] + 2.0 * (a2[4] + a3[4]) + a4[4])
-        vz += sixth * (a1[5] + 2.0 * (a2[5] + a3[5]) + a4[5])
+        qx += sixth * (ax + 2.0 * (bx + cx) + dx)
+        qy += sixth * (ay + 2.0 * (by + cy) + dy)
+        qz += sixth * (az + 2.0 * (bz + cz) + dz)
+        vx += sixth * (au + 2.0 * (bu + cu) + du)
+        vy += sixth * (av + 2.0 * (bv + cv) + dv)
+        vz += sixth * (aw + 2.0 * (bw + cw) + dw)
         qn = math.sqrt(qx * qx + qy * qy + qz * qz)
         qx, qy, qz = qx / qn, qy / qn, qz / qn
         qv = qx * vx + qy * vy + qz * vz

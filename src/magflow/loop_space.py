@@ -22,11 +22,16 @@ around its center (so a sweep and its reversal cancel exactly) weighted by a
 tensor-Simpson average of the density.
 The action gradient differentiates that exact discrete rule, so central
 finite differences of the lifted action reproduce it to truncation error.
+
+Loop files are the JSON of ``lifted_to_dict`` with indent 1 and sorted keys;
+``save_lifted`` streams those bytes from Python floats and refuses a loop
+that ``load_lifted`` would reject as non-finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -221,12 +226,10 @@ def _choose_apex(nodes: np.ndarray) -> np.ndarray:
     """Cone apex for the nodes: the base point when it keeps a 0.2 rad
     antipodal margin, otherwise the candidate with the largest margin."""
 
-    def margin(apex: np.ndarray) -> float:
-        return np.pi - float(np.max(angular_distance(apex, nodes)))
-
-    if margin(_APEX_CANDIDATES[0]) >= 0.2:
+    if np.pi - float(np.max(angular_distance(_APEX_CANDIDATES[0], nodes))) >= 0.2:
         return _APEX_CANDIDATES[0]
-    return _APEX_CANDIDATES[int(np.argmax([margin(apex) for apex in _APEX_CANDIDATES]))]
+    margins = np.pi - np.max(angular_distance(_APEX_CANDIDATES[:, None], nodes), axis=1)
+    return _APEX_CANDIDATES[int(np.argmax(margins))]
 
 
 def cone_flux(
@@ -476,8 +479,23 @@ def lifted_from_dict(data: dict) -> LiftedLoop:
 
 
 def save_lifted(ll: LiftedLoop, path) -> None:
+    """Write ``lifted_to_dict(ll)`` as JSON with indent 1 and sorted keys.
+
+    The bytes are those of ``json.dump(..., indent=1, sort_keys=True)``,
+    streamed one node at a time: json spells a finite float as its repr.
+    A non-finite node, period or flux raises ``ValueError``, since
+    ``load_lifted`` would reject the file.
+    """
+    p, flux = float(ll.p), float(ll.flux)
+    if not (math.isfinite(p) and math.isfinite(flux) and np.all(np.isfinite(ll.nodes))):
+        raise ValueError("loop nodes, period and flux must be finite")
     with open(path, "w") as fh:
-        json.dump(lifted_to_dict(ll), fh, indent=1, sort_keys=True)
+        fh.write(f'{{\n "flux": {flux!r},\n "nodes": [')
+        sep = "\n"
+        for x, y, z in ll.nodes.tolist():
+            fh.write(f"{sep}  [\n   {x!r},\n   {y!r},\n   {z!r}\n  ]")
+            sep = ",\n"
+        fh.write(f'\n ],\n "p": {p!r}\n}}')
 
 
 def load_lifted(path) -> LiftedLoop:
@@ -489,5 +507,5 @@ def nodes_to_csv(loop: FreePeriodLoop, path) -> None:
     """One x,y,z line per node, each coordinate as Python's round-trip repr."""
     with open(path, "w") as fh:
         fh.write("x,y,z\n")
-        for row in loop.nodes:
-            fh.write(",".join(repr(float(c)) for c in row) + "\n")
+        for row in loop.nodes.tolist():
+            fh.write(",".join(map(repr, row)) + "\n")

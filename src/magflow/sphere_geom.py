@@ -194,8 +194,10 @@ def triangles_flux(density: Density, tris: np.ndarray, depth: int = FLUX_DEPTH) 
         # psi' times the theta_max of the substitution th = s * theta_max
         jac = np.divide(theta_max, sin_max * sin_max, out=np.zeros_like(theta_max), where=ok)
         th = s[:, None] * theta_max
-        q = np.cos(th)[..., None] * a + np.sin(th)[..., None] * d
-        g[j] = scale * jac * (ws @ (density(q) * np.sin(th)))
+        sin_th = np.sin(th)
+        q = sin_th[..., None] * d
+        q += np.cos(th)[..., None] * a
+        g[j] = scale * jac * (ws @ (density(q) * sin_th))
     return float(np.sum(wt @ (g[:half] + g[::-1][:half])))
 
 

@@ -34,7 +34,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EndpointNotMinimal, MagflowError, MaxIterations, ValleyCollapse
+from .errors import (
+    EndpointNotMinimal,
+    MagflowError,
+    MaxIterations,
+    NonFiniteAction,
+    ValleyCollapse,
+)
 from .flow import OrbitReport, certify_orbit
 from .loop_space import (
     FreePeriodLoop,
@@ -185,9 +191,10 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
     The result's ``report`` certifies the waist by shooting when it is
     first read, and keeps that report for later reads.
 
-    Raises ``ValleyCollapse`` when the iterate enters the short-loop valley
-    and ``MaxIterations`` (carrying the best iterate) when the budget runs
-    out before the gradient norm reaches ``cfg.tol``.
+    Raises ``ValleyCollapse`` when the iterate enters the short-loop valley,
+    ``NonFiniteAction`` as soon as the action or the gradient norm is not
+    finite, and ``MaxIterations`` (carrying the best iterate) when the budget
+    runs out before the gradient norm reaches ``cfg.tol``.
     """
     tau = valley_tau(sys)
     ll = _reduced_lift(sys, e, seed)
@@ -201,6 +208,8 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
     for it in range(cfg.max_iter):
         grad = action_gradient(sys, e, ll)
         h1_dir, dual = h1_precondition(ll.loop, grad)
+        if not (math.isfinite(action) and math.isfinite(dual)):
+            raise NonFiniteAction(f"action {action} and gradient norm {dual} at iteration {it}")
         if dual <= cfg.tol:
             return WaistResult(sys, e, ll, action, dual, it, history)
 

@@ -3,15 +3,18 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import magflow
-from magflow import latitude_loop
+from magflow import latitude_loop, lifted_action_A
 from magflow.cli import _DEPRECATED, _SCHEMA, main, parse_config
+from magflow.critical_values import _symmetric_witness
 from magflow.errors import ParseError, ValidationError
+from magflow.loop_space import lifted_to_dict
 
 MINIMAL = """
 # minimal round system with the shifted height density
@@ -30,6 +33,69 @@ def nan_node_loop():
     nodes = latitude_loop(0.0, 32).nodes.copy()
     nodes[3, 1] = np.nan
     return nodes
+
+
+def polynomial_oracle(system, e_max, out, tol=1e-4):
+    """The critical-values payload and witness of a zonal round system, with
+    the latitude threshold evaluated by numpy Polynomial objects on numpy
+    scalars and maximized by a grid scan and golden-section search."""
+    poly = np.polynomial.Polynomial
+    cap = poly(system.density.zonal_coeffs).integ(lbnd=-1.0)
+    pot = poly(system.potential.zonal_coeffs)
+
+    def threshold(z):
+        p = 2.0 * np.pi * cap(z) / (2.0 * np.pi)
+        return np.where(p < 0.0, pot(z) + p * p / (2.0 * (1.0 - z * z)), -np.inf)
+
+    candidates = np.concatenate(([-1.0, 1.0], np.clip(pot.deriv().roots().real, -1.0, 1.0)))
+    e0 = float(pot(candidates).max())
+    z_grid = np.linspace(-1.0, 1.0, 403)[1:-1]
+    vals = threshold(z_grid)
+    k = int(np.argmax(vals))
+    lo, hi = z_grid[max(k - 1, 0)], z_grid[min(k + 1, len(z_grid) - 1)]
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+    fc, fd = -threshold(c), -threshold(d)
+    while hi - lo > 1e-12:
+        if fc < fd:
+            hi, d, fd = d, c, fc
+            c = hi - inv_phi * (hi - lo)
+            fc = -threshold(c)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + inv_phi * (hi - lo)
+            fd = -threshold(d)
+    z_star, peak = (float(c), -float(fc)) if fc < fd else (float(d), -float(fd))
+    if not peak > vals[k]:
+        z_star, peak = float(z_grid[k]), float(vals[k])
+    value = min(e_max, peak)
+    assert value > e0
+    for back in (tol, 2 * tol, 5 * tol, 1e-2, 5e-2):
+        e_w = value - back
+        if e_w <= e0:
+            break
+        u = pot(z_star)
+        circle = 2.0 * np.pi * np.sqrt(1.0 - z_star**2) * np.sqrt(2.0 * (e_w - u))
+        if e_w <= u or circle + 2.0 * np.pi * cap(z_star) >= 0:
+            continue
+        witness = _symmetric_witness(system, e_w, z_star)
+        action = lifted_action_A(system, e_w, witness)
+        if action < 0:
+            break
+    certificate = {
+        "energy": e_w,
+        "action_value": float(action),
+        "loop_file": str(out / "e1_witness.json"),
+    }
+    return {
+        "schema_version": 1,
+        "command": "critical-values",
+        "e0": e0,
+        "e1_lower_bound": value,
+        "negative_configuration_found": True,
+        "method": "symmetric-latitude-oracle",
+        "certificate": certificate,
+    }, witness
 
 
 class TestParseConfig:
@@ -139,6 +205,44 @@ flow.step = 1e-2
         assert payload["negative_configuration_found"] is True
         assert (tmp_path / "e1_witness.json").exists()
 
+    @pytest.mark.parametrize(
+        "line",
+        ["system.drift = azimuthal(1e300)", "system.conformal_exponent = height(800, 0)"],
+        ids=["drift-overflow", "metric-overflow"],
+    )
+    def test_overflowing_system_exits_one(self, tmp_path, capsys, line):
+        # the general descent meets an infinite or NaN action on its first
+        # seed; it stops there instead of running every seed's whole budget
+        cfg = write(tmp_path, f"system.density = height(1.0, 0.0)\n{line}\n")
+        start = time.perf_counter()
+        code = main(["critical-values", "--config", cfg, "--out", str(tmp_path)])
+        assert time.perf_counter() - start < 10.0
+        err = capsys.readouterr().err
+        assert code == 1
+        assert len(err.splitlines()) == 1 and "error: NonFiniteAction" in err
+
+    @pytest.mark.parametrize(
+        "system_lines",
+        [
+            "system.density = height(1.0, 0.0)",
+            "system.density = height(1.0, 0.2)\nsystem.potential = zonal_poly(0.0, 0.0, 0.05)",
+            "system.density = zonal_poly(0.0, -1.0, 0.0, 3.0)",
+        ],
+        ids=["z", "z+0.2-quadratic-potential", "3z^3-z"],
+    )
+    def test_critical_values_match_polynomial_formula(self, tmp_path, capsys, system_lines):
+        # stdout and witness bytes equal those of the oracle evaluated with
+        # numpy Polynomial objects and numpy scalars, written by json.dumps
+        cfg = write(tmp_path, f"{system_lines}\nrun.e_max = 0.3\n")
+        code = main(["critical-values", "--config", cfg, "--out", str(tmp_path)])
+        assert code == 0
+        payload, witness = polynomial_oracle(parse_config(cfg).system(), 0.3, tmp_path)
+        expect = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+        assert capsys.readouterr().out == expect
+        assert (tmp_path / "e1_witness.json").read_text() == json.dumps(
+            lifted_to_dict(witness), indent=1, sort_keys=True
+        )
+
     def test_waist_valley_seed_exit_one(self, tmp_path, capsys):
         cfg = write(
             tmp_path,
@@ -203,13 +307,14 @@ discretization.loop_nodes = 32
             ("critical-values", "system.density = height(inf, 0.0)", None),
             ("critical-values", "system.drift = none(5)", None),
             ("scan", "run.labels = (1,0)\nrun.energy_grid = 0.02", None),
+            ("waist", "run.seed_amplitude = 1e300", None),
         ],
         ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "v0-overflow", "grid-step-0",
              "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
              "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
              "config-missing", "grid-reversed", "grid-step-away", "grid-oversized",
              "descent-grid-oversized", "flow-steps-oversized", "potential-nan", "density-inf",
-             "drift-none-args", "scan-one-label"],
+             "drift-none-args", "scan-one-label", "seed-amplitude-huge"],
     )
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop):
         # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload;

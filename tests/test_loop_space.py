@@ -31,6 +31,7 @@ from magflow.loop_space import (
     lifted_from_dict,
     lifted_to_dict,
     load_lifted,
+    nodes_to_csv,
     save_lifted,
 )
 from magflow.sphere_geom import (
@@ -160,6 +161,45 @@ class TestLoopContainers:
         back = load_lifted(path)
         assert np.array_equal(back.nodes, ll.nodes)
         assert back.p == ll.p and back.flux == ll.flux
+
+    @pytest.mark.parametrize("value", [-0.0, 5e-324, 1e-300, 1e16, 1.0])
+    def test_save_lifted_equals_json_dump(self, tmp_path, value):
+        # the writer spells floats as json does: the repr of each float
+        nodes = latitude_loop(0.3, 16).nodes.copy()
+        nodes[2, 0], nodes[5, 2], nodes[11, 1] = value, -value, value
+        ll = LiftedLoop(FreePeriodLoop(nodes, abs(value) or 1.0), value)
+        path = tmp_path / "loop.json"
+        save_lifted(ll, path)
+        assert path.read_text() == json.dumps(lifted_to_dict(ll), indent=1, sort_keys=True)
+
+    @pytest.mark.parametrize("where", ["node-nan", "node-inf", "p-inf", "flux-nan", "flux-inf"])
+    def test_save_lifted_refuses_non_finite(self, tmp_path, where):
+        nodes = latitude_loop(0.0, 16).nodes.copy()
+        p, flux = 1.0, 0.0
+        if where == "node-nan":
+            nodes[4, 1] = np.nan
+        elif where == "node-inf":
+            nodes[4, 1] = np.inf
+        elif where == "p-inf":
+            p = np.inf
+        elif where == "flux-nan":
+            flux = np.nan
+        else:
+            flux = -np.inf
+        path = tmp_path / "loop.json"
+        with pytest.raises(ValueError):
+            save_lifted(LiftedLoop(FreePeriodLoop(nodes, p), flux), path)
+        assert not path.exists()
+
+    def test_nodes_to_csv_row_formula(self, rng, tmp_path):
+        loop = random_loop(rng, 40)
+        nodes = loop.nodes.copy()
+        nodes[0] = (-0.0, 5e-324, 1e16)
+        loop = FreePeriodLoop(nodes, 1.0)
+        path = tmp_path / "nodes.csv"
+        nodes_to_csv(loop, path)
+        rows = "".join(",".join(repr(float(c)) for c in row) + "\n" for row in loop.nodes)
+        assert path.read_text() == "x,y,z\n" + rows
 
 class TestDiscreteAction:
     def test_constant_loop_value(self):

@@ -26,7 +26,7 @@ from magflow import (
     refine_stationary,
 )
 from magflow import variational
-from magflow.errors import EndpointNotMinimal, MaxIterations, ValleyCollapse
+from magflow.errors import EndpointNotMinimal, MaxIterations, NonFiniteAction, ValleyCollapse
 from magflow.loop_space import h1_solve
 from magflow.variational import (
     DEDUPE_HAUSDORFF,
@@ -101,6 +101,23 @@ class TestFindWaist:
             assert (got.hex() if isinstance(got, float) else got) == (
                 want.hex() if isinstance(want, float) else want
             ), f.name
+
+    def test_non_finite_action_raises_at_once(self, monkeypatch):
+        # an overflowing drift makes the gradient norm infinite; the descent
+        # must stop there, not accept infinite or NaN trials to its budget
+        steps, trial_step = [], variational._trial_step
+
+        def counting(*args):
+            steps.append(args)
+            return trial_step(*args)
+
+        monkeypatch.setattr(variational, "_trial_step", counting)
+        sys_big = MagneticSystem(ScalarField.height(1.0, 0.0), drift=1e300)
+        loop = latitude_loop(0.3, 64)
+        seed = lift_loop(sys_big, loop.with_period(optimal_period(sys_big, loop, E)))
+        with pytest.raises(NonFiniteAction), np.errstate(over="ignore", invalid="ignore"):
+            find_waist(sys_big, E, seed, SolverConfig(max_iter=20000))
+        assert steps == []
 
     def test_lbfgs_iterations_acceptance_04_seed(self, sys_z):
         seed = default_seed_builder(sys_z, E, z0=0.0, amplitude=0.05, mode=3)(128)
