@@ -413,7 +413,10 @@ def run_command(command: str, cfg: RunConfig, out_dir) -> int:
     out = _out_path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
-        code, payload = _DISPATCH[command](cfg, out)
+        # the solvers test their own values for finiteness, so numpy's
+        # floating-point warnings would only add lines before the error line
+        with np.errstate(all="ignore"):
+            code, payload = _DISPATCH[command](cfg, out)
         payload = {"schema_version": 1, "command": command, **payload}
         print(json.dumps(payload, sort_keys=True, indent=1, default=lambda o: o.tolist()))
         return code

@@ -22,13 +22,14 @@ for a non-round metric, so round-metric trajectories keep the bits of the
 plain round formula.
 
 Certification (``certify_orbit``) shoots a candidate loop for one period
-with that integrator and picks the number of steps by step doubling against
-``SHOOT_BUDGET``, 1/1000 of the closure bound ``CERTIFY_CLOSURE_TOL``.  The
-doubling starts at ``MAX_STEP``, the coarsest step ``integrate`` accepts,
-and a shot that explodes there only means the step must shrink.  Its
-self-intersection count groups consecutive segments into runs, expands only
-the run pairs whose bounding caps meet, and tests the segment pairs that pass
-a per-pair distance bound in one vectorized pass.
+with that integrator.  The first shot takes ``SHOOT_MIN_STEPS`` steps, and the
+Richardson error model of a 4th-order method picks each finer one until the
+end state's error estimate is at most ``SHOOT_BUDGET``, 1/1000 of the closure
+bound ``CERTIFY_CLOSURE_TOL``; a shot that explodes only means the step must
+shrink.  Its self-intersection count runs on the candidate's primitive,
+groups consecutive segments into runs, expands only the run pairs whose
+bounding caps meet, and tests the segment pairs that pass a per-pair
+distance bound in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepExplosion
-from .loop_space import FreePeriodLoop
+from .loop_space import FreePeriodLoop, primitive
 from .sphere_geom import (
     angular_distance,
     cross3,
@@ -52,15 +53,14 @@ from .sphere_geom import (
 from .tonelli import MagneticSystem
 
 _EXPLOSION_BOUND = 1e6
-# largest RK4 step ``integrate`` accepts, and the most steps one call may
-# take (its arrays then hold 560 MB)
-MAX_STEP = 0.1
+# the most RK4 steps one ``integrate`` call may take (its arrays then hold
+# 560 MB)
 MAX_STEPS = 10_000_000
 # largest shooting closure residual of a certified orbit, and the error
-# budget of the RK4 shot that measures it (step doubling stops below it)
+# budget of the RK4 shot that measures it (the shots stop below it)
 CERTIFY_CLOSURE_TOL = 1e-4
 SHOOT_BUDGET = CERTIFY_CLOSURE_TOL / 1000
-# certification's fewest RK4 steps per period
+# certification's first shot, in RK4 steps per period
 SHOOT_MIN_STEPS = 64
 # ``count_self_intersections``' prune: segments per run, the angle (rad) by
 # which two runs' caps may miss and still be expanded (the pair bound's 1e-12
@@ -154,8 +154,8 @@ def _equations(sys: MagneticSystem):
 
 def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
     """Integrate for time T with (approximately) step h, landing exactly at T."""
-    if not (0.0 < h <= MAX_STEP):
-        raise ValueError(f"step must satisfy 0 < h <= {MAX_STEP:g}")
+    if not 0.0 < h:  # written so that NaN fails it too
+        raise ValueError("step must be positive")
     if h > T:
         raise ValueError("step must not exceed the total time")
     if T / h > MAX_STEPS:
@@ -368,16 +368,20 @@ def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> O
     action discretization itself uses, so a converged waist reports the same
     residual that its period equation drove to zero.
 
-    The RK4 step is chosen by step doubling from the coarsest step
-    ``integrate`` accepts: the first shot takes n = max(SHOOT_MIN_STEPS,
-    p / MAX_STEP) steps per period, and each later one twice as many as the
-    one before.  Two successive shots with n and 2n steps give |y_2n - y_n| / 15
-    as the error of the finer end state (the Richardson estimate of a
-    4th-order method); doubling stops once that is at most ``SHOOT_BUDGET``,
-    or when the next shot would pass ``MAX_STEPS``.  A shot that raises
-    ``StepExplosion`` is unresolved, not a failure: its step is too coarse
-    for the field, so n doubles again.  Only an explosion at the last shot
-    propagates.  The closure residual is the finest shot's.
+    The first shot takes n = ``SHOOT_MIN_STEPS`` RK4 steps per period.  The
+    last two shots that did not explode, with n and R n steps, give
+    |y_Rn - y_n| / (R^4 - 1) as the error of the finer end state (the
+    Richardson estimate of a 4th-order method; R = 2 gives the familiar / 15).
+    The shots stop once that is at most ``SHOOT_BUDGET``.  Otherwise the next
+    shot takes 4 n steps when the estimate exceeds 16 times the budget, so that
+    by the same model 2 n would still miss it, and 4 n steps are allowed;
+    else it takes 2 n, as it does after the first shot.  A shot that raises
+    ``StepExplosion`` is unresolved, not a failure: its step is too coarse for
+    the field, so n doubles.  No shot passes ``MAX_STEPS``: the shots stop
+    after the last one allowed, and only an explosion there propagates.  The
+    closure residual is the finest shot's.  Crossings are counted on the
+    candidate's primitive, so that a retraced loop reports the crossings of
+    the orbit it retraces.
     """
     nodes = np.asarray(candidate.nodes, dtype=float)
     p = float(candidate.p)
@@ -387,10 +391,7 @@ def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> O
     mean_e = float(np.mean(sys.energy(nodes, w / p)))
     v0 = candidate.fourth_order_velocities()[0] / p
     s0 = State.of(nodes[0], v0)
-    n = max(SHOOT_MIN_STEPS, math.ceil(p / MAX_STEP))
-    if p / n > MAX_STEP:  # p / MAX_STEP rounded down onto a whole number
-        n += 1
-    coarse = None
+    n, coarse, coarse_n = SHOOT_MIN_STEPS, None, 0
     while True:
         last = 2 * n > MAX_STEPS
         try:
@@ -398,18 +399,22 @@ def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> O
         except StepExplosion:
             if last:
                 raise
-            fine = None
-        if last or (
-            fine is not None
-            and coarse is not None
-            and state_distance(fine, coarse) / 15.0 <= SHOOT_BUDGET
-        ):
+            n *= 2
+            continue
+        factor = 2
+        if coarse is not None:
+            error = state_distance(fine, coarse) / ((n // coarse_n) ** 4 - 1)
+            if error <= SHOOT_BUDGET:
+                break
+            if error > 16.0 * SHOOT_BUDGET and 4 * n <= MAX_STEPS:
+                factor = 4
+        if last:
             break
-        coarse = fine
-        n *= 2
+        coarse, coarse_n = fine, n
+        n *= factor
     return OrbitReport(
         gradient_norm=0.0,
         mean_energy_residual=mean_e - e,
         closure_residual=state_distance(fine, s0),
-        self_intersections=count_self_intersections(nodes),
+        self_intersections=count_self_intersections(primitive(candidate).nodes),
     )

@@ -329,6 +329,19 @@ def iterate(ll: LiftedLoop, m: int) -> LiftedLoop:
     return LiftedLoop(FreePeriodLoop(np.tile(ll.nodes, (m, 1)), m * ll.p), m * ll.flux)
 
 
+def primitive(loop: FreePeriodLoop, tol: float = 5e-3) -> FreePeriodLoop:
+    """Smallest-period representative of an m-fold retraced loop: the first
+    n / m nodes for the largest m, with at least ``_MIN_NODES`` nodes left,
+    whose shift by n / m nodes moves no node more than ``tol`` radians."""
+    n = loop.n
+    for m in range(n // _MIN_NODES, 1, -1):
+        if n % m == 0:
+            shift = n // m
+            if float(np.max(angular_distance(loop.nodes, cyclic_shift(loop.nodes, shift)))) < tol:
+                return FreePeriodLoop(loop.nodes[:shift], loop.p / m)
+    return loop
+
+
 def deck_transform(sys: MagneticSystem, ll: LiftedLoop, k: int) -> LiftedLoop:
     """Generator of the cover's deck group: shifts the ledger by k * total flux."""
     if k == 0:

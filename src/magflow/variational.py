@@ -59,6 +59,7 @@ from .loop_space import (
     optimal_period,
     optimal_period_fourth,
     perturb_normal,
+    primitive,
     valley_tau,
 )
 from .sphere_geom import (
@@ -674,20 +675,6 @@ def scan_energy(
     return rows
 
 
-def _primitive(loop: FreePeriodLoop, tol: float = 5e-3) -> FreePeriodLoop:
-    """Smallest-period representative of an m-fold retraced loop."""
-    n = loop.n
-    best = loop
-    for m in range(2, n // 16 + 1):
-        if n % m != 0:
-            continue
-        shift = n // m
-        if float(np.max(angular_distance(loop.nodes, cyclic_shift(loop.nodes, shift)))) < tol:
-            best = FreePeriodLoop(loop.nodes[:shift], loop.p / m)
-            break
-    return best
-
-
 def _points_to_polygon(points: np.ndarray, poly: np.ndarray) -> np.ndarray:
     """Geodesic distance from each point to a closed geodesic polygon."""
     a = poly
@@ -761,7 +748,7 @@ def multiplicity_search(
             lifted=waist.lifted,
             action=waist.action,
             report=waist.report,
-            primitive=_primitive(waist.lifted.loop),
+            primitive=primitive(waist.lifted.loop),
         )
     )
 
@@ -789,7 +776,7 @@ def multiplicity_search(
                     lifted=mm.saddle,
                     action=mm.value,
                     report=mm.report,
-                    primitive=_primitive(mm.saddle.loop),
+                    primitive=primitive(mm.saddle.loop),
                 )
             )
 

@@ -210,9 +210,12 @@ flow.step = 1e-2
         ["system.drift = azimuthal(1e300)", "system.conformal_exponent = height(800, 0)"],
         ids=["drift-overflow", "metric-overflow"],
     )
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_system_exits_one(self, tmp_path, capsys, line):
         # the general descent meets an infinite or NaN action on its first
-        # seed; it stops there instead of running every seed's whole budget
+        # seed; it stops there instead of running every seed's whole budget.
+        # A numpy RuntimeWarning would print before the error line, and here
+        # it raises instead
         cfg = write(tmp_path, f"system.density = height(1.0, 0.0)\n{line}\n")
         start = time.perf_counter()
         code = main(["critical-values", "--config", cfg, "--out", str(tmp_path)])
@@ -303,6 +306,7 @@ discretization.loop_nodes = 32
             ("scan", "run.energy_grid = 0:1:1e-15", None),
             ("critical-values", "system.drift = azimuthal(0.1)\nrun.grid_step = 1e-9", None),
             ("flow", "flow.time = 1e13", None),
+            ("flow", "flow.time = 1.0\nflow.step = 2.0", None),
             ("critical-values", "system.potential = zonal_poly(nan, 1.0)", None),
             ("critical-values", "system.density = height(inf, 0.0)", None),
             ("critical-values", "system.drift = none(5)", None),
@@ -313,8 +317,8 @@ discretization.loop_nodes = 32
              "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
              "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
              "config-missing", "grid-reversed", "grid-step-away", "grid-oversized",
-             "descent-grid-oversized", "flow-steps-oversized", "potential-nan", "density-inf",
-             "drift-none-args", "scan-one-label", "seed-amplitude-huge"],
+             "descent-grid-oversized", "flow-steps-oversized", "flow-step-over-time", "potential-nan",
+             "density-inf", "drift-none-args", "scan-one-label", "seed-amplitude-huge"],
     )
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop):
         # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload;

@@ -7,6 +7,7 @@ import pytest
 
 from magflow import (
     FreePeriodLoop,
+    LiftedLoop,
     MagneticSystem,
     ScalarField,
     State,
@@ -14,6 +15,7 @@ from magflow import (
     energy_drift,
     great_circle_loop,
     integrate,
+    iterate,
     latitude_loop,
     optimal_period,
 )
@@ -210,10 +212,12 @@ class TestIntegrate:
         assert np.max(np.abs(steps - steps[0])) < 1e-12
 
     def test_step_guards(self, sys_const):
-        with pytest.raises(ValueError):
-            integrate(sys_const, State.of(EX, EY), 1.0, 0.2)
-        with pytest.raises(ValueError):
-            integrate(sys_const, State.of(EX, EY), 0.05, 0.1)
+        s0 = State.of(EX, EY)
+        for T, h in [(0.05, 0.1), (1.0, 0.0), (1.0, -1e-3), (1.0, math.nan), (1e8, 1e-2)]:
+            with pytest.raises(ValueError):
+                integrate(sys_const, s0, T, h)
+        # the step has no cap of its own: one step may span the whole time
+        assert len(integrate(sys_const, s0, 1.0, 1.0).times) == 2
 
     def test_conformal_path_runs(self):
         sysc = MagneticSystem(
@@ -316,16 +320,24 @@ class TestCertify:
 
     @staticmethod
     def spy_on_integrate(monkeypatch):
-        """Record the step count of every ``flow.integrate`` call."""
+        """Record the step count of every ``flow.integrate`` call, including
+        the shots that explode."""
         steps = []
 
         def spy(sys, s0, T, h):
-            traj = integrate(sys, s0, T, h)
-            steps.append(len(traj.times) - 1)
-            return traj
+            steps.append(max(1, int(round(T / h))))
+            return integrate(sys, s0, T, h)
 
         monkeypatch.setattr(flow, "integrate", spy)
         return steps
+
+    @staticmethod
+    def assert_schedule(steps):
+        """The first shot takes ``SHOOT_MIN_STEPS``, each later one 2 or 4
+        times the one before, and none passes ``MAX_STEPS``."""
+        assert steps[0] == flow.SHOOT_MIN_STEPS
+        assert all(b in (2 * a, 4 * a) for a, b in zip(steps, steps[1:]))
+        assert max(steps) <= flow.MAX_STEPS
 
     def test_step_doubling_matches_fine_reference(self, sys_z):
         loop = latitude_loop(0.0, 128)
@@ -339,8 +351,10 @@ class TestCertify:
         loop = loop.with_period(optimal_period(sys, loop, 2.0))
         steps = self.spy_on_integrate(monkeypatch)
         rep = certify_orbit(sys, loop, 2.0)
-        assert len(steps) - 2 >= 3  # doublings beyond the first coarse/fine pair
-        assert steps == [steps[0] * 2**k for k in range(len(steps))]
+        self.assert_schedule(steps)
+        assert len(steps) >= 4
+        # an estimate above 16 times the budget skips a doubling
+        assert any(b == 4 * a for a, b in zip(steps, steps[1:]))
         assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 1e-4)) <= 1e-7
 
     def test_smooth_orbit_stops_after_one_pair(self, sys_z, monkeypatch):
@@ -348,32 +362,41 @@ class TestCertify:
         loop = loop.with_period(optimal_period(sys_z, loop, 0.02))
         steps = self.spy_on_integrate(monkeypatch)
         certify_orbit(sys_z, loop, 0.02)
-        n = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.MAX_STEP))
-        assert steps == [n, 2 * n]
+        # the 128/64 pair estimates 6.2e-7, within 16 times the budget, so
+        # one doubling brings the pair 256/128 that meets it (4.1e-8)
+        n = flow.SHOOT_MIN_STEPS
+        assert steps == [n, 2 * n, 4 * n]
 
     def test_doubling_stops_at_step_cap(self, monkeypatch):
         sys = MagneticSystem(ScalarField.height(60.0, 0.0))
         loop = latitude_loop(0.3, 128)
         loop = loop.with_period(optimal_period(sys, loop, 2.0))
-        monkeypatch.setattr(flow, "MAX_STEPS", 1000)
-        steps = self.spy_on_integrate(monkeypatch)
-        certify_orbit(sys, loop, 2.0)
-        # every shot up to the cap, and none past it
-        n, expected = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.MAX_STEP)), []
-        while n <= flow.MAX_STEPS:
-            expected.append(n)
-            n *= 2
-        assert len(expected) >= 3
-        assert steps == expected
+        # uncapped, the shots take 64, 128, 512, 2048 and 4096 steps: under a
+        # cap of 300 the jump to 512 becomes a doubling, and under either cap
+        # the shots stop at the last one allowed
+        for cap, expected in [(300, [64, 128, 256]), (1000, [64, 128, 512])]:
+            monkeypatch.setattr(flow, "MAX_STEPS", cap)
+            steps = self.spy_on_integrate(monkeypatch)
+            certify_orbit(sys, loop, 2.0)
+            assert steps == expected
 
     def test_first_shot_at_step_cap(self, sys_z, monkeypatch):
-        # 6.500000000000001 / 0.1 rounds to 65.0, and 65 steps would each be
-        # a hair longer than the cap
-        loop = latitude_loop(0.0, 32).with_period(6.500000000000001)
-        assert loop.p / math.ceil(loop.p / flow.MAX_STEP) > flow.MAX_STEP
-        steps = self.spy_on_integrate(monkeypatch)
-        certify_orbit(sys_z, loop, 0.02)
-        assert steps[0] == 66
+        # the first shot takes SHOOT_MIN_STEPS whatever the period: the step
+        # count comes from the error budget, not from a cap on the step
+        for p in (0.05, 6.500000000000001, 500.0):
+            loop = latitude_loop(0.0, 32).with_period(p)
+            steps = self.spy_on_integrate(monkeypatch)
+            certify_orbit(sys_z, loop, 0.02)
+            self.assert_schedule(steps)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_retraced_orbit_counts_primitive_crossings(self, sys_z, m):
+        # every segment of an m-fold circle lies on m - 1 others, so the
+        # retraced nodes count overlaps by rounding; the circle itself is simple
+        retraced = iterate(LiftedLoop(latitude_loop(-0.5, 40), 0.0), m).loop
+        assert count_self_intersections(retraced.nodes) > 0
+        retraced = retraced.with_period(optimal_period(sys_z, retraced, 0.02))
+        assert certify_orbit(sys_z, retraced, 0.02).self_intersections == 0
 
     def test_strong_field_explosion_refines(self):
         # the first shots of f = 200z near the pole explode (the step is too
@@ -381,9 +404,8 @@ class TestCertify:
         sys = MagneticSystem(ScalarField.height(200.0, 0.0))
         loop = latitude_loop(0.9, 128)
         loop = loop.with_period(optimal_period(sys, loop, 0.02))
-        n = max(flow.SHOOT_MIN_STEPS, math.ceil(loop.p / flow.MAX_STEP))
         with pytest.raises(StepExplosion):
-            self.fixed_step_closure(sys, loop, loop.p / n)  # the first shot
+            self.fixed_step_closure(sys, loop, loop.p / flow.SHOOT_MIN_STEPS)  # the first shot
         rep = certify_orbit(sys, loop, 0.02)
         # a fixed 1e-4 step errs by 1.9e-7 on this orbit; 5e-5 by about 1e-8
         assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 5e-5)) <= 1e-7

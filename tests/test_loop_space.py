@@ -32,6 +32,7 @@ from magflow.loop_space import (
     lifted_to_dict,
     load_lifted,
     nodes_to_csv,
+    primitive,
     save_lifted,
 )
 from magflow.sphere_geom import (
@@ -440,6 +441,15 @@ class TestIterate:
     def test_order_guard(self, sys_z, rng):
         with pytest.raises(ValueError):
             iterate(random_lifted(sys_z, rng), 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 6])
+    def test_primitive_undoes_iterate(self, m):
+        # the largest retrace order wins: the 4-fold iterate is also 2-fold
+        # retraced, and its primitive is still the 48-node loop
+        loop = latitude_loop(-0.4, 48, p=2.0)
+        prim = primitive(iterate(LiftedLoop(loop, 0.0), m).loop)
+        assert np.array_equal(prim.nodes, loop.nodes)
+        assert prim.p == pytest.approx(loop.p)
 
 
 class TestDeckTransform:

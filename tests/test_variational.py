@@ -27,7 +27,7 @@ from magflow import (
 )
 from magflow import variational
 from magflow.errors import EndpointNotMinimal, MaxIterations, NonFiniteAction, ValleyCollapse
-from magflow.loop_space import h1_solve
+from magflow.loop_space import h1_solve, primitive
 from magflow.variational import (
     DEDUPE_HAUSDORFF,
     DEDUPE_PERIOD,
@@ -35,7 +35,6 @@ from magflow.variational import (
     _endpoint_for_label,
     _lbfgs_direction,
     _minres,
-    _primitive,
     build_connecting_chain,
     default_seed_builder,
     hausdorff_distance,
@@ -417,7 +416,7 @@ class TestDedupe:
     def test_primitive_extraction(self, sys_z):
         loop = latitude_loop(-0.4, 64)
         double = iterate(LiftedLoop(loop, 0.0), 2).loop
-        prim = _primitive(double)
+        prim = primitive(double)
         assert prim.n == 64
         assert prim.p == pytest.approx(double.p / 2.0)
         assert hausdorff_distance(prim.nodes, loop.nodes) < 1e-12
@@ -462,7 +461,7 @@ class TestMultiplicity:
         # records whose primitives coincide collapse to one orbit
         loop = latitude_loop(-0.2521, 96)
         loop = loop.with_period(optimal_period(sys_shifted, loop, E))
-        prim_a = _primitive(loop)
-        prim_b = _primitive(iterate(LiftedLoop(loop, 0.0), 2).loop)
+        prim_a = primitive(loop)
+        prim_b = primitive(iterate(LiftedLoop(loop, 0.0), 2).loop)
         assert hausdorff_distance(prim_a.nodes, prim_b.nodes) < DEDUPE_HAUSDORFF
         assert abs(prim_a.p / prim_b.p - 1.0) < DEDUPE_PERIOD
