@@ -15,9 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from magflow import MagneticSystem, ScalarField, SolverConfig, find_waist
+from magflow import MagneticSystem, ScalarField, SeedLoop, SolverConfig, find_waist
 from magflow.loop_space import nodes_to_csv
-from magflow.variational import default_seed_builder
 
 out = Path("demo_out")
 out.mkdir(exist_ok=True)
@@ -25,7 +24,7 @@ out.mkdir(exist_ok=True)
 system = MagneticSystem(ScalarField.height(1.0, 0.0))
 e = 0.02
 
-seed = default_seed_builder(system, e, z0=0.0, amplitude=0.05, mode=3)(128)
+seed = SeedLoop(z0=0.0, amplitude=0.05, mode=3).lift(system, e, 128)
 print(f"seed: perturbed equator, action {seed.flux:+.4f} ledger, period {seed.p:.3f}")
 
 res = find_waist(system, e, seed, SolverConfig())

@@ -10,15 +10,14 @@ flow closes to certification accuracy.
 
 import numpy as np
 
-from magflow import MagneticSystem, ScalarField, SolverConfig
-from magflow.variational import default_seed_builder, minimax_between_labels, prepare_waists
+from magflow import MagneticSystem, ScalarField, SeedLoop, SolverConfig
+from magflow.variational import minimax_between_labels, prepare_waists
 
 system = MagneticSystem(ScalarField.height(1.0, 0.0))
 e = 0.02
 cfg = SolverConfig()
 
-seeds = default_seed_builder(system, e)
-waists = prepare_waists(system, e, [(1, 0), (2, 0)], seeds, 512, cfg)
+waists = prepare_waists(system, e, [(1, 0), (2, 0)], SeedLoop(), 512, cfg)
 a1 = waists[1].action
 print(f"waist action {a1:+.6f}; double-cover endpoint action {2 * a1:+.6f}")
 

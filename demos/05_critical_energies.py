@@ -30,7 +30,7 @@ for z0 in (-0.9, -0.5, 0.0, 0.5, 0.9):
 print(f"  (minimum at the equator: -0.6*pi = {-0.6 * np.pi:+.6f})")
 
 print()
-res = e1_lower_bound_symmetric(system, 0.3, tol=1e-4)
+res = e1_lower_bound_symmetric(system, 0.3)
 print(f"latitude oracle upper-energy bound: {res.value:.6f}  (exact 1/8 = 0.125)")
 cert = res.certificate
 print(f"witness at e = {cert.energy:.4f} with action {cert.action_value:+.6f} < 0")

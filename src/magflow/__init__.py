@@ -40,6 +40,7 @@ from .loop_space import (
 from .variational import (
     MinimaxResult,
     MultiplicityResult,
+    SeedLoop,
     SolverConfig,
     WaistResult,
     find_waist,

@@ -14,7 +14,7 @@ import argparse
 import functools
 import json
 import sys as _sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -72,7 +72,7 @@ _SCHEMA: dict[str, tuple[str, str]] = {
 
 # keys still accepted but ignored, with one stderr warning each: key -> reason
 _DEPRECATED: dict[str, str] = {
-    "solver.certify_h": "certification picks its RK4 step by step doubling",
+    "solver.certify_h": "certification sizes each RK4 shot from the Richardson error estimate",
     "system.extension_radius": "the Lagrangian is quadratic in the velocity everywhere",
     "rng.seed": "no solver draws random numbers",
     "system.quad_depth": "every flux quadrature runs at one fixed depth",
@@ -105,6 +105,9 @@ class RunConfig:
             tol=self["solver.tol"],
             max_iter=self["solver.max_iter"],
         )
+
+    def seed(self) -> vr.SeedLoop:
+        return vr.SeedLoop(self["run.seed_z0"], self["run.seed_amplitude"], self["run.seed_mode"])
 
 
 def _finite(key: str, values):
@@ -245,9 +248,7 @@ def _cmd_flow(cfg: RunConfig, out: Path) -> tuple[int, dict]:
 def _cmd_waist(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     e = cfg["run.energy"]
-    seed = vr.default_seed_builder(
-        system, e, cfg["run.seed_z0"], cfg["run.seed_amplitude"], cfg["run.seed_mode"]
-    )(cfg["discretization.loop_nodes"])
+    seed = cfg.seed().lift(system, e, cfg["discretization.loop_nodes"])
     res = vr.find_waist(system, e, seed, cfg.solver())
     loop_path = out / "waist_loop.json"
     save_lifted(res.lifted, loop_path)
@@ -268,11 +269,8 @@ def _cmd_minimax(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     e = cfg["run.energy"]
     labels = _two_labels(cfg)
     solver = cfg.solver()
-    seeds = vr.default_seed_builder(
-        system, e, cfg["run.seed_z0"], cfg["run.seed_amplitude"], cfg["run.seed_mode"]
-    )
     waists = vr.prepare_waists(
-        system, e, labels, seeds, cfg["discretization.path_loop_nodes"], solver
+        system, e, labels, cfg.seed(), cfg["discretization.path_loop_nodes"], solver
     )
     mm = vr.minimax_between_labels(system, e, waists, labels[0], labels[1], solver)
     saddle_path = out / "saddle_loop.json"
@@ -292,12 +290,10 @@ def _cmd_scan(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     rows = vr.scan_energy(
         cfg.system(),
         cfg["run.energy_grid"],
-        labels=_two_labels(cfg),
-        cfg=cfg.solver(),
-        path_n=cfg["discretization.path_loop_nodes"],
-        seed_z0=cfg["run.seed_z0"],
-        seed_amplitude=cfg["run.seed_amplitude"],
-        seed_mode=cfg["run.seed_mode"],
+        _two_labels(cfg),
+        cfg.solver(),
+        cfg["discretization.path_loop_nodes"],
+        cfg.seed(),
     )
     csv_path = out / "scan.csv"
     cols = [
@@ -316,11 +312,9 @@ def _cmd_multiplicity(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         cfg.system(),
         e,
         cfg["run.labels"],
-        cfg=cfg.solver(),
-        path_n=cfg["discretization.path_loop_nodes"],
-        seed_z0=cfg["run.seed_z0"],
-        seed_amplitude=cfg["run.seed_amplitude"],
-        seed_mode=cfg["run.seed_mode"],
+        cfg.solver(),
+        cfg["discretization.path_loop_nodes"],
+        cfg.seed(),
     )
     orbits = []
     for k, rec in enumerate(result.orbits):
@@ -348,7 +342,7 @@ def _cmd_critical_values(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     e0_val = cv.compute_e0(system)
     try:
-        res = cv.e1_lower_bound_symmetric(system, cfg["run.e_max"], tol=1e-4)
+        res = cv.e1_lower_bound_symmetric(system, cfg["run.e_max"])
         method = "symmetric-latitude-oracle"
     except MagflowError:
         step = cfg["run.grid_step"]
@@ -380,11 +374,12 @@ def _cmd_orbit_check(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     e = cfg["run.energy"]
     ll = load_lifted(cfg["run.loop_file"])
+    report = replace(certify_orbit(system, ll.loop, e), gradient_norm=vr.dual_norm(system, e, ll))
     return 0, {
         "energy": e,
         "action": lifted_action_A(system, e, ll),
         "loop": {"nodes": len(ll.nodes), "period": ll.p, "flux": ll.flux},
-        "report": asdict(certify_orbit(system, ll.loop, e)),
+        "report": asdict(report),
     }
 
 

@@ -40,6 +40,8 @@ from .variational import SolverConfig, find_waist
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID_SIZE = 401  # open z grid that brackets the threshold's maximum
+# how far below the bound the certificate circle is tried, nearest first
+_WITNESS_BACKOFF = (1e-4, 2e-4, 5e-4, 1e-2, 5e-2)
 
 
 @dataclass(frozen=True)
@@ -138,10 +140,10 @@ def _golden_section(fn, lo: float, hi: float) -> tuple[float, float]:
     return (c, fc) if fc < fd else (d, fd)
 
 
-def _symmetric_witness(sys, e, z0, n=256) -> LiftedLoop:
-    """The latitude circle at z0 with its optimal period, lifted to the
-    oracle's sheet, where the ledger is the flux of the cap below it."""
-    loop = latitude_loop(z0, n)
+def _symmetric_witness(sys, e, z0) -> LiftedLoop:
+    """The latitude circle at z0 (256 nodes) with its optimal period, lifted
+    to the oracle's sheet, where the ledger is the flux of the cap below it."""
+    loop = latitude_loop(z0, 256)
     lifted = lift_loop(sys, loop.with_period(optimal_period(sys, loop, e)))
     total = cap_flux(sys, 1.0)  # exact for the zonal round systems served here
     if abs(total) > 1e-12:
@@ -149,14 +151,15 @@ def _symmetric_witness(sys, e, z0, n=256) -> LiftedLoop:
     return lifted
 
 
-def e1_lower_bound_symmetric(sys: MagneticSystem, e_max: float, tol: float = 1e-4) -> E1Result:
+def e1_lower_bound_symmetric(sys: MagneticSystem, e_max: float) -> E1Result:
     """Largest energy up to e_max admitting a negative latitude-circle action.
 
     Exactly min(e_max, max_z e*(z)) with e* from ``_threshold``, maximized by
     one open-grid scan and a golden-section search, with no bisection over
-    energies.  tol only sets how far below the bound the certificate (the
-    circle at the maximizer) is first tried.  A negative total flux makes e*
-    unbounded toward the north pole; the grid's top node then caps it.
+    energies.  The certificate is the circle at the maximizer, tried at the
+    first energy ``_WITNESS_BACKOFF`` below the bound where its action is
+    negative.  A negative total flux makes e* unbounded toward the north
+    pole; the grid's top node then caps it.
     Returns the trivial bound e0 when no circle goes negative above e0.
     """
     _require_symmetric(sys)
@@ -174,7 +177,7 @@ def e1_lower_bound_symmetric(sys: MagneticSystem, e_max: float, tol: float = 1e-
         return E1Result(e0_val, None, False)
 
     certificate = None
-    for back in (tol, 2 * tol, 5 * tol, 1e-2, 5e-2):
+    for back in _WITNESS_BACKOFF:
         e_w = value - back
         if e_w <= e0_val:
             break

@@ -62,10 +62,13 @@ CERTIFY_CLOSURE_TOL = 1e-4
 SHOOT_BUDGET = CERTIFY_CLOSURE_TOL / 1000
 # certification's first shot, in RK4 steps per period
 SHOOT_MIN_STEPS = 64
-# ``count_self_intersections``' prune: segments per run, the angle (rad) by
-# which two runs' caps may miss and still be expanded (the pair bound's 1e-12
-# cosine slack widens an angle by at most sqrt(2e-12), about 1.4e-6), and the
-# most run pairs or segment pairs one block holds
+# ``count_self_intersections``: the distance (rad) below which a tangential
+# near-miss counts as a crossing
+_TOUCH_TOL = 1e-6
+# its prune: segments per run, the angle (rad) by which two runs' caps may
+# miss and still be expanded (the pair bound's 1e-12 cosine slack widens an
+# angle by at most sqrt(2e-12), about 1.4e-6), and the most run pairs or
+# segment pairs one block holds
 _RUN = 16
 _CAP_SLACK = 1e-4
 _PAIR_BLOCK = 8192
@@ -240,20 +243,20 @@ class OrbitReport:
         return self.closure_residual <= CERTIFY_CLOSURE_TOL
 
 
-def _near_pairs(a: np.ndarray, length: np.ndarray, tol: float):
+def _near_pairs(a: np.ndarray, length: np.ndarray):
     """Blocks (i, j) of the non-adjacent segment pairs, i < j, whose start
-    points lie within their two arc lengths plus ``tol`` of each other.
+    points lie within their two arc lengths plus ``_TOUCH_TOL`` of each other.
 
     Consecutive segments form runs of ``_RUN``.  A run's cap is centred on its
     normalized mean start point and reaches its farthest start point plus its
     longest arc (all of the sphere when the mean is near zero), so two
     segments can pass the pair bound only when their runs' caps meet within
     ``_CAP_SLACK``.  Runs are paired, and the run pairs that meet are
-    expanded, at most ``_PAIR_BLOCK`` pairs at a time; each pair takes the bound
-    dot(a_i, a_j) >= cos(min(pi, L_i + L_j + tol)) - 1e-12.  Dot products are
-    summed in ``dot3``'s order and no BLAS matmul runs, whose work buffer
-    would add about 0.5 MB to the resident memory of a solve that makes no
-    other one.
+    expanded, at most ``_PAIR_BLOCK`` pairs at a time; each pair takes the
+    bound dot(a_i, a_j) >= cos(min(pi, L_i + L_j + _TOUCH_TOL)) - 1e-12.  Dot
+    products are summed in ``dot3``'s order and no BLAS matmul runs, whose
+    work buffer would add about 0.5 MB to the resident memory of a solve that
+    makes no other one.
     """
     n = len(a)
     starts = np.arange(0, n, _RUN)
@@ -271,7 +274,7 @@ def _near_pairs(a: np.ndarray, length: np.ndarray, tol: float):
     chunk = max(1, _PAIR_BLOCK // (_RUN * _RUN))
     for lo in range(0, m, run_rows):
         rows = runs[lo : lo + run_rows]
-        bound = np.add.outer(reach[rows] + (tol + _CAP_SLACK), reach)
+        bound = np.add.outer(reach[rows] + (_TOUCH_TOL + _CAP_SLACK), reach)
         np.cos(np.minimum(bound, np.pi, out=bound), out=bound)
         bound -= 1e-12
         meet = dot3(centers[rows, None], centers) >= bound
@@ -279,12 +282,12 @@ def _near_pairs(a: np.ndarray, length: np.ndarray, tol: float):
         r_all, s_all = np.nonzero(meet)
         r_all += lo
         for k in range(0, len(r_all), chunk):
-            i, j = _pair_bound(a, padded, r_all[k : k + chunk], s_all[k : k + chunk], tol)
+            i, j = _pair_bound(a, padded, r_all[k : k + chunk], s_all[k : k + chunk])
             if len(i):
                 yield i, j
 
 
-def _pair_bound(a, padded, r, s, tol):
+def _pair_bound(a, padded, r, s):
     """The pairs of segments from runs r[k] and s[k] that pass the pair bound."""
     n = len(a)
     offsets = np.arange(_RUN)
@@ -298,7 +301,7 @@ def _pair_bound(a, padded, r, s, tol):
     buf = ai[..., 1] * aj[..., 1]
     dot += buf
     dot += np.multiply(ai[..., 2], aj[..., 2], out=buf)
-    np.add((padded[seg_i] + tol)[:, :, None], padded[seg_j][:, None, :], out=buf)
+    np.add((padded[seg_i] + _TOUCH_TOL)[:, :, None], padded[seg_j][:, None, :], out=buf)
     np.cos(np.minimum(buf, np.pi, out=buf), out=buf)
     buf -= 1e-12
     near = dot >= buf
@@ -310,17 +313,17 @@ def _pair_bound(a, padded, r, s, tol):
     return np.broadcast_to(rows, near.shape)[near], np.broadcast_to(cols, near.shape)[near]
 
 
-def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
+def count_self_intersections(nodes: np.ndarray) -> int:
     """Transverse crossings of the closed geodesic polygon through the nodes.
 
     Pairs of non-adjacent segments are tested for great-circle arc crossings;
-    tangential near-misses closer than ``tol`` radians also count.
+    tangential near-misses closer than ``_TOUCH_TOL`` radians also count.
 
     A point x of a segment's great circle lies on the minor arc from a to b
     when x.a >= a.b, x.b >= a.b and x.(a + b) > 0; the last test rules out
     the far side of the circle, which the first two admit once the arc is
     longer than 2 pi / 3.  Pairs whose start points lie farther apart than
-    their two arc lengths plus ``tol`` can neither cross nor touch; a
+    their two arc lengths plus ``_TOUCH_TOL`` can neither cross nor touch; a
     run-cap prune (``_near_pairs``) drops them, and the exact test runs on
     the others.
     """
@@ -332,10 +335,10 @@ def count_self_intersections(nodes: np.ndarray, tol: float = 1e-6) -> int:
     cos_len = dot3(a, b)
     length = angular_distance(a, b)
 
-    return sum(_crossings(a, b, normals, cos_len, i, j, tol) for i, j in _near_pairs(a, length, tol))
+    return sum(_crossings(a, b, normals, cos_len, i, j) for i, j in _near_pairs(a, length))
 
 
-def _crossings(a, b, normals, cos_len, i, j, tol) -> int:
+def _crossings(a, b, normals, cos_len, i, j) -> int:
     """Exact crossings and tangential near-misses of segment pairs (i, j)."""
     u = cross3(normals[i], normals[j])
     un = norm3(u)
@@ -356,7 +359,7 @@ def _crossings(a, b, normals, cos_len, i, j, tol) -> int:
             np.minimum(angular_distance(a[i], a[j]), angular_distance(a[i], b[j])),
             np.minimum(angular_distance(b[i], a[j]), angular_distance(b[i], b[j])),
         )
-        count += int(np.count_nonzero(d < tol))
+        count += int(np.count_nonzero(d < _TOUCH_TOL))
     return count
 
 

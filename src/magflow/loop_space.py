@@ -54,6 +54,8 @@ from .tonelli import MagneticSystem
 
 _SUBSTEP = 0.1
 _MIN_NODES = 16
+# largest node move (rad) under which a loop counts as retraced
+_RETRACE_TOL = 5e-3
 VALLEY_TAU_CAP = 0.1
 
 # cone apexes: the base point first, then the other five axis points
@@ -329,15 +331,15 @@ def iterate(ll: LiftedLoop, m: int) -> LiftedLoop:
     return LiftedLoop(FreePeriodLoop(np.tile(ll.nodes, (m, 1)), m * ll.p), m * ll.flux)
 
 
-def primitive(loop: FreePeriodLoop, tol: float = 5e-3) -> FreePeriodLoop:
+def primitive(loop: FreePeriodLoop) -> FreePeriodLoop:
     """Smallest-period representative of an m-fold retraced loop: the first
     n / m nodes for the largest m, with at least ``_MIN_NODES`` nodes left,
-    whose shift by n / m nodes moves no node more than ``tol`` radians."""
+    whose shift by n / m nodes moves no node more than ``_RETRACE_TOL``."""
     n = loop.n
     for m in range(n // _MIN_NODES, 1, -1):
         if n % m == 0:
             shift = n // m
-            if float(np.max(angular_distance(loop.nodes, cyclic_shift(loop.nodes, shift)))) < tol:
+            if float(np.max(angular_distance(loop.nodes, cyclic_shift(loop.nodes, shift)))) < _RETRACE_TOL:
                 return FreePeriodLoop(loop.nodes[:shift], loop.p / m)
     return loop
 

@@ -22,8 +22,9 @@ capped, reprojected trial step.
 Outputs are certified by shooting along the flow: ``minimax_path`` shoots
 its saddle, and a waist's report is computed when it is first read, so a
 waist that only serves as a minimax endpoint is never shot.
-``scan_energy`` and ``multiplicity_search`` orchestrate the solvers over
-energy grids and (iterate, deck) label sets.
+Every waist descends from one ``SeedLoop``, the perturbed latitude circle of
+the ``run.seed_*`` config keys.  ``scan_energy`` and ``multiplicity_search``
+orchestrate the solvers over energy grids and (iterate, deck) label sets.
 """
 
 from __future__ import annotations
@@ -103,6 +104,24 @@ class SolverConfig:
     max_iter: int = 20000
 
 
+@dataclass(frozen=True)
+class SeedLoop:
+    """The seed of every waist descent: the latitude circle at height z0,
+    bumped along its normal by ``perturb_normal(amplitude, mode)``."""
+
+    z0: float = 0.0
+    amplitude: float = 0.05
+    mode: int = 3
+
+    def lift(self, sys: MagneticSystem, e: float, n: int) -> LiftedLoop:
+        """The seed at n nodes with its optimal period, canonically lifted."""
+        loop = latitude_loop(self.z0, n)
+        if self.amplitude != 0.0:
+            loop = perturb_normal(loop, self.amplitude, self.mode)
+        loop = loop.with_period(optimal_period(sys, loop, e))
+        return lift_loop(sys, loop)
+
+
 @dataclass
 class WaistResult:
     sys: MagneticSystem = field(repr=False)
@@ -142,7 +161,7 @@ def _reduced_lift(sys: MagneticSystem, e: float, ll: LiftedLoop) -> LiftedLoop:
     return LiftedLoop(ll.loop.with_period(p), ll.flux)
 
 
-def _dual_norm(sys: MagneticSystem, e: float, ll: LiftedLoop) -> float:
+def dual_norm(sys: MagneticSystem, e: float, ll: LiftedLoop) -> float:
     """H^1 dual norm of the lifted-action gradient at ``ll``."""
     return h1_precondition(ll.loop, action_gradient(sys, e, ll))[1]
 
@@ -246,7 +265,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
         if in_valley(sys, ll.loop, tau):
             raise ValleyCollapse(f"descent entered the valley at iteration {it}")
 
-    dual = _dual_norm(sys, e, ll)
+    dual = dual_norm(sys, e, ll)
     raise MaxIterations(f"no convergence in {cfg.max_iter} iterations", best=(ll, action, dual))
 
 
@@ -288,11 +307,12 @@ def _blend_family(a: np.ndarray, b: np.ndarray, steps: int, reach: float = 1.0):
     ]
 
 
-def _wind_family(axis: np.ndarray, r0: float, n: int, sign: int, steps: int = 28):
+def _wind_family(axis: np.ndarray, r0: float, n: int, sign: int):
     """One deck winding: grow circles about the axis across the sphere and
     carry the tiny result back; accumulates +/- the total flux."""
     out = []
     handed = 1 if sign > 0 else -1
+    steps = 28
     for k in range(1, steps + 1):
         alpha = r0 + (np.pi - 2.0 * r0) * k / steps
         out.append(_tiny_loop(axis, alpha, n, handed))
@@ -544,7 +564,7 @@ def minimax_path(
     link, and ``report`` certifies it by shooting, converged or not.
     """
     for name, end in (("end_a", end_a), ("end_b", end_b)):
-        dual = _dual_norm(sys, e, end)
+        dual = dual_norm(sys, e, end)
         if dual > ENDPOINT_TOL:
             raise EndpointNotMinimal(f"{name} has gradient norm {dual:.3e}")
 
@@ -571,7 +591,7 @@ def minimax_path(
         chain[top] = deform(sys, chain[top], polished)
         actions[top] = lifted_action_A(sys, e, chain[top])
     else:
-        dual = _dual_norm(sys, e, chain[top])
+        dual = dual_norm(sys, e, chain[top])
     value = float(actions[top]) + flux_base
     path = [LiftedLoop(u.loop, u.flux + flux_base) for u in chain]
     stop_reason = "polished" if converged else "not polished"
@@ -600,7 +620,7 @@ def _endpoint_for_label(sys, e, waists_by_mult, m, n):
     return deck_transform(sys, ll, n)
 
 
-def prepare_waists(sys, e, labels, seed_builder, path_n, cfg) -> dict[int, WaistResult]:
+def prepare_waists(sys, e, labels, seed: SeedLoop, path_n, cfg) -> dict[int, WaistResult]:
     """Converge one waist per covering multiplicity at path_n/m nodes."""
     mults = sorted({m for (m, _) in labels})
     out: dict[int, WaistResult] = {}
@@ -608,21 +628,8 @@ def prepare_waists(sys, e, labels, seed_builder, path_n, cfg) -> dict[int, Waist
         if path_n % m != 0:
             raise ValueError(f"path node count {path_n} not divisible by multiplicity {m}")
         n_m = path_n // m
-        out[m] = find_waist(sys, e, seed_builder(n_m), cfg)
+        out[m] = find_waist(sys, e, seed.lift(sys, e, n_m), cfg)
     return out
-
-
-def default_seed_builder(sys: MagneticSystem, e: float, z0: float = 0.0, amplitude: float = 0.05, mode: int = 3):
-    """Perturbed-latitude seed factory at a requested node count."""
-
-    def build(n: int) -> LiftedLoop:
-        loop = latitude_loop(z0, n)
-        if amplitude != 0.0:
-            loop = perturb_normal(loop, amplitude, mode)
-        loop = loop.with_period(optimal_period(sys, loop, e))
-        return lift_loop(sys, loop)
-
-    return build
 
 
 def minimax_between_labels(sys, e, waists_by_mult, label_a, label_b, cfg):
@@ -635,16 +642,7 @@ def minimax_between_labels(sys, e, waists_by_mult, label_a, label_b, cfg):
     )
 
 
-def scan_energy(
-    sys: MagneticSystem,
-    e_grid,
-    labels=((1, 0), (2, 0)),
-    cfg: SolverConfig = SolverConfig(),
-    path_n: int = 1024,
-    seed_z0: float = 0.0,
-    seed_amplitude: float = 0.05,
-    seed_mode: int = 3,
-):
+def scan_energy(sys: MagneticSystem, e_grid, labels, cfg: SolverConfig, path_n: int, seed: SeedLoop):
     """Waist action and minimax value per energy; rows carry error
     markers instead of aborting the scan, and a saddle that shooting does not
     close (``OrbitReport.certified``) marks its row's status."""
@@ -655,9 +653,8 @@ def scan_energy(
     for e in e_grid:
         row = {"e": e, "status": "ok"}
         try:
-            seeds = default_seed_builder(sys, e, seed_z0, seed_amplitude, seed_mode)
-            waists = prepare_waists(sys, e, labels, seeds, path_n, cfg)
-            waist = waists[1] if 1 in waists else next(iter(waists.values()))
+            waists = prepare_waists(sys, e, labels, seed, path_n, cfg)
+            waist = waists[min(waists)]
             row["waist_action"] = waist.action
             row["waist_gradient_norm"] = waist.gradient_norm
             row["waist_self_intersections"] = waist.report.self_intersections
@@ -722,14 +719,7 @@ class MultiplicityResult:
 
 
 def multiplicity_search(
-    sys: MagneticSystem,
-    e: float,
-    labels,
-    cfg: SolverConfig = SolverConfig(),
-    path_n: int = 1024,
-    seed_z0: float = 0.0,
-    seed_amplitude: float = 0.05,
-    seed_mode: int = 3,
+    sys: MagneticSystem, e: float, labels, cfg: SolverConfig, path_n: int, seed: SeedLoop
 ) -> MultiplicityResult:
     """Waist plus minimax saddles over all label pairs, deduplicated by
     primitive-orbit trace distance; nonconvergent pairs are reported."""
@@ -739,8 +729,7 @@ def multiplicity_search(
     failures: list[dict] = []
     records: list[OrbitRecord] = []
 
-    seeds = default_seed_builder(sys, e, seed_z0, seed_amplitude, seed_mode)
-    waists = prepare_waists(sys, e, labels, seeds, path_n, cfg)
+    waists = prepare_waists(sys, e, labels, seed, path_n, cfg)
     waist = waists[min(waists)]
     records.append(
         OrbitRecord(

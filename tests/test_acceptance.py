@@ -14,6 +14,7 @@ import pytest
 from magflow import (
     FreePeriodLoop,
     LiftedLoop,
+    SeedLoop,
     SolverConfig,
     State,
     action_gradient,
@@ -36,7 +37,6 @@ from magflow.cli import main as cli_main
 from magflow.loop_space import cone_flux
 from magflow.sphere_geom import project_to_sphere, tangent_basis
 from magflow.variational import (
-    default_seed_builder,
     minimax_between_labels,
     multiplicity_search,
     polish_candidate,
@@ -141,7 +141,7 @@ def test_criterion_04_waist_value(sys_z):
     with criterion("04", "perturbed-equator waist: gradient, action, energy, embedded"):
         e = 0.02
         t0 = time.time()
-        seed = default_seed_builder(sys_z, e, z0=0.0, amplitude=0.05, mode=3)(128)
+        seed = SeedLoop(z0=0.0, amplitude=0.05, mode=3).lift(sys_z, e, 128)
         res = find_waist(sys_z, e, seed, SolverConfig())
         elapsed = time.time() - t0
         print(
@@ -188,7 +188,7 @@ def test_criterion_06_iterate_identity(sys_shifted, rng):
 
 def test_criterion_07_e1_oracle(sys_z, sys_const):
     with criterion("07", "critical energy bounds: latitude oracle and general descent"):
-        sym = e1_lower_bound_symmetric(sys_z, 0.3, tol=1e-4)
+        sym = e1_lower_bound_symmetric(sys_z, 0.3)
         assert sym.negative_found
         assert sym.value == pytest.approx(0.125, abs=1e-3)
         grid = [round(0.01 * k, 10) for k in range(1, 14)]
@@ -196,7 +196,7 @@ def test_criterion_07_e1_oracle(sys_z, sys_const):
         print(f"  [symmetric {sym.value:.5f}, general {gen.value:.5f}]", end="")
         assert gen.negative_found
         assert gen.value >= 0.12
-        flat = e1_lower_bound_symmetric(sys_const, 0.3, tol=1e-3)
+        flat = e1_lower_bound_symmetric(sys_const, 0.3)
         assert not flat.negative_found
 
 
@@ -208,7 +208,7 @@ def test_criterion_08_minimax_monotonicity(sys_z):
         grid = [(0.02, 512), (0.04, 768), (0.06, 768), (0.08, 1024), (0.10, 1280)]
         rows = []
         for e, path_n in grid:
-            rows += scan_energy(sys_z, [e], labels=((1, 0), (2, 0)), cfg=cfg, path_n=path_n)
+            rows += scan_energy(sys_z, [e], [(1, 0), (2, 0)], cfg, path_n, SeedLoop())
         values = []
         for (e, _), row in zip(grid, rows):
             assert row["status"] == "ok", row["status"]
@@ -228,7 +228,7 @@ def test_criterion_09_multiplicity(sys_shifted):
         e = 0.02
         cfg = SolverConfig()
         res = multiplicity_search(
-            sys_shifted, e, [(1, 0), (2, 0), (1, 1)], cfg, path_n=512, seed_z0=-0.2
+            sys_shifted, e, [(1, 0), (2, 0), (1, 1)], cfg, 512, SeedLoop(z0=-0.2)
         )
         n_pairs = 3
         assert len(res.failures) + sum(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import magflow
-from magflow import latitude_loop, lifted_action_A
+from magflow import SeedLoop, latitude_loop, lifted_action_A
 from magflow.cli import _DEPRECATED, _SCHEMA, main, parse_config
 from magflow.critical_values import _symmetric_witness
 from magflow.errors import ParseError, ValidationError
@@ -387,6 +387,61 @@ run.loop_file = {loop_file}
         # N = 64 carries a ~2e-3 discretization offset in the action
         assert payload["action"] == pytest.approx(-0.6 * np.pi, abs=4e-3)
         assert abs(payload["report"]["mean_energy_residual"]) < 1e-6
+
+    def test_orbit_check_reproduces_waist_report(self, tmp_path, capsys):
+        # the loaded loop's gradient norm is the dual norm the descent
+        # stopped at, so the whole report is reproduced bit for bit
+        cfg = write(
+            tmp_path,
+            """
+system.density = height(1.0, 0.0)
+run.energy = 0.02
+run.seed_amplitude = 0.02
+discretization.loop_nodes = 64
+solver.max_iter = 6000
+""",
+        )
+        assert main(["waist", "--config", cfg, "--out", str(tmp_path)]) == 0
+        waist = json.loads(capsys.readouterr().out)
+        cfg2 = write(
+            tmp_path,
+            f"""
+system.density = height(1.0, 0.0)
+run.energy = 0.02
+run.loop_file = {waist["loop_file"]}
+""",
+            name="check.cfg",
+        )
+        assert main(["orbit-check", "--config", cfg2, "--out", str(tmp_path)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"] == waist["report"]
+
+    @pytest.mark.parametrize(
+        "command, nodes", [("waist", 64), ("minimax", 256), ("scan", 256), ("multiplicity", 256)]
+    )
+    def test_seed_built_from_all_three_keys(self, tmp_path, capsys, monkeypatch, command, nodes):
+        lifts = []
+
+        def refuse(self, sys, e, n):
+            lifts.append((self, n))
+            raise ValueError("seed recorded, nothing solved")
+
+        monkeypatch.setattr(SeedLoop, "lift", refuse)
+        cfg = write(
+            tmp_path,
+            """
+system.density = height(1.0, 0.0)
+run.energy = 0.02
+run.energy_grid = 0.02
+run.seed_z0 = 0.3
+run.seed_amplitude = 0.02
+run.seed_mode = 5
+discretization.loop_nodes = 64
+discretization.path_loop_nodes = 256
+""",
+        )
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) != 0
+        capsys.readouterr()
+        assert lifts == [(SeedLoop(0.3, 0.02, 5), nodes)]
 
     def test_waist_nodes_csv_is_numeric(self, tmp_path, capsys):
         cfg = write(

@@ -121,27 +121,27 @@ class TestLatitudeAction:
 
 class TestE1Symmetric:
     def test_pure_height(self, sys_z):
-        res = e1_lower_bound_symmetric(sys_z, 0.3, tol=1e-4)
+        res = e1_lower_bound_symmetric(sys_z, 0.3)
         assert res.negative_found
         assert res.value == pytest.approx(0.125, abs=1e-3)
         assert res.value == pytest.approx(oracle_e1(lambda z: z), abs=2e-4)
 
     def test_shifted_height(self, sys_shifted):
         # the same 1-D oracle, shifted cap flux; value computed independently
-        res = e1_lower_bound_symmetric(sys_shifted, 0.3, tol=1e-4)
+        res = e1_lower_bound_symmetric(sys_shifted, 0.3)
         assert res.negative_found
         expect = oracle_e1(lambda z: z + 0.2)
         assert expect == pytest.approx(0.054511, abs=2e-4)  # frozen oracle value
         assert res.value == pytest.approx(expect, abs=1e-3)
 
     def test_constant_density_no_configuration(self, sys_const):
-        res = e1_lower_bound_symmetric(sys_const, 0.3, tol=1e-3)
+        res = e1_lower_bound_symmetric(sys_const, 0.3)
         assert not res.negative_found
         assert res.value == pytest.approx(0.0, abs=1e-12)
         assert res.certificate is None
 
     def test_certificate_revalidates(self, sys_z):
-        res = e1_lower_bound_symmetric(sys_z, 0.3, tol=1e-4)
+        res = e1_lower_bound_symmetric(sys_z, 0.3)
         cert = res.certificate
         assert cert is not None
         assert cert.action_value < 0
@@ -152,7 +152,7 @@ class TestE1Symmetric:
         # f = z - 0.2 has total flux -0.8 pi: the canonical lift of a
         # latitude circle sits one deck shift off the cap-flux sheet
         sysn = MagneticSystem(ScalarField.height(1.0, -0.2))
-        res = e1_lower_bound_symmetric(sysn, 0.3, tol=1e-4)
+        res = e1_lower_bound_symmetric(sysn, 0.3)
         assert res.negative_found and res.value == 0.3
         cert = res.certificate
         assert cert is not None and cert.action_value < 0
@@ -169,7 +169,7 @@ class TestE1Symmetric:
     )
     def test_never_below_e0(self, potential, e_max):
         sysu = MagneticSystem(ScalarField.height(1.0, 0.0), potential=potential)
-        res = e1_lower_bound_symmetric(sysu, e_max, tol=1e-4)
+        res = e1_lower_bound_symmetric(sysu, e_max)
         assert res.value == compute_e0(sysu)
         assert not res.negative_found
         assert res.certificate is None
@@ -196,12 +196,12 @@ class TestClosedFormThreshold:
     )
     def test_exact_value(self, density, expect):
         # f = z: e*(z) = (1 - z^2)/8; f = 3z^3 - z: e* = (3z^2 + 1)^2 (1 - z^2)/32
-        res = e1_lower_bound_symmetric(MagneticSystem(density), 0.3, tol=1e-4)
+        res = e1_lower_bound_symmetric(MagneticSystem(density), 0.3)
         assert res.value == pytest.approx(expect, abs=1e-12)
 
     @pytest.mark.parametrize("sysu", ZONAL_SYSTEMS, ids=ZONAL_IDS)
     def test_consistent_with_latitude_action(self, sysu):
-        res = e1_lower_bound_symmetric(sysu, 0.3, tol=1e-4)
+        res = e1_lower_bound_symmetric(sysu, 0.3)
         assert res.negative_found and res.value < 0.3
         z_star = res.certificate.witness.nodes[0, 2]
         assert latitude_circle_action(sysu, res.value - 1e-6, z_star) < 0.0

@@ -31,12 +31,12 @@ from magflow.loop_space import h1_solve, primitive
 from magflow.variational import (
     DEDUPE_HAUSDORFF,
     DEDUPE_PERIOD,
-    _dual_norm,
+    SeedLoop,
     _endpoint_for_label,
     _lbfgs_direction,
     _minres,
     build_connecting_chain,
-    default_seed_builder,
+    dual_norm,
     hausdorff_distance,
     minimax_between_labels,
     multiplicity_search,
@@ -70,7 +70,7 @@ def ledger_defect(sys, ll):
 
 class TestFindWaist:
     def test_equator_waist(self, sys_z):
-        seed = default_seed_builder(sys_z, E)(128)
+        seed = SeedLoop().lift(sys_z, E, 128)
         res = find_waist(sys_z, E, seed, FAST)
         assert res.gradient_norm <= 1e-6
         assert res.action == pytest.approx(-0.6 * np.pi, abs=1e-3)
@@ -86,7 +86,7 @@ class TestFindWaist:
             return certify_orbit(*args)
 
         monkeypatch.setattr(variational, "certify_orbit", counting)
-        seed = default_seed_builder(sys_z, E, z0=0.0, amplitude=0.05, mode=3)(128)
+        seed = SeedLoop(z0=0.0, amplitude=0.05, mode=3).lift(sys_z, E, 128)
         res = find_waist(sys_z, E, seed, SolverConfig())
         assert calls == []
         eager = replace(certify_orbit(sys_z, res.lifted.loop, E), gradient_norm=res.gradient_norm)
@@ -119,21 +119,21 @@ class TestFindWaist:
         assert steps == []
 
     def test_lbfgs_iterations_acceptance_04_seed(self, sys_z):
-        seed = default_seed_builder(sys_z, E, z0=0.0, amplitude=0.05, mode=3)(128)
+        seed = SeedLoop(z0=0.0, amplitude=0.05, mode=3).lift(sys_z, E, 128)
         assert find_waist(sys_z, E, seed, SolverConfig()).iterations <= 10
 
     def test_lbfgs_iterations_shifted_density(self, sys_shifted):
-        seed = default_seed_builder(sys_shifted, E, z0=-0.2)(96)
+        seed = SeedLoop(z0=-0.2).lift(sys_shifted, E, 96)
         assert find_waist(sys_shifted, E, seed, FAST).iterations <= 40
 
     def test_lbfgs_without_pairs_is_h1_direction(self, sys_shifted):
-        ll = default_seed_builder(sys_shifted, E, amplitude=0.08)(64)
+        ll = SeedLoop(amplitude=0.08).lift(sys_shifted, E, 64)
         grad = action_gradient(sys_shifted, E, ll)
         direction = _lbfgs_direction(ll.nodes, grad.node_grads, [])
         assert np.array_equal(direction, h1_precondition(ll.loop, grad)[0])
 
     def test_shifted_density_matches_latitude_oracle(self, sys_shifted):
-        seed = default_seed_builder(sys_shifted, E, z0=-0.2)(96)
+        seed = SeedLoop(z0=-0.2).lift(sys_shifted, E, 96)
         res = find_waist(sys_shifted, E, seed, FAST)
         z_star, a_star = latitude_oracle_minimum(lambda z: z + 0.2, E)
         assert a_star < 0
@@ -149,7 +149,7 @@ class TestFindWaist:
         # L-BFGS steps; on f = z + 0.2 almost all of it comes from one
         # 0.24-rad step)
         sys = request.getfixturevalue(system)
-        res = find_waist(sys, E, default_seed_builder(sys, E)(128), FAST)
+        res = find_waist(sys, E, SeedLoop().lift(sys, E, 128), FAST)
         assert ledger_defect(sys, res.lifted) <= 1e-4
 
     def test_valley_seed_rejected(self, sys_shifted):
@@ -159,13 +159,13 @@ class TestFindWaist:
             find_waist(sys_shifted, E, seed, FAST)
 
     def test_descent_monotone(self, sys_z):
-        seed = default_seed_builder(sys_z, E, amplitude=0.08)(64)
+        seed = SeedLoop(amplitude=0.08).lift(sys_z, E, 64)
         res = find_waist(sys_z, E, seed, FAST)
         hist = np.array(res.history)
         assert np.all(np.diff(hist) <= 0.0)
 
     def test_budget_exhaustion(self, sys_z):
-        seed = default_seed_builder(sys_z, E, amplitude=0.08)(64)
+        seed = SeedLoop(amplitude=0.08).lift(sys_z, E, 64)
         with pytest.raises(MaxIterations) as err:
             find_waist(sys_z, E, seed, SolverConfig(max_iter=3, tol=1e-12))
         assert err.value.best is not None
@@ -173,7 +173,7 @@ class TestFindWaist:
     def test_mesh_robustness(self, sys_z):
         actions = {}
         for n in (64, 128):
-            seed = default_seed_builder(sys_z, E)(n)
+            seed = SeedLoop().lift(sys_z, E, n)
             actions[n] = find_waist(sys_z, E, seed, FAST).action
         rel = abs(actions[64] - actions[128]) / abs(actions[128])
         assert rel <= 1e-3
@@ -184,7 +184,7 @@ class TestFindWaist:
         sysc = MagneticSystem(
             ScalarField.height(1.0, 0.0), conformal_exponent=ScalarField.height(0.15, 0.0)
         )
-        seed = default_seed_builder(sysc, E, amplitude=0.02)(48)
+        seed = SeedLoop(amplitude=0.02).lift(sysc, E, 48)
         res = find_waist(sysc, E, seed, SolverConfig(tol=2e-5, max_iter=8000))
         assert res.gradient_norm <= 2e-5
         assert res.action < 0
@@ -307,8 +307,7 @@ class TestMinimax:
 
     def test_iterate_pair_converges(self, sys_z):
         cfg = SolverConfig()
-        seeds = default_seed_builder(sys_z, E)
-        waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], seeds, 512, cfg)
+        waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], SeedLoop(), 512, cfg)
         mm = minimax_between_labels(sys_z, E, waists, (1, 0), (2, 0), cfg)
         ends = [
             lifted_action_A(sys_z, E, waists[1].lifted),
@@ -321,7 +320,7 @@ class TestMinimax:
         assert mm.stop_reason == "polished"
         assert mm.history == [mm.value]
         assert mm.saddle is mm.path[mm.argmax_index]
-        assert mm.saddle_gradient_norm == pytest.approx(_dual_norm(sys_z, E, mm.saddle), rel=1e-12)
+        assert mm.saddle_gradient_norm == pytest.approx(dual_norm(sys_z, E, mm.saddle), rel=1e-12)
         # the saddle is the doubled small circle: value ~ 4*pi*e
         assert mm.value == pytest.approx(4.0 * np.pi * E, abs=5e-3)
         # the chain carries the ledger by sweeps (defect 7.6e-4 measured)
@@ -340,16 +339,14 @@ class TestMinimax:
 
         monkeypatch.setattr(variational, "certify_orbit", counting)
         cfg = SolverConfig()
-        seeds = default_seed_builder(sys_z, E, amplitude=0.05)
-        waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], seeds, 512, cfg)
+        waists = prepare_waists(sys_z, E, [(1, 0), (2, 0)], SeedLoop(amplitude=0.05), 512, cfg)
         mm = minimax_between_labels(sys_z, E, waists, (1, 0), (2, 0), cfg)
         assert len(calls) == 1
         assert np.array_equal(calls[0].nodes, mm.saddle.nodes)
 
     def test_deck_equivariance(self, sys_shifted):
         cfg = SolverConfig()
-        seeds = default_seed_builder(sys_shifted, E, z0=-0.2)
-        waists = prepare_waists(sys_shifted, E, [(1, 0)], seeds, 128, cfg)
+        waists = prepare_waists(sys_shifted, E, [(1, 0)], SeedLoop(z0=-0.2), 128, cfg)
         base = minimax_between_labels(sys_shifted, E, waists, (1, 0), (1, 1), cfg)
         shifted = minimax_between_labels(sys_shifted, E, waists, (1, 2), (1, 3), cfg)
         total = sys_shifted.total_flux()
@@ -360,7 +357,7 @@ class TestMinimax:
             assert mm.saddle_gradient_norm <= cfg.tol
             assert ledger_defect(sys_shifted, mm.saddle) <= 5e-3
             assert mm.saddle_gradient_norm == pytest.approx(
-                _dual_norm(sys_shifted, E, mm.saddle), rel=1e-12
+                dual_norm(sys_shifted, E, mm.saddle), rel=1e-12
             )
 
     def test_failed_polish_reports_chain_maximum(self, sys_z, monkeypatch):
@@ -371,7 +368,7 @@ class TestMinimax:
         # the top of the doubled-circle family)
         cfg = SolverConfig()
         labels = [(1, 0), (2, 0)]
-        waists = prepare_waists(sys_z, E, labels, default_seed_builder(sys_z, E), 128, cfg)
+        waists = prepare_waists(sys_z, E, labels, SeedLoop(), 128, cfg)
         assert minimax_between_labels(sys_z, E, waists, *labels, cfg).converged
 
         monkeypatch.setattr(variational, "refine_stationary", lambda sys, e, loop, tol: (loop, 1.0))
@@ -383,7 +380,7 @@ class TestMinimax:
         assert mm.value == pytest.approx(max(lifted_action_A(sys_z, E, u) for u in mm.path), rel=1e-12)
         assert 0 < mm.argmax_index < len(mm.path) - 1
         assert mm.saddle_gradient_norm > cfg.tol
-        assert mm.saddle_gradient_norm == pytest.approx(_dual_norm(sys_z, E, mm.saddle), rel=1e-12)
+        assert mm.saddle_gradient_norm == pytest.approx(dual_norm(sys_z, E, mm.saddle), rel=1e-12)
         assert mm.report.gradient_norm == mm.saddle_gradient_norm
         # the path is the connecting chain itself, link by link, with the
         # endpoint ledger added back
@@ -396,7 +393,7 @@ class TestMinimax:
             assert np.array_equal(u.nodes, v.nodes) and u.p == v.p
             assert u.flux == v.flux + end_a.flux
 
-        res = multiplicity_search(sys_z, E, labels, cfg, path_n=128)
+        res = multiplicity_search(sys_z, E, labels, cfg, 128, SeedLoop())
         assert [f["pair"] for f in res.failures] == [tuple(labels)]
         assert res.failures[0]["reason"].startswith("nonconvergence")
         assert [o.source for o in res.orbits] == ["waist"]
@@ -405,8 +402,7 @@ class TestMinimax:
         # Newton polishes to 1e-3 * tol: at cfg.tol alone this saddle stops at
         # dual norm 9.6e-7 and closes at 1.03e-4, above the 1e-4 bound
         cfg = SolverConfig()
-        seeds = default_seed_builder(sys_shifted, E, z0=-0.2)
-        waists = prepare_waists(sys_shifted, E, [(1, 0), (2, 0)], seeds, 512, cfg)
+        waists = prepare_waists(sys_shifted, E, [(1, 0), (2, 0)], SeedLoop(z0=-0.2), 512, cfg)
         mm = minimax_between_labels(sys_shifted, E, waists, (1, 0), (2, 0), cfg)
         assert mm.converged
         assert mm.report.certified
@@ -429,18 +425,18 @@ class TestDedupe:
 
 class TestScan:
     def test_empty_grid(self, sys_z):
-        assert scan_energy(sys_z, []) == []
+        assert scan_energy(sys_z, [], [(1, 0), (2, 0)], SolverConfig(), 1024, SeedLoop()) == []
 
     def test_grid_must_increase(self, sys_z):
         with pytest.raises(ValueError):
-            scan_energy(sys_z, [0.04, 0.02])
+            scan_energy(sys_z, [0.04, 0.02], [(1, 0), (2, 0)], SolverConfig(), 1024, SeedLoop())
 
     def test_error_rows_marked(self):
         # an energy below the rest level cannot seed: the row carries the error
         sysu = MagneticSystem(
             ScalarField.height(1.0, 0.0), potential=ScalarField.constant(0.5)
         )
-        rows = scan_energy(sysu, [0.01], path_n=64)
+        rows = scan_energy(sysu, [0.01], [(1, 0), (2, 0)], SolverConfig(), 64, SeedLoop())
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error:")
 
@@ -448,14 +444,14 @@ class TestScan:
 class TestMultiplicity:
     def test_single_label_returns_waist(self, sys_shifted):
         cfg = SolverConfig()
-        res = multiplicity_search(sys_shifted, E, [(1, 0)], cfg, path_n=96, seed_z0=-0.2)
+        res = multiplicity_search(sys_shifted, E, [(1, 0)], cfg, 96, SeedLoop(z0=-0.2))
         assert res.distinct_count == 1
         assert res.orbits[0].source == "waist"
         assert res.orbits[0].report.gradient_norm <= cfg.tol
 
     def test_duplicate_labels_rejected(self, sys_shifted):
         with pytest.raises(ValueError):
-            multiplicity_search(sys_shifted, E, [(1, 0), (1, 0)], SolverConfig())
+            multiplicity_search(sys_shifted, E, [(1, 0), (1, 0)], SolverConfig(), 1024, SeedLoop())
 
     def test_waist_and_iterate_dedupe(self, sys_shifted):
         # records whose primitives coincide collapse to one orbit
