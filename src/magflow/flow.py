@@ -21,15 +21,15 @@ call from the system's field evaluators, and its conformal terms run only
 for a non-round metric, so round-metric trajectories keep the bits of the
 plain round formula.
 
-Certification (``certify_orbit``) shoots a candidate loop for one period
-with that integrator.  The first shot takes ``SHOOT_MIN_STEPS`` steps, and the
-Richardson error model of a 4th-order method picks each finer one until the
-end state's error estimate is at most ``SHOOT_BUDGET``, 1/1000 of the closure
-bound ``CERTIFY_CLOSURE_TOL``; a shot that explodes only means the step must
-shrink.  Its self-intersection count runs on the candidate's primitive,
-groups consecutive segments into runs, expands only the run pairs whose
-bounding caps meet, and tests the segment pairs that pass a per-pair
-distance bound in one vectorized pass.
+Certification (``certify_orbit``) builds a loop's whole report from one
+action gradient and shots for its 4th-order energy period: the first takes
+``SHOOT_MIN_STEPS`` steps, and the Richardson error model of a 4th-order
+method picks each finer one until the end state's error estimate is at most
+``SHOOT_BUDGET``, 1/1000 of the closure bound ``CERTIFY_CLOSURE_TOL``; a shot
+that explodes only means the step must shrink.  Its self-intersection count
+runs on the loop's primitive, groups consecutive segments into runs, expands
+only the run pairs whose bounding caps meet, and tests the segment pairs that
+pass a per-pair distance bound in one vectorized pass.
 """
 
 from __future__ import annotations
@@ -40,7 +40,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import StepExplosion
-from .loop_space import FreePeriodLoop, primitive
+from .loop_space import (
+    FreePeriodLoop,
+    LiftedLoop,
+    action_gradient,
+    h1_precondition,
+    optimal_period_fourth,
+    primitive,
+)
 from .sphere_geom import (
     angular_distance,
     cross3,
@@ -363,37 +370,33 @@ def _crossings(a, b, normals, cos_len, i, j) -> int:
     return count
 
 
-def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> OrbitReport:
-    """Shoot from a discrete loop for one period and measure orbit residuals.
+def certify_orbit(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> OrbitReport:
+    """The whole orbit report of a discrete loop, as a solver returns it.
 
-    The initial velocity uses a 4th-order stencil (closure accuracy), while
-    the mean-energy residual keeps the 2nd-order central differences that the
-    action discretization itself uses, so a converged waist reports the same
-    residual that its period equation drove to zero.
+    One lifted-action gradient gives ``gradient_norm``, its H^1 dual norm,
+    and ``mean_energy_residual``, minus its period component: the mean
+    energy at the loop's own period minus e, which the solvers zero.
 
-    The first shot takes n = ``SHOOT_MIN_STEPS`` RK4 steps per period.  The
-    last two shots that did not explode, with n and R n steps, give
-    |y_Rn - y_n| / (R^4 - 1) as the error of the finer end state (the
-    Richardson estimate of a 4th-order method; R = 2 gives the familiar / 15).
-    The shots stop once that is at most ``SHOOT_BUDGET``.  Otherwise the next
-    shot takes 4 n steps when the estimate exceeds 16 times the budget, so that
-    by the same model 2 n would still miss it, and 4 n steps are allowed;
-    else it takes 2 n, as it does after the first shot.  A shot that raises
-    ``StepExplosion`` is unresolved, not a failure: its step is too coarse for
-    the field, so n doubles.  No shot passes ``MAX_STEPS``: the shots stop
-    after the last one allowed, and only an explosion there propagates.  The
-    closure residual is the finest shot's.  Crossings are counted on the
-    candidate's primitive, so that a retraced loop reports the crossings of
-    the orbit it retraces.
+    The shot starts at the first node with the 4th-order stencil velocity and
+    runs for the 4th-order energy period (``optimal_period_fourth``), taking
+    n = ``SHOOT_MIN_STEPS`` RK4 steps first.  The last two shots that did not
+    explode, with n and R n steps, give |y_Rn - y_n| / (R^4 - 1) as the error
+    of the finer end state (the Richardson estimate of a 4th-order method;
+    R = 2 gives the familiar / 15).  The shots stop once that is at most
+    ``SHOOT_BUDGET``.  Otherwise the next shot takes 4 n steps when the
+    estimate exceeds 16 times the budget, so that by the same model 2 n would
+    still miss it, and 4 n steps are allowed; else it takes 2 n, as it does
+    after the first shot.  A shot that raises ``StepExplosion`` is
+    unresolved, not a failure: its step is too coarse for the field, so n
+    doubles.  No shot passes ``MAX_STEPS``: the shots stop after the last one
+    allowed, and only an explosion there propagates.  The closure residual is
+    the finest shot's.  Crossings are counted on the loop's primitive, so
+    that a retraced loop reports the crossings of the orbit it retraces.
+    Raises ``ValueError`` when e does not exceed the loop's mean potential.
     """
-    nodes = np.asarray(candidate.nodes, dtype=float)
-    p = float(candidate.p)
-    if p <= 0:
-        raise ValueError("candidate period must be positive")
-    w = candidate.velocities()
-    mean_e = float(np.mean(sys.energy(nodes, w / p)))
-    v0 = candidate.fourth_order_velocities()[0] / p
-    s0 = State.of(nodes[0], v0)
+    grad = action_gradient(sys, e, LiftedLoop(loop, 0.0))
+    p = optimal_period_fourth(sys, loop, e)
+    s0 = State.of(loop.nodes[0], loop.fourth_order_velocities()[0] / p)
     n, coarse, coarse_n = SHOOT_MIN_STEPS, None, 0
     while True:
         last = 2 * n > MAX_STEPS
@@ -416,8 +419,8 @@ def certify_orbit(sys: MagneticSystem, candidate: FreePeriodLoop, e: float) -> O
         coarse, coarse_n = fine, n
         n *= factor
     return OrbitReport(
-        gradient_norm=0.0,
-        mean_energy_residual=mean_e - e,
+        gradient_norm=h1_precondition(loop, grad)[1],
+        mean_energy_residual=0.0 - grad.p_grad,
         closure_residual=state_distance(fine, s0),
-        self_intersections=count_self_intersections(primitive(candidate).nodes),
+        self_intersections=count_self_intersections(primitive(loop).nodes),
     )

@@ -19,9 +19,9 @@ Every move of a lifted loop (descent trial, chain link, Newton polish)
 carries its ledger through ``loop_space.deform``; descent trials take one
 capped, reprojected trial step.
 
-Outputs are certified by shooting along the flow: ``minimax_path`` shoots
-its saddle, and a waist's report is computed when it is first read, so a
-waist that only serves as a minimax endpoint is never shot.
+Outputs are certified as they stand (``flow.certify_orbit``): ``minimax_path``
+certifies its saddle, and a waist's report is computed when it is first read,
+so a waist that only serves as a minimax endpoint is never shot.
 Every waist descends from one ``SeedLoop``, the perturbed latitude circle of
 the ``run.seed_*`` config keys.  ``scan_energy`` and ``multiplicity_search``
 orchestrate the solvers over energy grids and (iterate, deck) label sets.
@@ -30,7 +30,7 @@ orchestrate the solvers over energy grids and (iterate, deck) label sets.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -58,7 +58,6 @@ from .loop_space import (
     lift_loop,
     lifted_action_A,
     optimal_period,
-    optimal_period_fourth,
     perturb_normal,
     primitive,
     valley_tau,
@@ -135,20 +134,23 @@ class WaistResult:
     @cached_property
     def report(self) -> OrbitReport:
         """Shooting certificate of the waist, computed when first read."""
-        return replace(certify_orbit(self.sys, self.lifted.loop, self.e), gradient_norm=self.gradient_norm)
+        return certify_orbit(self.sys, self.lifted.loop, self.e)
 
 
 @dataclass
 class MinimaxResult:
     value: float
     argmax_index: int
-    saddle_gradient_norm: float
     converged: bool
     history: list[float]  # [value]
     saddle: LiftedLoop
     report: OrbitReport
     path: list[LiftedLoop] = field(repr=False, default_factory=list)
     stop_reason: str = "not polished"  # or "polished", "identical endpoints"
+
+    @property
+    def saddle_gradient_norm(self) -> float:
+        return self.report.gradient_norm
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +393,7 @@ def build_connecting_chain(
             gap = end_b.flux - chain[-1].flux
     if abs(gap) > 0.02 * max(1.0, abs(total)) + 0.02:
         raise ValueError(f"connecting chain missed the cover class by {gap:.3e}")
-    chain[-1] = replace(end_b)
+    chain[-1] = end_b
     return chain
 
 
@@ -570,7 +572,7 @@ def minimax_path(
 
     if np.array_equal(end_a.nodes, end_b.nodes) and end_a.p == end_b.p and end_a.flux == end_b.flux:
         value = lifted_action_A(sys, e, end_a)
-        return _certified(sys, e, value, 0, 0.0, True, [value], [end_a, end_b], "identical endpoints")
+        return _certified(sys, e, value, 0, True, [value], [end_a, end_b], "identical endpoints")
 
     # work in a ledger relative to end_a: deck-shifting both endpoints then
     # reproduces the identical computation, so minimax values are exactly
@@ -590,29 +592,22 @@ def minimax_path(
     if converged:  # MAX_NEWTON_MOVE bounds this move
         chain[top] = deform(sys, chain[top], polished)
         actions[top] = lifted_action_A(sys, e, chain[top])
-    else:
-        dual = dual_norm(sys, e, chain[top])
     value = float(actions[top]) + flux_base
     path = [LiftedLoop(u.loop, u.flux + flux_base) for u in chain]
     stop_reason = "polished" if converged else "not polished"
-    return _certified(sys, e, value, top, float(dual), converged, [value], path, stop_reason)
+    return _certified(sys, e, value, top, converged, [value], path, stop_reason)
 
 
-def _certified(sys, e, value, top, dual, converged, history, path, stop_reason) -> MinimaxResult:
-    """The minimax result with link ``top`` of ``path`` as its saddle, shot
-    at its fourth-order period; the report carries the saddle's dual norm."""
+def _certified(sys, e, value, top, converged, history, path, stop_reason) -> MinimaxResult:
+    """The minimax result with link ``top`` of ``path`` as its saddle,
+    certified as it stands (``certify_orbit``)."""
     saddle = path[top]
-    report = replace(certify_orbit(sys, polish_candidate(sys, saddle.loop, e), e), gradient_norm=dual)
-    return MinimaxResult(value, top, dual, converged, history, saddle, report, path, stop_reason)
+    report = certify_orbit(sys, saddle.loop, e)
+    return MinimaxResult(value, top, converged, history, saddle, report, path, stop_reason)
 
 
 # ---------------------------------------------------------------------------
 # label bookkeeping, scans, multiplicity
-
-
-def polish_candidate(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> FreePeriodLoop:
-    """Candidate for shooting certification: 4th-order-accurate period."""
-    return loop.with_period(optimal_period_fourth(sys, loop, e))
 
 
 def _endpoint_for_label(sys, e, waists_by_mult, m, n):

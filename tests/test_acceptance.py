@@ -39,7 +39,6 @@ from magflow.sphere_geom import project_to_sphere, tangent_basis
 from magflow.variational import (
     minimax_between_labels,
     multiplicity_search,
-    polish_candidate,
     prepare_waists,
     scan_energy,
 )

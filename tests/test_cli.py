@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import re
@@ -312,23 +313,26 @@ discretization.loop_nodes = 32
             ("critical-values", "system.drift = none(5)", None),
             ("scan", "run.labels = (1,0)\nrun.energy_grid = 0.02", None),
             ("waist", "run.seed_amplitude = 1e300", None),
+            ("orbit-check", "system.potential = constant(1.0)\nrun.energy = 0.02", latitude_loop(0.0, 32).nodes),
         ],
         ids=["energy-neg", "energy-nan", "energy-inf", "vec3-nan", "v0-overflow", "grid-step-0",
              "grid-inf", "loop-radius-2", "loop-nan-node", "loop-file-missing",
              "loop-file-dir", "loop-no-p", "loop-no-flux", "loop-not-object",
              "config-missing", "grid-reversed", "grid-step-away", "grid-oversized",
              "descent-grid-oversized", "flow-steps-oversized", "flow-step-over-time", "potential-nan",
-             "density-inf", "drift-none-args", "scan-one-label", "seed-amplitude-huge"],
+             "density-inf", "drift-none-args", "scan-one-label", "seed-amplitude-huge",
+             "loop-energy-below-potential"],
     )
     def test_malformed_input_exit_one(self, tmp_path, capsys, command, line, loop):
-        # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload;
-        # line None: --config names a file that does not exist
+        # loop: node array (saved with p = 1, flux = 0) or a raw JSON payload,
+        # named by a line after the given one; line None: --config names a
+        # file that does not exist
         if isinstance(loop, np.ndarray):
             loop = {"nodes": loop.tolist(), "p": 1.0, "flux": 0.0}
         if loop is not None:
             loop_path = tmp_path / "loop.json"
             loop_path.write_text(json.dumps(loop))
-            line = f"run.loop_file = {loop_path}"
+            line = f"{line}\nrun.loop_file = {loop_path}"
         if line is None:
             cfg = str(tmp_path / "absent.cfg")
         else:
@@ -388,32 +392,31 @@ run.loop_file = {loop_file}
         assert payload["action"] == pytest.approx(-0.6 * np.pi, abs=4e-3)
         assert abs(payload["report"]["mean_energy_residual"]) < 1e-6
 
-    def test_orbit_check_reproduces_waist_report(self, tmp_path, capsys):
-        # the loaded loop's gradient norm is the dual norm the descent
-        # stopped at, so the whole report is reproduced bit for bit
-        cfg = write(
-            tmp_path,
-            """
-system.density = height(1.0, 0.0)
-run.energy = 0.02
-run.seed_amplitude = 0.02
-discretization.loop_nodes = 64
-solver.max_iter = 6000
-""",
-        )
-        assert main(["waist", "--config", cfg, "--out", str(tmp_path)]) == 0
-        waist = json.loads(capsys.readouterr().out)
+    @pytest.mark.parametrize(
+        "command, lines",
+        [
+            ("waist", "run.seed_amplitude = 0.02\ndiscretization.loop_nodes = 64\nsolver.max_iter = 6000"),
+            ("minimax", "run.labels = (1,0);(2,0)\ndiscretization.path_loop_nodes = 512"),
+        ],
+        ids=["waist", "minimax"],
+    )
+    def test_orbit_check_reproduces_solver_report(self, tmp_path, capsys, command, lines):
+        # certify_orbit builds the whole report from the loop as saved, so a
+        # saved waist or saddle reproduces its solver's report bit for bit
+        cfg = write(tmp_path, f"system.density = height(1.0, 0.0)\nrun.energy = 0.02\n{lines}\n")
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+        solved = json.loads(capsys.readouterr().out)
         cfg2 = write(
             tmp_path,
             f"""
 system.density = height(1.0, 0.0)
 run.energy = 0.02
-run.loop_file = {waist["loop_file"]}
+run.loop_file = {solved["loop_file"]}
 """,
             name="check.cfg",
         )
         assert main(["orbit-check", "--config", cfg2, "--out", str(tmp_path)]) == 0
-        assert json.loads(capsys.readouterr().out)["report"] == waist["report"]
+        assert json.loads(capsys.readouterr().out)["report"] == solved["report"]
 
     @pytest.mark.parametrize(
         "command, nodes", [("waist", 64), ("minimax", 256), ("scan", 256), ("multiplicity", 256)]
@@ -469,6 +472,26 @@ solver.max_iter = 6000
         assert payload["rows"] == []
         lines = (tmp_path / "scan.csv").read_text().splitlines()
         assert len(lines) == 1  # header only
+
+    def test_scan_csv_quotes_a_status_with_a_comma(self, tmp_path, capsys):
+        # the 4-fold waist would have 48 / 4 = 12 nodes, so the row's status
+        # is an error message that holds a comma
+        cfg = write(
+            tmp_path,
+            """
+system.density = height(1.0, 0.0)
+run.energy_grid = 0.02
+run.labels = (1,0);(4,0)
+discretization.path_loop_nodes = 48
+""",
+        )
+        assert main(["scan", "--config", cfg, "--out", str(tmp_path)]) == 2
+        status = json.loads(capsys.readouterr().out)["rows"][0]["status"]
+        assert status == "error: ValueError: need at least 16 nodes, got 12"
+        with open(tmp_path / "scan.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)]
+        assert rows[0][header.index("status")] == repr(status)
 
 
 class TestSchemaStability:

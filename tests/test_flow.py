@@ -18,6 +18,7 @@ from magflow import (
     iterate,
     latitude_loop,
     optimal_period,
+    optimal_period_fourth,
 )
 from magflow import flow
 from magflow.errors import StepExplosion
@@ -313,10 +314,12 @@ class TestCertify:
             certify_orbit(sys_z, FreePeriodLoop(loop.nodes, 1.0).with_period(-1.0), 0.02)
 
     @staticmethod
-    def fixed_step_closure(sys, loop, h):
-        """Closure residual of one fixed-step shot from the loop's first node."""
-        s0 = State.of(loop.nodes[0], loop.fourth_order_velocities()[0] / loop.p)
-        return state_distance(integrate(sys, s0, loop.p, h).final_state, s0)
+    def fixed_step_closure(sys, loop, e, h):
+        """Closure residual of one fixed-step shot from the loop's first node
+        for its 4th-order energy period, the orbit ``certify_orbit`` shoots."""
+        p = optimal_period_fourth(sys, loop, e)
+        s0 = State.of(loop.nodes[0], loop.fourth_order_velocities()[0] / p)
+        return state_distance(integrate(sys, s0, p, h).final_state, s0)
 
     @staticmethod
     def spy_on_integrate(monkeypatch):
@@ -343,7 +346,7 @@ class TestCertify:
         loop = latitude_loop(0.0, 128)
         loop = loop.with_period(optimal_period(sys_z, loop, 0.02))
         rep = certify_orbit(sys_z, loop, 0.02)
-        assert abs(rep.closure_residual - self.fixed_step_closure(sys_z, loop, 1e-4)) <= 1e-7
+        assert abs(rep.closure_residual - self.fixed_step_closure(sys_z, loop, 0.02, 1e-4)) <= 1e-7
 
     def test_strong_field_refines(self, monkeypatch):
         sys = MagneticSystem(ScalarField.height(60.0, 0.0))
@@ -355,7 +358,7 @@ class TestCertify:
         assert len(steps) >= 4
         # an estimate above 16 times the budget skips a doubling
         assert any(b == 4 * a for a, b in zip(steps, steps[1:]))
-        assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 1e-4)) <= 1e-7
+        assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 2.0, 1e-4)) <= 1e-7
 
     def test_smooth_orbit_stops_after_one_pair(self, sys_z, monkeypatch):
         loop = latitude_loop(0.0, 128)
@@ -382,11 +385,14 @@ class TestCertify:
 
     def test_first_shot_at_step_cap(self, sys_z, monkeypatch):
         # the first shot takes SHOOT_MIN_STEPS whatever the period: the step
-        # count comes from the error budget, not from a cap on the step
+        # count comes from the error budget, not from a cap on the step.  The
+        # shot runs for the 4th-order energy period, so the energy sets it:
+        # p = p0 sqrt(0.02 / e) with no potential
+        loop = latitude_loop(0.0, 32)
+        p0 = optimal_period_fourth(sys_z, loop, 0.02)
         for p in (0.05, 6.500000000000001, 500.0):
-            loop = latitude_loop(0.0, 32).with_period(p)
             steps = self.spy_on_integrate(monkeypatch)
-            certify_orbit(sys_z, loop, 0.02)
+            certify_orbit(sys_z, loop, 0.02 * (p0 / p) ** 2)
             self.assert_schedule(steps)
 
     @pytest.mark.parametrize("m", [2, 3])
@@ -404,11 +410,12 @@ class TestCertify:
         sys = MagneticSystem(ScalarField.height(200.0, 0.0))
         loop = latitude_loop(0.9, 128)
         loop = loop.with_period(optimal_period(sys, loop, 0.02))
+        p = optimal_period_fourth(sys, loop, 0.02)
         with pytest.raises(StepExplosion):
-            self.fixed_step_closure(sys, loop, loop.p / flow.SHOOT_MIN_STEPS)  # the first shot
+            self.fixed_step_closure(sys, loop, 0.02, p / flow.SHOOT_MIN_STEPS)  # the first shot
         rep = certify_orbit(sys, loop, 0.02)
-        # a fixed 1e-4 step errs by 1.9e-7 on this orbit; 5e-5 by about 1e-8
-        assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 5e-5)) <= 1e-7
+        # fixed 1e-4 and 5e-5 steps close within 8.3e-9 and 1.4e-10 of it
+        assert abs(rep.closure_residual - self.fixed_step_closure(sys, loop, 0.02, 5e-5)) <= 1e-7
 
 
 class TestSelfIntersections:

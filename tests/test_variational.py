@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -40,7 +40,6 @@ from magflow.variational import (
     hausdorff_distance,
     minimax_between_labels,
     multiplicity_search,
-    polish_candidate,
     prepare_waists,
     scan_energy,
 )
@@ -89,7 +88,7 @@ class TestFindWaist:
         seed = SeedLoop(z0=0.0, amplitude=0.05, mode=3).lift(sys_z, E, 128)
         res = find_waist(sys_z, E, seed, SolverConfig())
         assert calls == []
-        eager = replace(certify_orbit(sys_z, res.lifted.loop, E), gradient_norm=res.gradient_norm)
+        eager = certify_orbit(sys_z, res.lifted.loop, E)
         report = res.report
         assert res.report is report
         assert len(calls) == 1
@@ -325,7 +324,7 @@ class TestMinimax:
         assert mm.value == pytest.approx(4.0 * np.pi * E, abs=5e-3)
         # the chain carries the ledger by sweeps (defect 7.6e-4 measured)
         assert ledger_defect(sys_z, mm.saddle) <= 5e-3
-        rep = certify_orbit(sys_z, polish_candidate(sys_z, mm.saddle.loop, E), E)
+        rep = certify_orbit(sys_z, mm.saddle.loop, E)
         assert rep.closure_residual <= 1e-4
         assert abs(rep.mean_energy_residual) <= 1e-5
 
