@@ -4,8 +4,9 @@ Configs are flat ``section.key = value`` text files with ``#`` comments and a
 strict schema: unknown keys are errors, deprecated keys are ignored with one
 warning line on stderr.  Every command writes one JSON summary to stdout
 (schema_version 1, keys sorted, so identical runs are byte-identical) and CSV
-artifacts under ``--out``.  Exit codes: 0 success, 2 nonconvergence (or a
-saddle that fails ``OrbitReport.certified``), 1 any other error.
+artifacts under ``--out``.  Exit codes: 0 success, 2 nonconvergence or a
+saddle that is not a found orbit (``MinimaxResult.failure``), 1 any other
+error.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .loop_space import (
     load_lifted,
     nodes_to_csv,
     save_lifted,
+    write_csv,
 )
 from .tonelli import MagneticSystem
 
@@ -216,22 +218,12 @@ def _two_labels(cfg: RunConfig) -> list[tuple[int, int]]:
     return labels[:2]
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    """A header line and one line per row of formatted cells; a cell holding
-    a comma or a quote is quoted, so every row parses to the header's width."""
-    import csv  # here: commands that write no CSV stay 0.13 MB smaller resident
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cmd_flow(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     system = cfg.system()
     s0 = State.of(cfg["flow.q0"], cfg["flow.v0"])
     traj = integrate(system, s0, cfg["flow.time"], cfg["flow.step"])
     csv_path = out / "trajectory.csv"
-    _write_csv(
+    write_csv(
         csv_path,
         ["t", "qx", "qy", "qz", "vx", "vy", "vz", "E"],
         (
@@ -277,7 +269,7 @@ def _cmd_minimax(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     mm = vr.minimax_between_labels(system, e, waists, labels[0], labels[1], solver)
     saddle_path = out / "saddle_loop.json"
     save_lifted(mm.saddle, saddle_path)
-    return 0 if mm.converged and mm.report.certified else 2, {
+    return 0 if mm.failure is None else 2, {
         "energy": e,
         "labels": [list(labels[0]), list(labels[1])],
         "value": mm.value,
@@ -303,9 +295,8 @@ def _cmd_scan(cfg: RunConfig, out: Path) -> tuple[int, dict]:
         "minimax_value", "minimax_converged", "saddle_gradient_norm", "saddle_closure",
         "saddle_energy_residual",
     ]
-    _write_csv(csv_path, cols, ([repr(row[c]) if c in row else "" for c in cols] for row in rows))
-    clean = all(r["status"] == "ok" and r.get("minimax_converged", False) for r in rows)
-    return 0 if clean else 2, {"rows": rows, "scan_csv": str(csv_path)}
+    write_csv(csv_path, cols, ([repr(row[c]) if c in row else "" for c in cols] for row in rows))
+    return 0 if all(r["status"] == "ok" for r in rows) else 2, {"rows": rows, "scan_csv": str(csv_path)}
 
 
 def _cmd_multiplicity(cfg: RunConfig, out: Path) -> tuple[int, dict]:

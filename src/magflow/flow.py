@@ -19,7 +19,9 @@ the sphere and v to the tangent plane.  One pure-Python scalar loop serves
 round and conformal metrics alike: the right-hand side is built once per
 call from the system's field evaluators, and its conformal terms run only
 for a non-round metric, so round-metric trajectories keep the bits of the
-plain round formula.
+plain round formula.  The loop steps positions and velocities only; the
+energy series comes from one ``MagneticSystem.energy`` call on the whole
+trajectory after it.
 
 Certification (``certify_orbit``) builds a loop's whole report from one
 action gradient and shots for its 4th-order energy period: the first takes
@@ -42,7 +44,6 @@ import numpy as np
 from .errors import StepExplosion
 from .loop_space import (
     FreePeriodLoop,
-    LiftedLoop,
     action_gradient,
     h1_precondition,
     optimal_period_fourth,
@@ -105,17 +106,16 @@ class Trajectory:
 
 
 def _equations(sys: MagneticSystem):
-    """Scalar right-hand side and energy of the equations of motion.
+    """Scalar right-hand side of the equations of motion.
 
-    Both take the six state components (qx, qy, qz, vx, vy, vz) as floats;
-    the right-hand side returns (dq, dv) as a 6-tuple.  The conformal block
-    runs only for a non-round metric, so round-metric states never pay for it.
+    It takes the six state components (qx, qy, qz, vx, vy, vz) as floats and
+    returns (dq, dv) as a 6-tuple.  The conformal block runs only for a
+    non-round metric, so round-metric states never pay for it.
     """
     conformal = not sys.is_round
     dens = sys.density.scalar_fn()
     drift_h = 2.0 * sys.drift
     grad_pot = sys.potential.grad_fn()
-    pot = sys.potential.scalar_fn()
     u = sys.conformal_exponent.scalar_fn()
     grad_u = sys.conformal_exponent.grad_fn()
 
@@ -153,13 +153,7 @@ def _equations(sys: MagneticSystem):
             -vv * qz - (gz - gq * qz) + f * cz,
         )
 
-    def energy(qx, qy, qz, vx, vy, vz):
-        vv = vx * vx + vy * vy + vz * vz
-        if conformal:
-            vv *= math.exp(2.0 * u(qx, qy, qz))
-        return 0.5 * vv + pot(qx, qy, qz)
-
-    return rhs, energy
+    return rhs
 
 
 def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
@@ -172,16 +166,14 @@ def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
         raise ValueError(f"time / step exceeds {MAX_STEPS} RK4 steps")
     n = max(1, int(round(T / h)))
     dt = T / n
-    rhs, energy = _equations(sys)
+    rhs = _equations(sys)
 
     qx, qy, qz = (float(c) for c in s0.q)
     vx, vy, vz = (float(c) for c in s0.v)
     qs = np.empty((n + 1, 3))
     vs = np.empty((n + 1, 3))
-    es = np.empty(n + 1)
     qs[0] = (qx, qy, qz)
     vs[0] = (vx, vy, vz)
-    es[0] = energy(qx, qy, qz, vx, vy, vz)
     half = 0.5 * dt
     sixth = dt / 6.0
     for k in range(n):
@@ -215,8 +207,7 @@ def integrate(sys: MagneticSystem, s0: State, T: float, h: float) -> Trajectory:
             raise StepExplosion(f"velocity non-finite or above {_EXPLOSION_BOUND:g} at step {k}")
         qs[k + 1] = (qx, qy, qz)
         vs[k + 1] = (vx, vy, vz)
-        es[k + 1] = energy(qx, qy, qz, vx, vy, vz)
-    return Trajectory(np.linspace(0.0, T, n + 1), qs, vs, es)
+    return Trajectory(np.linspace(0.0, T, n + 1), qs, vs, sys.energy(qs, vs))
 
 
 def state_distance(a: State, b: State) -> float:
@@ -394,7 +385,7 @@ def certify_orbit(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -> OrbitR
     that a retraced loop reports the crossings of the orbit it retraces.
     Raises ``ValueError`` when e does not exceed the loop's mean potential.
     """
-    grad = action_gradient(sys, e, LiftedLoop(loop, 0.0))
+    grad = action_gradient(sys, e, loop)
     p = optimal_period_fourth(sys, loop, e)
     s0 = State.of(loop.nodes[0], loop.fourth_order_velocities()[0] / p)
     n, coarse, coarse_n = SHOOT_MIN_STEPS, None, 0

@@ -21,7 +21,10 @@ capped, reprojected trial step.
 
 Outputs are certified as they stand (``flow.certify_orbit``): ``minimax_path``
 certifies its saddle, and a waist's report is computed when it is first read,
-so a waist that only serves as a minimax endpoint is never shot.
+so a waist that only serves as a minimax endpoint is never shot.  Whether a
+saddle counts as a found orbit is decided in one place,
+``MinimaxResult.failure``, which the ``minimax`` exit code, the ``scan`` row
+status and the ``multiplicity`` failure list all read.
 Every waist descends from one ``SeedLoop``, the perturbed latitude circle of
 the ``run.seed_*`` config keys.  ``scan_energy`` and ``multiplicity_search``
 orchestrate the solvers over energy grids and (iterate, deck) label sets.
@@ -152,6 +155,17 @@ class MinimaxResult:
     def saddle_gradient_norm(self) -> float:
         return self.report.gradient_norm
 
+    @property
+    def failure(self) -> str | None:
+        """The one saddle verdict: ``None`` when the saddle is a found orbit
+        (Newton converged and its shot closes, ``OrbitReport.certified``),
+        else the reason it is not, nonconvergence checked first."""
+        if not self.converged:
+            return f"nonconvergence (saddle grad {self.saddle_gradient_norm:.2e})"
+        if not self.report.certified:
+            return f"certification failed (closure {self.report.closure_residual:.2e})"
+        return None
+
 
 # ---------------------------------------------------------------------------
 # waist descent
@@ -165,7 +179,7 @@ def _reduced_lift(sys: MagneticSystem, e: float, ll: LiftedLoop) -> LiftedLoop:
 
 def dual_norm(sys: MagneticSystem, e: float, ll: LiftedLoop) -> float:
     """H^1 dual norm of the lifted-action gradient at ``ll``."""
-    return h1_precondition(ll.loop, action_gradient(sys, e, ll))[1]
+    return h1_precondition(ll.loop, action_gradient(sys, e, ll.loop))[1]
 
 
 def _trial_step(sys: MagneticSystem, ll: LiftedLoop, d: np.ndarray, p: float) -> LiftedLoop:
@@ -228,7 +242,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
     prev = None
 
     for it in range(cfg.max_iter):
-        grad = action_gradient(sys, e, ll)
+        grad = action_gradient(sys, e, ll.loop)
         h1_dir, dual = h1_precondition(ll.loop, grad)
         if not (math.isfinite(action) and math.isfinite(dual)):
             raise NonFiniteAction(f"action {action} and gradient norm {dual} at iteration {it}")
@@ -341,7 +355,9 @@ def build_connecting_chain(
 
     ``mult_a``/``mult_b`` are the covering multiplicities of the endpoint
     curves and ``deck_shift`` the deck offset n_b - n_a; multiplicity changes
-    and windings happen at tiny-loop scale where all classes meet.
+    and windings happen at tiny-loop scale where all classes meet.  Raises
+    ``ValueError`` when the chain ends in another cover class than ``end_b``,
+    as it does for a ``deck_shift`` that does not match the endpoints' fluxes.
     """
     if end_a.loop.n != end_b.loop.n:
         raise ValueError("endpoints must share the node count")
@@ -380,17 +396,9 @@ def build_connecting_chain(
     loops += expand[1:] + [end_b.loop]
     chain = carry(_reduced_lift(sys, e, end_a), loops)
 
-    # the chain must land on the requested cover point; correct any residual
-    # integer winding defensively
+    # the chain must land on the requested cover point
     total = sys.total_flux()
     gap = end_b.flux - chain[-1].flux
-    if abs(total) > 1e-9:
-        k = int(round(gap / total))
-        if k != 0:
-            loops = [loop for _ in range(abs(k)) for loop in _wind_family(c_b, r0, n, k)]
-            loops += _blend_family(loops[-1].nodes, end_b.nodes, 6)
-            chain += carry(chain[-1], loops)[1:]
-            gap = end_b.flux - chain[-1].flux
     if abs(gap) > 0.02 * max(1.0, abs(total)) + 0.02:
         raise ValueError(f"connecting chain missed the cover class by {gap:.3e}")
     chain[-1] = end_b
@@ -487,7 +495,7 @@ def refine_stationary(
     n = loop.n
 
     def raw_grad(lp: FreePeriodLoop) -> np.ndarray:
-        g = action_gradient(sys, e, LiftedLoop(lp, 0.0))
+        g = action_gradient(sys, e, lp)
         return np.concatenate([g.node_grads.ravel(), [g.p_grad]])
 
     def dual_norm_of(flat: np.ndarray) -> float:
@@ -639,8 +647,8 @@ def minimax_between_labels(sys, e, waists_by_mult, label_a, label_b, cfg):
 
 def scan_energy(sys: MagneticSystem, e_grid, labels, cfg: SolverConfig, path_n: int, seed: SeedLoop):
     """Waist action and minimax value per energy; rows carry error
-    markers instead of aborting the scan, and a saddle that shooting does not
-    close (``OrbitReport.certified``) marks its row's status."""
+    markers instead of aborting the scan, and a saddle that is not a found
+    orbit puts its ``MinimaxResult.failure`` in its row's status."""
     e_grid = list(e_grid)
     if any(b <= a for a, b in zip(e_grid, e_grid[1:])):
         raise ValueError("energy grid must be strictly increasing")
@@ -659,8 +667,7 @@ def scan_energy(sys: MagneticSystem, e_grid, labels, cfg: SolverConfig, path_n: 
             row["saddle_gradient_norm"] = mm.saddle_gradient_norm
             row["saddle_closure"] = mm.report.closure_residual
             row["saddle_energy_residual"] = mm.report.mean_energy_residual
-            if not mm.report.certified:
-                row["status"] = f"certification failed (closure {mm.report.closure_residual:.2e})"
+            row["status"] = mm.failure or "ok"
         except (MagflowError, ValueError, ArithmeticError) as exc:  # rows must not kill the scan
             row["status"] = f"error: {type(exc).__name__}: {exc}"
         rows.append(row)
@@ -717,7 +724,8 @@ def multiplicity_search(
     sys: MagneticSystem, e: float, labels, cfg: SolverConfig, path_n: int, seed: SeedLoop
 ) -> MultiplicityResult:
     """Waist plus minimax saddles over all label pairs, deduplicated by
-    primitive-orbit trace distance; nonconvergent pairs are reported."""
+    primitive-orbit trace distance; a pair whose solve raises or whose saddle
+    has a ``MinimaxResult.failure`` is reported with its reason."""
     labels = [tuple(lbl) for lbl in labels]
     if len(set(labels)) != len(labels):
         raise ValueError("labels must be distinct")
@@ -744,15 +752,8 @@ def multiplicity_search(
             except (MagflowError, ValueError, ArithmeticError) as exc:  # aggregate, return partial
                 failures.append({"pair": pair, "reason": f"{type(exc).__name__}: {exc}"})
                 continue
-            if not mm.converged:
-                failures.append(
-                    {"pair": pair, "reason": f"nonconvergence (saddle grad {mm.saddle_gradient_norm:.2e})"}
-                )
-                continue
-            if not mm.report.certified:
-                failures.append(
-                    {"pair": pair, "reason": f"certification failed (closure {mm.report.closure_residual:.2e})"}
-                )
+            if mm.failure:
+                failures.append({"pair": pair, "reason": mm.failure})
                 continue
             records.append(
                 OrbitRecord(

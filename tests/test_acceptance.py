@@ -64,7 +64,7 @@ def test_criterion_01_gradient_correctness(sys_shifted, rng):
         for _ in range(100):
             loop = random_loop(rng, 64)
             ll = lift_loop(sys_shifted, loop)
-            grad = action_gradient(sys_shifted, e, ll)
+            grad = action_gradient(sys_shifted, e, ll.loop)
             fd = np.zeros((64, 3))
             for i in range(64):
                 b1, b2 = tangent_basis(loop.nodes[i])

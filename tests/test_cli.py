@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import magflow
-from magflow import SeedLoop, latitude_loop, lifted_action_A
+from magflow import SeedLoop, latitude_loop, lifted_action_A, variational
 from magflow.cli import _DEPRECATED, _SCHEMA, main, parse_config
 from magflow.critical_values import _symmetric_witness
 from magflow.errors import ParseError, ValidationError
@@ -492,6 +492,20 @@ discretization.path_loop_nodes = 48
             header, *rows = csv.reader(fh)
         assert [len(row) for row in rows] == [len(header)]
         assert rows[0][header.index("status")] == repr(status)
+
+    def test_unpolished_saddle_has_one_verdict(self, tmp_path, capsys, monkeypatch):
+        # with Newton failing, minimax, scan and multiplicity judge the
+        # unpolished chain maximum by one rule and give one reason
+        monkeypatch.setattr(variational, "refine_stationary", lambda sys, e, loop, tol: (loop, 1.0))
+        cfg = write(tmp_path, TestSchemaStability.TINY + "run.energy_grid = 0.02\n")
+        out = {}
+        for command in ("minimax", "scan", "multiplicity"):
+            assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 2
+            out[command] = json.loads(capsys.readouterr().out)
+        assert not out["minimax"]["converged"]
+        reason = f"nonconvergence (saddle grad {out['minimax']['saddle_gradient_norm']:.2e})"
+        assert out["scan"]["rows"][0]["status"] == reason
+        assert [failure["reason"] for failure in out["multiplicity"]["failures"]] == [reason]
 
 
 class TestSchemaStability:

@@ -76,9 +76,23 @@ def crossings_reference(nodes: np.ndarray, tol: float = 1e-6) -> int:
 
 def magnetic_el_field(sys: MagneticSystem, state: State) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side (dq, dv) of the equations of motion at a state."""
-    rhs, _ = flow._equations(sys)
+    rhs = flow._equations(sys)
     out = rhs(*(float(c) for c in state.q), *(float(c) for c in state.v))
     return np.array(out[:3]), np.array(out[3:])
+
+
+def energy_reference(sys: MagneticSystem, qs: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Energy 1/2 e^{2u} |v|^2 + U at each state, one state at a time in
+    Python floats with the fields' scalar evaluators."""
+    pot = sys.potential.scalar_fn()
+    u = sys.conformal_exponent.scalar_fn()
+    out = []
+    for (qx, qy, qz), (vx, vy, vz) in zip(qs.tolist(), vs.tolist()):
+        vv = vx * vx + vy * vy + vz * vz
+        if not sys.is_round:
+            vv *= math.exp(2.0 * u(qx, qy, qz))
+        out.append(0.5 * vv + pot(qx, qy, qz))
+    return np.array(out)
 
 
 def field_reference(sys: MagneticSystem, q: np.ndarray, v: np.ndarray):
@@ -237,6 +251,30 @@ class TestIntegrate:
         assert np.max(np.abs(traj.positions - ref.positions)) <= 1e-12
         assert np.max(np.abs(traj.velocities - ref.velocities)) <= 1e-12
         assert np.max(np.abs(traj.energy_series - ref.energy_series)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "sys",
+        [
+            reference_system("round"),
+            reference_system("potential-drift"),
+            MagneticSystem(
+                ScalarField.zonal_poly(0.1, 1.0, 0.0, -0.4), ScalarField.linear(0.2, -0.1, 0.3, 0.05), -0.25
+            ),
+        ],
+        ids=["round", "potential-drift", "linear-potential"],
+    )
+    def test_energy_series_is_the_scalar_formula(self, sys):
+        # round metric: MagneticSystem.energy takes the scalar formula's
+        # float operations in the same order, so the series is bit for bit
+        traj = integrate(sys, State.of(np.array([0.6, 0.0, 0.8]), np.array([0.1, 0.7, -0.2])), 2.0, 1e-2)
+        assert np.array_equal(traj.energy_series, energy_reference(sys, traj.positions, traj.velocities))
+
+    def test_conformal_energy_series_is_the_scalar_formula(self):
+        # np.exp may differ from math.exp in the last bit
+        sys = reference_system("conformal")
+        traj = integrate(sys, State.of(np.array([0.6, 0.0, 0.8]), np.array([0.1, 0.7, -0.2])), 2.0, 1e-2)
+        ref = energy_reference(sys, traj.positions, traj.velocities)
+        assert np.max(np.abs(traj.energy_series - ref)) <= 1e-12
 
     @pytest.mark.parametrize("name", ["round", "conformal"])
     def test_non_finite_state_explodes(self, name):

@@ -34,6 +34,7 @@ from magflow.loop_space import (
     nodes_to_csv,
     primitive,
     save_lifted,
+    write_csv,
 )
 from magflow.sphere_geom import (
     BASE_POINT,
@@ -191,6 +192,19 @@ class TestLoopContainers:
         with pytest.raises(ValueError):
             save_lifted(LiftedLoop(FreePeriodLoop(nodes, p), flux), path)
         assert not path.exists()
+
+    def test_write_csv_matches_csv_module(self, tmp_path):
+        # the csv module's minimal quoting, without importing it
+        import csv
+
+        header = ["a", "b,c", 'say "hi"']
+        rows = [["1", "", "x\ny"], ["'q'", '"', ","], ["-0.0", "5e-324", "e: 1, 2"]]
+        write_csv(tmp_path / "ours.csv", header, iter(rows))
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+        assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_nodes_to_csv_row_formula(self, rng, tmp_path):
         loop = random_loop(rng, 40)
@@ -498,7 +512,7 @@ class TestActionGradient:
     def test_matches_finite_differences(self, sys_shifted, rng):
         for n in (32, 64, 128):
             ll = random_lifted(sys_shifted, rng, n=n)
-            grad = action_gradient(sys_shifted, E, ll)
+            grad = action_gradient(sys_shifted, E, ll.loop)
             fd_nodes, fd_p = self._fd_gradient(sys_shifted, E, ll)
             num = np.sqrt(np.sum((fd_nodes - grad.node_grads) ** 2) + (fd_p - grad.p_grad) ** 2)
             den = np.sqrt(np.sum(fd_nodes**2) + fd_p**2)
@@ -511,7 +525,7 @@ class TestActionGradient:
             drift=0.3,
         )
         ll = random_lifted(sys_full, rng, n=48)
-        grad = action_gradient(sys_full, 0.6, ll)
+        grad = action_gradient(sys_full, 0.6, ll.loop)
         fd_nodes, fd_p = self._fd_gradient(sys_full, 0.6, ll)
         num = np.sqrt(np.sum((fd_nodes - grad.node_grads) ** 2) + (fd_p - grad.p_grad) ** 2)
         den = np.sqrt(np.sum(fd_nodes**2) + fd_p**2)
@@ -524,7 +538,7 @@ class TestActionGradient:
             conformal_exponent=ScalarField.height(0.2, 0.0),
         )
         ll = random_lifted(sys_conf, rng, n=48)
-        grad = action_gradient(sys_conf, 0.3, ll)
+        grad = action_gradient(sys_conf, 0.3, ll.loop)
         fd_nodes, fd_p = self._fd_gradient(sys_conf, 0.3, ll)
         num = np.sqrt(np.sum((fd_nodes - grad.node_grads) ** 2) + (fd_p - grad.p_grad) ** 2)
         den = np.sqrt(np.sum(fd_nodes**2) + fd_p**2)
@@ -533,21 +547,20 @@ class TestActionGradient:
     def test_p_component_closed_form(self, sys_z, rng):
         loop = random_loop(rng)
         p_star = optimal_period(sys_z, loop, E)
-        grad = action_gradient(sys_z, E, LiftedLoop(loop.with_period(p_star), 0.0))
+        grad = action_gradient(sys_z, E, loop.with_period(p_star))
         assert abs(grad.p_grad) < 1e-10
-        grad2 = action_gradient(sys_z, E, LiftedLoop(loop.with_period(2 * p_star), 0.0))
+        grad2 = action_gradient(sys_z, E, loop.with_period(2 * p_star))
         assert abs(grad2.p_grad) > 1e-4
 
     def test_gradient_vanishes_at_critical_circle(self, sys_z):
         loop = latitude_loop(0.0, 128)
         loop = loop.with_period(optimal_period(sys_z, loop, E))
-        ll = lift_loop(sys_z, loop)
-        _, dual = h1_precondition(loop, action_gradient(sys_z, E, ll))
+        _, dual = h1_precondition(loop, action_gradient(sys_z, E, loop))
         assert dual < 1e-12
 
     def test_gradients_tangent(self, sys_shifted, rng):
         ll = random_lifted(sys_shifted, rng)
-        grad = action_gradient(sys_shifted, E, ll)
+        grad = action_gradient(sys_shifted, E, ll.loop)
         dots = np.sum(grad.node_grads * ll.nodes, axis=1)
         assert np.max(np.abs(dots)) < 1e-12
 

@@ -127,7 +127,7 @@ class TestFindWaist:
 
     def test_lbfgs_without_pairs_is_h1_direction(self, sys_shifted):
         ll = SeedLoop(amplitude=0.08).lift(sys_shifted, E, 64)
-        grad = action_gradient(sys_shifted, E, ll)
+        grad = action_gradient(sys_shifted, E, ll.loop)
         direction = _lbfgs_direction(ll.nodes, grad.node_grads, [])
         assert np.array_equal(direction, h1_precondition(ll.loop, grad)[0])
 
@@ -282,6 +282,17 @@ class TestConnectingChain:
         end_b = deck_transform(sys_shifted, end_a, 1)
         chain = build_connecting_chain(sys_shifted, E, end_a, end_b, 1, 1, 1)
         assert chain[-1].flux == end_b.flux
+
+    @pytest.mark.parametrize("deck_shift", [0, 2])
+    def test_deck_shift_off_by_one_raises(self, sys_shifted, deck_shift):
+        # the chain winds deck_shift times, so it ends one total flux away
+        # from end_b
+        waist = latitude_loop(-0.2521, 96)
+        waist = waist.with_period(optimal_period(sys_shifted, waist, E))
+        end_a = lift_loop(sys_shifted, waist)
+        end_b = deck_transform(sys_shifted, end_a, 1)
+        with pytest.raises(ValueError, match="missed the cover class"):
+            build_connecting_chain(sys_shifted, E, end_a, end_b, 1, 1, deck_shift)
 
 
 class TestMinimax:
