@@ -22,7 +22,7 @@ import numpy as np
 
 from . import critical_values as cv
 from . import variational as vr
-from .errors import MagflowError, MaxIterations, ParseError, ValidationError
+from .errors import MagflowError, MaxIterations, NotSymmetric, ParseError, ValidationError
 from .fields import ScalarField, parse_drift
 from .flow import State, certify_orbit, energy_drift, integrate
 from .loop_space import (
@@ -337,7 +337,7 @@ def _cmd_critical_values(cfg: RunConfig, out: Path) -> tuple[int, dict]:
     try:
         res = cv.e1_lower_bound_symmetric(system, cfg["run.e_max"])
         method = "symmetric-latitude-oracle"
-    except MagflowError:
+    except NotSymmetric:
         step = cfg["run.grid_step"]
         n = int(_grid_steps("run.grid_step", cfg["run.e_max"], step))
         grid = [e0_val + step * k for k in range(1, n + 1)]

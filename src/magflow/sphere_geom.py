@@ -10,7 +10,9 @@ triangle's first vertex, with 2^depth radial nodes and as few far-edge
 nodes as the largest apex angle allows (4 for the thin cone triangles of a
 lift, 2^depth for the octant faces of ``total_flux``); for smooth densities
 it converges spectrally, to rounding at depth 4 (``FLUX_DEPTH``) on the
-loops this package lifts.
+loops this package lifts.  It evaluates its points component-major, one
+contiguous row per coordinate, with the bits of the point-major form and
+at most 3 * T * 2^depth point coordinates alive for T triangles.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
@@ -81,9 +83,14 @@ def project_to_sphere(x: np.ndarray) -> np.ndarray:
     """Radial projection x / |x|; rejects vectors with |x| <= 1e-9."""
     x = np.asarray(x, dtype=float)
     n = norm3(x)[..., None]
+    _require_norm(n)
+    return x / n
+
+
+def _require_norm(n: np.ndarray) -> None:
+    """Reject norms n <= 1e-9, which are too small to project by."""
     if np.any(n <= _MIN_NORM):
         raise NearZeroVector(f"norm {float(n.min()):.3e} too small to project")
-    return x / n
 
 
 def tangent_project(q: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -158,46 +165,62 @@ def triangles_flux(density: Density, tris: np.ndarray, depth: int = FLUX_DEPTH) 
     far edge b -> c subtends at its apex a (``_edge_nodes``: 4 up to
     ``EDGE_PHI`` = 0.06 rad, doubling with each doubling of phi, at most
     2^depth), so a triangle costs m * 2^depth density evaluations.  The
-    t-nodes are visited one at a time, so at most T * 2^depth points exist
-    at once.  The edge points of mirrored t-nodes are formed from the same
-    two coefficients and summed in pairs, and phi is symmetric in b and c,
-    so reversing (a, b, c) to (a, c, b) negates the flux exactly.
+    edge points of mirrored t-nodes are formed from the same two
+    coefficients and summed in pairs, and phi is symmetric in b and c, so
+    reversing (a, b, c) to (a, c, b) negates the flux exactly.
+
+    The vertices are copied once to (3, T) component rows, so every product
+    runs along the triangle axis, and the points of a t-node fill one
+    (3, 2^depth, T) buffer that the density reads as its (2^depth, T, 3)
+    view: each coordinate is a contiguous row.  The float operations and
+    their order are those of the point-major (T, 3) form, so the flux has
+    the same bits.  The t-nodes are visited one at a time, so at most
+    3 * T * 2^depth point coordinates exist at once.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     tris = np.asarray(tris, dtype=float)
-    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    # a[k] is coordinate k of every first vertex, and so on; the last-axis
+    # helpers read the rows through their (T, 3) transposes
+    a, b, c = tris.transpose(1, 2, 0).copy()
     n = 2**depth
     s, ws = _unit_gauss_legendre(n)
-    det = dot3(a, cross3(b, c))
-    phi = np.arctan2(np.abs(det), dot3(b, c) - dot3(a, b) * dot3(a, c))
+    bxc = cross3(b.T, c.T)
+    det = dot3(a.T, bxc)
+    bc = dot3(b.T, c.T)
+    phi = np.arctan2(np.abs(det), bc - dot3(a.T, b.T) * dot3(a.T, c.T))
     m = _edge_nodes(float(np.max(phi, initial=0.0)), n)
     half = m // 2
     st, wst = _unit_gauss_legendre(m)
     t, wt = st[:half, None], wst[:half]
-    omega = angular_distance(b, c)
+    omega = np.arctan2(norm3(bxc), bc)
     # e(t) is proportional to sin((1 - t) w) b + sin(t w) c; sinc keeps a
     # zero-length edge finite
     near = t * np.sinc(t * omega / np.pi)
     far = (1.0 - t) * np.sinc((1.0 - t) * omega / np.pi)
     scale = det / np.sinc(omega / np.pi)
+    q = np.empty((3, n, len(tris)))
+    points = np.moveaxis(q, 0, -1)
     g = np.empty((m, len(tris)))
     for j in range(m):
         wb, wc = (far[j], near[j]) if j < half else (near[m - 1 - j], far[m - 1 - j])
-        e = project_to_sphere(wb[:, None] * b + wc[:, None] * c)
-        cos_max = dot3(a, e)
-        u = e - cos_max[:, None] * a
-        sin_max = norm3(u)
+        e = wb * b + wc * c
+        norm = norm3(e.T)
+        _require_norm(norm)
+        e /= norm
+        cos_max = dot3(a.T, e.T)
+        u = e - cos_max * a
+        sin_max = norm3(u.T)
         theta_max = np.arctan2(sin_max, cos_max)
         ok = sin_max > 0.0
-        d = np.divide(u, sin_max[:, None], out=np.zeros_like(u), where=ok[:, None])
+        d = np.divide(u, sin_max, out=np.zeros_like(u), where=ok)
         # psi' times the theta_max of the substitution th = s * theta_max
         jac = np.divide(theta_max, sin_max * sin_max, out=np.zeros_like(theta_max), where=ok)
         th = s[:, None] * theta_max
         sin_th = np.sin(th)
-        q = sin_th[..., None] * d
-        q += np.cos(th)[..., None] * a
-        g[j] = scale * jac * (ws @ (density(q) * sin_th))
+        np.multiply(sin_th, d[:, None], out=q)
+        q += np.cos(th) * a[:, None]
+        g[j] = scale * jac * (ws @ (density(points) * sin_th))
     return float(np.sum(wt @ (g[:half] + g[::-1][:half])))
 
 

@@ -21,7 +21,8 @@ capped, reprojected trial step.
 
 Outputs are certified as they stand (``flow.certify_orbit``): ``minimax_path``
 certifies its saddle, and a waist's report is computed when it is first read,
-so a waist that only serves as a minimax endpoint is never shot.  Whether a
+so a waist that only serves as a minimax endpoint is never shot, and a
+``scan`` row counts its waist's crossings on the loop itself.  Whether a
 saddle counts as a found orbit is decided in one place,
 ``MinimaxResult.failure``, which the ``minimax`` exit code, the ``scan`` row
 status and the ``multiplicity`` failure list all read.
@@ -45,7 +46,7 @@ from .errors import (
     NonFiniteAction,
     ValleyCollapse,
 )
-from .flow import OrbitReport, certify_orbit
+from .flow import OrbitReport, certify_orbit, count_self_intersections
 from .loop_space import (
     FreePeriodLoop,
     LiftedLoop,
@@ -660,7 +661,9 @@ def scan_energy(sys: MagneticSystem, e_grid, labels, cfg: SolverConfig, path_n: 
             waist = waists[min(waists)]
             row["waist_action"] = waist.action
             row["waist_gradient_norm"] = waist.gradient_norm
-            row["waist_self_intersections"] = waist.report.self_intersections
+            row["waist_self_intersections"] = count_self_intersections(
+                primitive(waist.lifted.loop).nodes
+            )
             mm = minimax_between_labels(sys, e, waists, labels[0], labels[1], cfg)
             row["minimax_value"] = mm.value
             row["minimax_converged"] = mm.converged

@@ -11,10 +11,10 @@ import numpy as np
 import pytest
 
 import magflow
-from magflow import SeedLoop, latitude_loop, lifted_action_A, variational
+from magflow import SeedLoop, critical_values, latitude_loop, lifted_action_A, variational
 from magflow.cli import _DEPRECATED, _SCHEMA, main, parse_config
 from magflow.critical_values import _symmetric_witness
-from magflow.errors import ParseError, ValidationError
+from magflow.errors import NearZeroVector, ParseError, ValidationError
 from magflow.loop_space import lifted_to_dict
 
 MINIMAL = """
@@ -224,6 +224,25 @@ flow.step = 1e-2
         err = capsys.readouterr().err
         assert code == 1
         assert len(err.splitlines()) == 1 and "error: NonFiniteAction" in err
+
+    def test_symmetric_oracle_error_is_not_a_fallback(self, tmp_path, capsys, monkeypatch):
+        # only a non-symmetric system sends critical-values to the general
+        # descent; a failed witness lift is an error of the oracle's run
+        def near_zero(sys, e, z0):
+            raise NearZeroVector("norm 0.000e+00 too small to project")
+
+        def refuse(*args, **kwargs):
+            pytest.fail("the general descent ran")
+
+        monkeypatch.setattr(critical_values, "_symmetric_witness", near_zero)
+        monkeypatch.setattr(critical_values, "e1_lower_bound_general", refuse)
+        cfg = write(tmp_path, "system.density = height(1.0, 0.0)\nrun.e_max = 0.3\n")
+        code = main(["critical-values", "--config", cfg, "--out", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: NearZeroVector: norm 0.000e+00 too small to project"
+        ]
 
     @pytest.mark.parametrize(
         "system_lines",

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from magflow import ScalarField, project_to_sphere, total_flux
+from magflow import MagneticSystem, ScalarField, latitude_loop, project_to_sphere, total_flux
 from magflow.errors import NearZeroVector
+from magflow.loop_space import _choose_apex, perturb_normal
 from magflow.sphere_geom import (
     BASE_POINT,
     EDGE_PHI,
     _edge_nodes,
     _unit_gauss_legendre,
     angular_distance,
+    cross3,
     cyclic_shift,
     dot3,
     norm3,
@@ -46,6 +48,47 @@ def subdivide_reference(tris, depth):
             ]
         )
     return tris
+
+
+def triangles_flux_reference(density, tris, depth):
+    """The point-major body of ``triangles_flux``: every product runs along
+    the length-3 coordinate axis of (T, 3) vertex arrays."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    tris = np.asarray(tris, dtype=float)
+    a, b, c = tris[:, 0], tris[:, 1], tris[:, 2]
+    n = 2**depth
+    s, ws = _unit_gauss_legendre(n)
+    det = dot3(a, cross3(b, c))
+    phi = np.arctan2(np.abs(det), dot3(b, c) - dot3(a, b) * dot3(a, c))
+    m = _edge_nodes(float(np.max(phi, initial=0.0)), n)
+    half = m // 2
+    st, wst = _unit_gauss_legendre(m)
+    t, wt = st[:half, None], wst[:half]
+    omega = angular_distance(b, c)
+    # e(t) is proportional to sin((1 - t) w) b + sin(t w) c; sinc keeps a
+    # zero-length edge finite
+    near = t * np.sinc(t * omega / np.pi)
+    far = (1.0 - t) * np.sinc((1.0 - t) * omega / np.pi)
+    scale = det / np.sinc(omega / np.pi)
+    g = np.empty((m, len(tris)))
+    for j in range(m):
+        wb, wc = (far[j], near[j]) if j < half else (near[m - 1 - j], far[m - 1 - j])
+        e = project_to_sphere(wb[:, None] * b + wc[:, None] * c)
+        cos_max = dot3(a, e)
+        u = e - cos_max[:, None] * a
+        sin_max = norm3(u)
+        theta_max = np.arctan2(sin_max, cos_max)
+        ok = sin_max > 0.0
+        d = np.divide(u, sin_max[:, None], out=np.zeros_like(u), where=ok[:, None])
+        # psi' times the theta_max of the substitution th = s * theta_max
+        jac = np.divide(theta_max, sin_max * sin_max, out=np.zeros_like(theta_max), where=ok)
+        th = s[:, None] * theta_max
+        sin_th = np.sin(th)
+        q = sin_th[..., None] * d
+        q += np.cos(th)[..., None] * a
+        g[j] = scale * jac * (ws @ (density(q) * sin_th))
+    return float(np.sum(wt @ (g[:half] + g[::-1][:half])))
 
 
 OCTANT = np.eye(3)
@@ -201,6 +244,77 @@ class TestEdgeRule:
         poly = np.polynomial.Polynomial(coeffs).integ()
         exact = 2.0 * np.pi * (poly(1.0) - poly(-1.0))
         assert total_flux(ScalarField.zonal_poly(*coeffs), depth) == pytest.approx(exact, abs=1e-13)
+
+
+class TestComponentRows:
+    """``triangles_flux`` evaluates its points component-major and gives the
+    bits of the point-major reference body."""
+
+    DENSITIES = {
+        "constant": ScalarField.constant(1.3),
+        "height": ScalarField.height(1.0, 0.2),
+        "linear": ScalarField.linear(0.3, -0.7, 0.5, 0.1),
+        "zonal_poly": ScalarField.zonal_poly(0.2, -0.4, 0.0, 1.1),
+        "conformal": MagneticSystem(
+            ScalarField.height(1.0, 0.0),
+            conformal_exponent=ScalarField.linear(0.1, 0.2, -0.15, 0.05),
+        ).round_density,
+    }
+
+    @staticmethod
+    def cone(n, z0):
+        """The cone triangles of a perturbed latitude loop, as ``cone_flux``
+        builds them."""
+        nodes = perturb_normal(latitude_loop(z0, n), 0.02, 3).nodes
+        apex = _choose_apex(nodes)
+        return np.stack([np.broadcast_to(apex, nodes.shape), nodes, cyclic_shift(nodes, 1)], axis=1)
+
+    @staticmethod
+    def assert_same_bits(density, tris, depth):
+        got = triangles_flux(density, tris, depth)
+        want = triangles_flux_reference(density, tris, depth)
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize("name", DENSITIES)
+    @pytest.mark.parametrize(
+        "n, z0, m", [(128, 0.3, 16), (256, 0.3, 8), (512, 0.3, 4), (128, 0.0, 4)]
+    )
+    def test_cone_triangles(self, name, n, z0, m):
+        tris = self.cone(n, z0)
+        seen = []
+
+        def counting(q):
+            seen.append(q.shape[:-1])
+            return self.DENSITIES[name](q)
+
+        self.assert_same_bits(counting, tris, 4)
+        # m far-edge nodes in each of the two bodies
+        assert seen == [(16, n)] * (2 * m)
+        # the equator passes the base point's antipode: the apex falls back
+        assert np.array_equal(tris[0, 0], BASE_POINT) == (z0 != 0.0)
+
+    @pytest.mark.parametrize("name", DENSITIES)
+    @pytest.mark.parametrize("depth", [2, 3, 4, 5, 6])
+    def test_octant_faces(self, name, depth):
+        self.assert_same_bits(self.DENSITIES[name], octant_faces(), depth)
+
+    def test_zero_length_far_edge_and_nan_vertex(self):
+        tris = self.cone(128, 0.3)[:8].copy()
+        tris[2, 2] = tris[2, 1]
+        f = self.DENSITIES["linear"]
+        self.assert_same_bits(f, tris, 4)
+        tris[5, 1, 0] = np.nan
+        assert np.isnan(triangles_flux(f, tris, 4))
+        self.assert_same_bits(f, tris, 4)
+
+    def test_antipodal_far_edge_raises_the_reference_error(self):
+        tris = np.array([[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]])
+        f = self.DENSITIES["height"]
+        with pytest.raises(NearZeroVector) as want:
+            triangles_flux_reference(f, tris, 4)
+        with pytest.raises(NearZeroVector) as got:
+            triangles_flux(f, tris, 4)
+        assert str(got.value) == str(want.value)
 
 
 class TestAreaRoutines:

@@ -450,6 +450,21 @@ class TestScan:
         assert len(rows) == 1
         assert rows[0]["status"].startswith("error:")
 
+    def test_row_shoots_the_saddle_alone(self, sys_z, monkeypatch):
+        # the waist's crossing count is read off its loop, not off a shot
+        reports = []
+
+        def spy(sys, loop, e):
+            reports.append(certify_orbit(sys, loop, e))
+            return reports[-1]
+
+        monkeypatch.setattr(variational, "certify_orbit", spy)
+        seed = SeedLoop(amplitude=0.02)
+        (row,) = scan_energy(sys_z, [E], [(1, 0), (2, 0)], SolverConfig(), 128, seed)
+        assert row["waist_self_intersections"] == 0
+        assert len(reports) == 1
+        assert row["saddle_closure"] == reports[0].closure_residual
+
 
 class TestMultiplicity:
     def test_single_label_returns_waist(self, sys_shifted):
