@@ -411,7 +411,7 @@ def run_command(command: str, cfg: RunConfig, out_dir) -> int:
     except MaxIterations as exc:
         print(f"nonconvergence: {exc}", file=_sys.stderr)
         return 2
-    except (MagflowError, ValueError, OSError) as exc:
+    except (MagflowError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=_sys.stderr)
         return 1
 

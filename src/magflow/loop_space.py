@@ -14,14 +14,15 @@ lifted by the flux through the great-arc cone from a fixed apex
 transformations and loop iteration act on the ledger by pure arithmetic,
 which makes the corresponding action identities exact.
 
-The ledger moves only through ``deform``, which carries it across any
-nodewise move in geodesic substeps of at most 0.1 rad and refuses a node move
-within one substep of antipodal.  Each substep's flux is quadrature over the
-swept annulus: each node-pair quad is fanned into four spherical triangles
-around its center (so a sweep and its reversal cancel exactly) weighted by a
-tensor-Simpson average of the density.
+The ledger moves only through ``deform``, which carries it across a nodewise
+move by one sweep and refuses a node move within 0.1 rad of antipodal.  The
+sweep's flux is quadrature over the swept annulus: each node-pair quad is
+fanned into four spherical triangles around its center (so a sweep and its
+reversal cancel exactly) weighted by a tensor-Simpson average of the density.
 The action gradient differentiates that exact discrete rule, so central
 finite differences of the lifted action reproduce it to truncation error.
+A solver's returned loop takes its flux from the cone and only its deck
+sheet from the ledger (``relift``), whose error builds up move by move.
 
 Loop files are the JSON of ``lifted_to_dict`` with indent 1 and sorted keys;
 ``save_lifted`` streams those bytes from Python floats and refuses a loop
@@ -46,14 +47,12 @@ from .sphere_geom import (
     dot3,
     norm3,
     project_to_sphere,
-    slerp,
     solid_angle,
     tangent_project,
     triangles_flux,
 )
 from .tonelli import MagneticSystem
 
-_SUBSTEP = 0.1
 _MIN_NODES = 16
 # largest node move (rad) under which a loop counts as retraced
 _RETRACE_TOL = 5e-3
@@ -263,6 +262,18 @@ def lift_loop(sys: MagneticSystem, loop: FreePeriodLoop) -> LiftedLoop:
     return LiftedLoop(loop, cone_flux(sys, loop))
 
 
+def relift(sys: MagneticSystem, ll: LiftedLoop) -> LiftedLoop:
+    """The canonical lift of ``ll.loop``, deck-shifted by
+    round((ledger - cone) / total flux) to the sheet of ``ll``'s ledger.
+    Below |total flux| = 1e-2 the ledger cannot resolve that integer, and
+    the canonical lift is returned as is."""
+    fresh = lift_loop(sys, ll.loop)
+    total = sys.total_flux()
+    if abs(total) < 1e-2:
+        return fresh
+    return deck_transform(sys, fresh, round((ll.flux - fresh.flux) / total))
+
+
 def _sweep_once(sys: MagneticSystem, old: np.ndarray, new: np.ndarray) -> float:
     """Flux of one annulus sweep old -> new (both (N, 3), same N).
 
@@ -293,13 +304,11 @@ def _sweep_once(sys: MagneticSystem, old: np.ndarray, new: np.ndarray) -> float:
 
 
 def sweep_flux(sys: MagneticSystem, old: FreePeriodLoop, new: FreePeriodLoop) -> float:
-    """Flux swept by deforming ``old`` into ``new`` node-by-node.
+    """Flux swept by deforming ``old`` into ``new`` node-by-node: one
+    antisymmetric fan quadrature (``_sweep_once``) over the whole move.
 
-    The move is split into ceil(max_disp / ``_SUBSTEP``) geodesic substeps,
-    with max_disp the largest nodewise angle; each substep uses the
-    antisymmetric fan quadrature of ``_sweep_once``.  A node move within
-    ``_SUBSTEP`` of antipodal raises ``ValueError``: its geodesic is not
-    well defined.
+    A node move within 0.1 rad of antipodal raises ``ValueError``: its
+    geodesic is not well defined.
     """
     if old.n != new.n:
         raise ValueError("loops must share the node count")
@@ -308,17 +317,14 @@ def sweep_flux(sys: MagneticSystem, old: FreePeriodLoop, new: FreePeriodLoop) ->
     if max_chord == 0.0:
         return 0.0
     max_disp = 2.0 * np.arcsin(min(max_chord / 2.0, 1.0))
-    if max_disp > np.pi - _SUBSTEP:
+    if max_disp > np.pi - 0.1:
         raise ValueError(f"node move of {max_disp:.3f} rad is too close to antipodal")
-    k = int(np.ceil(max_disp / _SUBSTEP))
-    mids = [slerp(old.nodes, new.nodes, np.full(old.n, j / k)) for j in range(1, k)]
-    stations = [old.nodes, *mids, new.nodes]
-    return sum(_sweep_once(sys, a, b) for a, b in zip(stations[:-1], stations[1:]))
+    return _sweep_once(sys, old.nodes, new.nodes)
 
 
 def deform(sys: MagneticSystem, ll: LiftedLoop, new_loop: FreePeriodLoop) -> LiftedLoop:
     """Path lifting: carry the ledger along the nodewise geodesic move to
-    ``new_loop``, however long.  Period changes carry no flux.
+    ``new_loop`` by one sweep.  Period changes carry no flux.
     """
     return LiftedLoop(new_loop, ll.flux + sweep_flux(sys, ll.loop, new_loop))
 

@@ -17,7 +17,8 @@ the correct cover class by construction.
 
 Every move of a lifted loop (descent trial, chain link, Newton polish)
 carries its ledger through ``loop_space.deform``; descent trials take one
-capped, reprojected trial step.
+capped, reprojected trial step.  A returned waist and a converged saddle are
+re-lifted (``loop_space.relift``), so their values are canonical.
 
 Outputs are certified as they stand (``flow.certify_orbit``): ``minimax_path``
 certifies its saddle, and a waist's report is computed when it is first read,
@@ -64,6 +65,7 @@ from .loop_space import (
     optimal_period,
     perturb_normal,
     primitive,
+    relift,
     valley_tau,
 )
 from .sphere_geom import (
@@ -133,7 +135,7 @@ class WaistResult:
     action: float
     gradient_norm: float
     iterations: int
-    history: list[float] = field(default_factory=list, repr=False)
+    history: list[float] = field(default_factory=list, repr=False)  # the descent's ledger values
 
     @cached_property
     def report(self) -> OrbitReport:
@@ -149,7 +151,6 @@ class MinimaxResult:
     history: list[float]  # [value]
     saddle: LiftedLoop
     report: OrbitReport
-    path: list[LiftedLoop] = field(repr=False, default_factory=list)
     stop_reason: str = "not polished"  # or "polished", "identical endpoints"
 
     @property
@@ -225,8 +226,8 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
     every move, so the pairs see the nodes alone.  A direction that does not
     descend clears the memory and falls back to the H^1 direction.
 
-    The result's ``report`` certifies the waist by shooting when it is
-    first read, and keeps that report for later reads.
+    The minimizer comes back re-lifted (``relift``) with that lift's action,
+    and its ``report``, a shooting certificate, is computed when first read.
 
     Raises ``ValleyCollapse`` when the iterate enters the short-loop valley,
     ``NonFiniteAction`` as soon as the action or the gradient norm is not
@@ -248,7 +249,8 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
         if not (math.isfinite(action) and math.isfinite(dual)):
             raise NonFiniteAction(f"action {action} and gradient norm {dual} at iteration {it}")
         if dual <= cfg.tol:
-            return WaistResult(sys, e, ll, action, dual, it, history)
+            ll = relift(sys, ll)
+            return WaistResult(sys, e, ll, lifted_action_A(sys, e, ll), dual, it, history)
 
         if prev is not None:
             s, y = ll.nodes - prev[0], grad.node_grads - prev[1]
@@ -567,12 +569,12 @@ def minimax_path(
     the tighter target usually costs one step and takes the saddle well
     below ``cfg.tol``, which keeps a marginal shooting closure under its
     bound.  The result is ``converged`` (stop reason "polished") when the
-    polished dual norm is at most ``cfg.tol``.  Otherwise (stop reason "not
-    polished") ``saddle`` is the unpolished chain maximum; the links sample
-    the pass, so its action can lie below it.  ``path`` is the chain, with
-    the polished saddle in place of its highest link; ``saddle``,
-    ``argmax_index``, ``value`` and ``saddle_gradient_norm`` describe that
-    link, and ``report`` certifies it by shooting, converged or not.
+    polished dual norm is at most ``cfg.tol``; the polished saddle is then
+    re-lifted (``relift``), so its value is canonical.  Otherwise (stop
+    reason "not polished") ``saddle`` is the unpolished chain maximum with
+    its ledger value; the links sample the pass, so its action can lie below
+    it.  ``argmax_index`` is that link's index in the chain, and ``report``
+    certifies the saddle by shooting, converged or not.
     """
     for name, end in (("end_a", end_a), ("end_b", end_b)):
         dual = dual_norm(sys, e, end)
@@ -581,38 +583,30 @@ def minimax_path(
 
     if np.array_equal(end_a.nodes, end_b.nodes) and end_a.p == end_b.p and end_a.flux == end_b.flux:
         value = lifted_action_A(sys, e, end_a)
-        return _certified(sys, e, value, 0, True, [value], [end_a, end_b], "identical endpoints")
-
-    # work in a ledger relative to end_a: deck-shifting both endpoints then
-    # reproduces the identical computation, so minimax values are exactly
-    # equivariant under the deck action
-    flux_base = end_a.flux
-    end_a = LiftedLoop(end_a.loop, 0.0)
-    end_b = LiftedLoop(end_b.loop, end_b.flux - flux_base)
+        return _certified(sys, e, end_a, value, 0, True, "identical endpoints")
 
     chain = build_connecting_chain(sys, e, end_a, end_b, mult_a, mult_b, deck_shift)
     actions = [lifted_action_A(sys, e, u) for u in chain]
     top = int(np.argmax(actions))
-
+    interior = 0 < top < len(chain) - 1
+    saddle, value = chain[top], float(actions[top])
+    del chain  # released, so that Newton and the lift run without the links
     converged = False
-    if 0 < top < len(chain) - 1:
-        polished, dual = refine_stationary(sys, e, chain[top].loop, tol=1e-3 * cfg.tol)
+    if interior:
+        polished, dual = refine_stationary(sys, e, saddle.loop, tol=1e-3 * cfg.tol)
         converged = dual <= cfg.tol
     if converged:  # MAX_NEWTON_MOVE bounds this move
-        chain[top] = deform(sys, chain[top], polished)
-        actions[top] = lifted_action_A(sys, e, chain[top])
-    value = float(actions[top]) + flux_base
-    path = [LiftedLoop(u.loop, u.flux + flux_base) for u in chain]
+        saddle = relift(sys, deform(sys, saddle, polished))
+        value = lifted_action_A(sys, e, saddle)
     stop_reason = "polished" if converged else "not polished"
-    return _certified(sys, e, value, top, converged, [value], path, stop_reason)
+    return _certified(sys, e, saddle, value, top, converged, stop_reason)
 
 
-def _certified(sys, e, value, top, converged, history, path, stop_reason) -> MinimaxResult:
-    """The minimax result with link ``top`` of ``path`` as its saddle,
+def _certified(sys, e, saddle, value, top, converged, stop_reason) -> MinimaxResult:
+    """The minimax result for ``saddle``, link ``top`` of the chain,
     certified as it stands (``certify_orbit``)."""
-    saddle = path[top]
     report = certify_orbit(sys, saddle.loop, e)
-    return MinimaxResult(value, top, converged, history, saddle, report, path, stop_reason)
+    return MinimaxResult(value, top, converged, [value], saddle, report, stop_reason)
 
 
 # ---------------------------------------------------------------------------

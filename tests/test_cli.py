@@ -225,6 +225,29 @@ flow.step = 1e-2
         assert code == 1
         assert len(err.splitlines()) == 1 and "error: NonFiniteAction" in err
 
+    @pytest.mark.parametrize("command", ["flow", "orbit-check"])
+    def test_math_overflow_exits_one(self, tmp_path, command):
+        # the conformal factor exp(800) overflows math.exp in the RK4
+        # equations; the process prints one error line, not a traceback
+        lines = "system.conformal_exponent = constant(-400)\n"
+        if command == "orbit-check":
+            loop_path = tmp_path / "loop.json"
+            loop = {"nodes": latitude_loop(0.0, 32).nodes.tolist(), "p": 1.0, "flux": 0.0}
+            loop_path.write_text(json.dumps(loop))
+            lines += f"run.energy = 0.02\nrun.loop_file = {loop_path}\n"
+        cfg = write(tmp_path, lines)
+        src = str(Path(magflow.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-m", "magflow.cli", command, "--config", cfg, "--out", str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True,
+            text=True,
+        )
+        assert out.returncode == 1
+        assert "Traceback" not in out.stderr
+        assert len(out.stderr.splitlines()) == 1
+        assert out.stderr.startswith("error: OverflowError")
+
     def test_symmetric_oracle_error_is_not_a_fallback(self, tmp_path, capsys, monkeypatch):
         # only a non-symmetric system sends critical-values to the general
         # descent; a failed witness lift is an error of the oracle's run

@@ -24,6 +24,7 @@ from magflow import (
     sweep_flux,
     valley_tau,
 )
+from magflow import loop_space
 from magflow.loop_space import (
     _choose_apex,
     cone_flux,
@@ -33,6 +34,7 @@ from magflow.loop_space import (
     load_lifted,
     nodes_to_csv,
     primitive,
+    relift,
     save_lifted,
     write_csv,
 )
@@ -346,16 +348,22 @@ class TestSweepFlux:
         with pytest.raises(ValueError, match="antipodal"):
             deform(sys_shifted, lift_loop(sys_shifted, a), b)
 
-    def test_long_sweep_equals_chained_deforms(self, sys_shifted):
-        # a 1.12-rad move takes 12 substeps, each one chained deform
+    def test_one_sweep_per_move(self, sys_shifted, monkeypatch):
+        # short and long moves alike take one fan quadrature from old to new
+        calls = []
+        sweep_once = loop_space._sweep_once
+        monkeypatch.setattr(
+            loop_space, "_sweep_once", lambda *args: calls.append(args) or sweep_once(*args)
+        )
         a = latitude_loop(0.0, 64)
-        b = latitude_loop(0.9, 64)
-        ll = lift_loop(sys_shifted, a)
-        cur = ll
-        for j in range(1, 13):
-            nodes = slerp(a.nodes, b.nodes, np.full(64, j / 12)) if j < 12 else b.nodes
-            cur = deform(sys_shifted, cur, FreePeriodLoop(nodes, a.p))
-        assert deform(sys_shifted, ll, b).flux == pytest.approx(cur.flux, abs=1e-12)
+        for angle in (0.05, 0.24, 1.12):
+            b = latitude_loop(np.sin(angle), 64)
+            assert np.max(angular_distance(a.nodes, b.nodes)) == pytest.approx(angle)
+            calls.clear()
+            flux = sweep_flux(sys_shifted, a, b)
+            assert len(calls) == 1
+            assert calls[0][1] is a.nodes and calls[0][2] is b.nodes
+            assert flux == sweep_once(sys_shifted, a.nodes, b.nodes)
 
     def test_long_deform_matches_finer_chain(self, sys_shifted):
         a = latitude_loop(-0.5, 64)
@@ -488,6 +496,26 @@ class TestDeckTransform:
         for k in (-2, 1, 5):
             shifted = deck_transform(sys_shifted, ll, k)
             assert shifted.flux - ll.flux == k * total
+
+    def test_relift_takes_the_ledger_sheet(self, sys_shifted):
+        # the cone gives the value, the ledger (3 sheets up, 0.4 off) the sheet
+        loop = perturb_normal(latitude_loop(-0.3, 64), 0.1, 3)
+        fresh = lift_loop(sys_shifted, loop)
+        ledger = LiftedLoop(loop, fresh.flux + 3 * sys_shifted.total_flux() + 0.4)
+        out = relift(sys_shifted, ledger)
+        assert out.loop is loop
+        assert out.flux == deck_transform(sys_shifted, fresh, 3).flux
+
+    def test_relift_below_the_flux_floor_is_the_cone(self):
+        # |F| = 4 pi * 0.0005 = 6.3e-3 is below the 1e-2 floor, where the
+        # ledger cannot pick the sheet: the canonical lift comes back as is
+        sys_small = MagneticSystem(ScalarField.height(1.0, 0.0005))
+        total = sys_small.total_flux()
+        assert 6e-3 < abs(total) < 1e-2
+        loop = perturb_normal(latitude_loop(-0.3, 64), 0.1, 3)
+        fresh = lift_loop(sys_small, loop)
+        for ledger in (fresh.flux, fresh.flux + 0.4 * total, fresh.flux + 3 * total + 1e-3, -7.0):
+            assert relift(sys_small, LiftedLoop(loop, ledger)).flux == fresh.flux
 
 
 class TestActionGradient:

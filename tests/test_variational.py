@@ -28,6 +28,7 @@ from magflow import (
 from magflow import variational
 from magflow.errors import EndpointNotMinimal, MaxIterations, NonFiniteAction, ValleyCollapse
 from magflow.loop_space import h1_solve, primitive
+from magflow.sphere_geom import angular_distance
 from magflow.variational import (
     DEDUPE_HAUSDORFF,
     DEDUPE_PERIOD,
@@ -142,14 +143,12 @@ class TestFindWaist:
 
     @pytest.mark.parametrize("system", ["sys_z", "sys_shifted"])
     def test_ledger_matches_fresh_lift(self, request, system):
-        # the descent carries the ledger by sweeps; a fresh cone lift of the
-        # final loop must agree modulo the total flux, up to the sweeps'
-        # accumulated quadrature error (5.7e-6 and 9.9e-5 after 5 and 19
-        # L-BFGS steps; on f = z + 0.2 almost all of it comes from one
-        # 0.24-rad step)
+        # the returned waist is re-lifted: its flux is a fresh cone lift of
+        # its loop, on the sheet the descent's ledger picked
         sys = request.getfixturevalue(system)
         res = find_waist(sys, E, SeedLoop().lift(sys, E, 128), FAST)
-        assert ledger_defect(sys, res.lifted) <= 1e-4
+        assert ledger_defect(sys, res.lifted) <= 1e-10
+        assert res.action == lifted_action_A(sys, E, res.lifted)
 
     def test_valley_seed_rejected(self, sys_shifted):
         tiny = latitude_loop(0.999, 32)
@@ -283,6 +282,16 @@ class TestConnectingChain:
         chain = build_connecting_chain(sys_shifted, E, end_a, end_b, 1, 1, 1)
         assert chain[-1].flux == end_b.flux
 
+    def test_ledger_picks_the_sheet_on_every_link(self, sys_shifted):
+        # the ledger's one job is to pick the sheet for ``relift``: its
+        # defect stays below half of relift's 1e-2 floor on every link of a
+        # winding chain, one sweep per link (2.1e-3 measured)
+        cfg = SolverConfig()
+        waists = prepare_waists(sys_shifted, E, [(1, 0)], SeedLoop(z0=-0.2), 128, cfg)
+        end_a, end_b = (_endpoint_for_label(sys_shifted, E, waists, *lbl) for lbl in [(1, 0), (1, 1)])
+        chain = build_connecting_chain(sys_shifted, E, end_a, end_b, 1, 1, 1)
+        assert max(ledger_defect(sys_shifted, u) for u in chain) <= 5e-3
+
     @pytest.mark.parametrize("deck_shift", [0, 2])
     def test_deck_shift_off_by_one_raises(self, sys_shifted, deck_shift):
         # the chain winds deck_shift times, so it ends one total flux away
@@ -329,12 +338,19 @@ class TestMinimax:
         # one Newton polish from the chain maximum
         assert mm.stop_reason == "polished"
         assert mm.history == [mm.value]
-        assert mm.saddle is mm.path[mm.argmax_index]
+        # Newton starts from the chain's highest link, an interior one
+        end_a, end_b = (_endpoint_for_label(sys_z, E, waists, *lbl) for lbl in [(1, 0), (2, 0)])
+        chain = build_connecting_chain(sys_z, E, end_a, end_b, 1, 2, 0)
+        assert mm.argmax_index == int(np.argmax([lifted_action_A(sys_z, E, u) for u in chain]))
+        assert 0 < mm.argmax_index < len(chain) - 1
+        start = chain[mm.argmax_index].nodes
+        assert np.max(angular_distance(mm.saddle.nodes, start)) <= variational.MAX_NEWTON_MOVE
         assert mm.saddle_gradient_norm == pytest.approx(dual_norm(sys_z, E, mm.saddle), rel=1e-12)
         # the saddle is the doubled small circle: value ~ 4*pi*e
         assert mm.value == pytest.approx(4.0 * np.pi * E, abs=5e-3)
-        # the chain carries the ledger by sweeps (defect 7.6e-4 measured)
-        assert ledger_defect(sys_z, mm.saddle) <= 5e-3
+        # the converged saddle is re-lifted: its value is the fresh one
+        assert ledger_defect(sys_z, mm.saddle) <= 1e-10
+        assert mm.value == lifted_action_A(sys_z, E, mm.saddle)
         rep = certify_orbit(sys_z, mm.saddle.loop, E)
         assert rep.closure_residual <= 1e-4
         assert abs(rep.mean_energy_residual) <= 1e-5
@@ -361,11 +377,11 @@ class TestMinimax:
         shifted = minimax_between_labels(sys_shifted, E, waists, (1, 2), (1, 3), cfg)
         total = sys_shifted.total_flux()
         assert shifted.value - base.value == pytest.approx(2.0 * total, abs=1e-6)
-        # the chain carries the ledger by sweeps (defect 1.9e-3 measured)
+        # each converged saddle is re-lifted onto its ledger's sheet
         for mm in (base, shifted):
             assert (mm.converged, mm.stop_reason) == (True, "polished")
             assert mm.saddle_gradient_norm <= cfg.tol
-            assert ledger_defect(sys_shifted, mm.saddle) <= 5e-3
+            assert ledger_defect(sys_shifted, mm.saddle) <= 1e-10
             assert mm.saddle_gradient_norm == pytest.approx(
                 dual_norm(sys_shifted, E, mm.saddle), rel=1e-12
             )
@@ -374,7 +390,7 @@ class TestMinimax:
         # when Newton misses the tolerance the result is the unpolished chain
         # maximum, reporting its own gradient norm.  Its value is the highest
         # link of the connecting chain, not an upper bound for the pass: here
-        # it reads 0.2420 against the polished 0.2517 (the links step over
+        # it reads 0.2444 against the polished 0.2509 (the links step over
         # the top of the doubled-circle family)
         cfg = SolverConfig()
         labels = [(1, 0), (2, 0)]
@@ -386,22 +402,18 @@ class TestMinimax:
         assert not mm.converged
         assert mm.stop_reason == "not polished"
         assert mm.history == [mm.value]
-        assert mm.saddle is mm.path[mm.argmax_index]
-        assert mm.value == pytest.approx(max(lifted_action_A(sys_z, E, u) for u in mm.path), rel=1e-12)
-        assert 0 < mm.argmax_index < len(mm.path) - 1
+        # the saddle is the connecting chain's highest link as it stands,
+        # with its ledger value
+        end_a, end_b = (_endpoint_for_label(sys_z, E, waists, *lbl) for lbl in labels)
+        chain = build_connecting_chain(sys_z, E, end_a, end_b, 1, 2, 0)
+        top = chain[mm.argmax_index]
+        assert np.array_equal(mm.saddle.nodes, top.nodes)
+        assert (mm.saddle.p, mm.saddle.flux) == (top.p, top.flux)
+        assert mm.value == pytest.approx(max(lifted_action_A(sys_z, E, u) for u in chain), rel=1e-12)
+        assert 0 < mm.argmax_index < len(chain) - 1
         assert mm.saddle_gradient_norm > cfg.tol
         assert mm.saddle_gradient_norm == pytest.approx(dual_norm(sys_z, E, mm.saddle), rel=1e-12)
         assert mm.report.gradient_norm == mm.saddle_gradient_norm
-        # the path is the connecting chain itself, link by link, with the
-        # endpoint ledger added back
-        end_a, end_b = (_endpoint_for_label(sys_z, E, waists, *lbl) for lbl in labels)
-        rel_a = LiftedLoop(end_a.loop, 0.0)
-        rel_b = LiftedLoop(end_b.loop, end_b.flux - end_a.flux)
-        chain = build_connecting_chain(sys_z, E, rel_a, rel_b, 1, 2, 0)
-        assert len(mm.path) == len(chain)
-        for u, v in zip(mm.path, chain):
-            assert np.array_equal(u.nodes, v.nodes) and u.p == v.p
-            assert u.flux == v.flux + end_a.flux
 
         res = multiplicity_search(sys_z, E, labels, cfg, 128, SeedLoop())
         assert [f["pair"] for f in res.failures] == [tuple(labels)]
