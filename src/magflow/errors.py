@@ -18,14 +18,8 @@ class ValleyCollapse(MagflowError):
 
 
 class MaxIterations(MagflowError):
-    """Iteration budget exhausted before reaching the requested tolerance.
-
-    Carries the best iterate found so far in ``best``.
-    """
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Iteration budget exhausted, or line search stalled, before reaching
+    the requested tolerance."""
 
 
 class NonFiniteAction(MagflowError):

@@ -15,11 +15,13 @@ about the z-axis W(q) = a * (z_hat x q); ``parse_drift`` reads its rate a:
     azimuthal(a)           rate a
 
 A zonal field is a polynomial in z.  Its coefficient tuple, and those of its
-derivative and of its antiderivative from z = -1 (derived once with numpy's
-``polyder`` and ``polyint``), are evaluated by the one Horner rule
+derivative and of its antiderivative from z = -1 (derived once, by the steps
+of numpy's ``polyder`` and ``polyint`` and with their bits, without
+importing ``numpy.polynomial``), are evaluated by the one Horner rule
 ``horner`` on floats and arrays alike: the field values, gradients, bounds,
 the plain-Python evaluators of the flow and the latitude oracle of
-``critical_values`` all go through it.
+``critical_values`` all go through it.  Only the bounds of a field of degree
+three or more call numpy's ``polyroots``.
 """
 
 from __future__ import annotations
@@ -186,8 +188,12 @@ class ScalarField:
 
     @cached_property
     def zonal_derivative_coeffs(self) -> tuple[float, ...]:
-        """Coefficients of d/dz of ``zonal_polynomial``, from numpy's polyder."""
-        return tuple(np.polynomial.polynomial.polyder(self.zonal_coeffs).tolist())
+        """Coefficients of d/dz of ``zonal_polynomial``, by numpy's polyder
+        steps: k * c[k] for k >= 1, and c[0] * 0 for a constant."""
+        c = self.zonal_coeffs
+        if len(c) == 1:
+            return (c[0] * 0,)
+        return tuple(k * c[k] for k in range(1, len(c)))
 
     @cached_property
     def zonal_derivative(self):
@@ -195,10 +201,22 @@ class ScalarField:
         return partial(horner, self.zonal_derivative_coeffs)
 
     @cached_property
+    def zonal_antiderivative_coeffs(self) -> tuple[float, ...]:
+        """Coefficients of the antiderivative of ``zonal_polynomial`` that
+        vanishes at z = -1, by numpy's ``polyint(lbnd=-1.0)`` steps:
+        c[k] / (k + 1) for k >= 0, then the constant term 0 - (the rest at
+        -1) added to c[0] * 0; the zero polynomial keeps one term, c[0] + 0."""
+        c = self.zonal_coeffs
+        if len(c) == 1 and c[0] == 0.0:
+            return (c[0] + 0,)
+        zero = c[0] * 0
+        rest = tuple(ck / (k + 1) for k, ck in enumerate(c))
+        return (zero + (0 - horner((zero,) + rest, -1.0)),) + rest
+
+    @cached_property
     def zonal_antiderivative(self):
         """The antiderivative of ``zonal_polynomial`` that vanishes at z = -1."""
-        coeffs = np.polynomial.polynomial.polyint(self.zonal_coeffs, lbnd=-1.0)
-        return partial(horner, tuple(coeffs.tolist()))
+        return partial(horner, self.zonal_antiderivative_coeffs)
 
     def bounds(self) -> tuple[float, float]:
         """Exact (min, max) of the field over the sphere.
@@ -208,13 +226,25 @@ class ScalarField:
         tried, clipped to [-1, 1]: each such z is a point of the sphere, so
         the spare candidates cannot move the result, and no root is lost to a
         tolerance on its imaginary part.
+
+        The roots are numpy's ``polyroots`` of p' with its trailing zeros
+        trimmed, and only a p' of degree two or more reaches it (an
+        eigenvalue solve of the companion matrix).  A constant p' has no
+        root, and a linear one the root -d0 / d1, polyroots' own rule for
+        two coefficients.
         """
         if not self.is_zonal:
             ax, ay, az, c = self.coeffs
             r = float(np.sqrt(ax * ax + ay * ay + az * az))
             return c - r, c + r
-        roots = np.polynomial.polynomial.polyroots(self.zonal_derivative_coeffs)
-        z = np.concatenate(([-1.0, 1.0], np.clip(roots.real, -1.0, 1.0)))
+        d = self.zonal_derivative_coeffs
+        while len(d) > 1 and d[-1] == 0.0:
+            d = d[:-1]
+        if len(d) > 2:
+            roots = np.polynomial.polynomial.polyroots(d).real
+        else:
+            roots = np.array([-d[0] / d[1]] if len(d) == 2 else [])
+        z = np.concatenate(([-1.0, 1.0], np.clip(roots, -1.0, 1.0)))
         vals = self.zonal_polynomial(z)
         return float(vals.min()), float(vals.max())
 

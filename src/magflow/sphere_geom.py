@@ -10,9 +10,12 @@ triangle's first vertex, with 2^depth radial nodes and as few far-edge
 nodes as the largest apex angle allows (4 for the thin cone triangles of a
 lift, 2^depth for the octant faces of ``total_flux``); for smooth densities
 it converges spectrally, to rounding at depth 4 (``FLUX_DEPTH``) on the
-loops this package lifts.  It evaluates its points component-major, one
-contiguous row per coordinate, with the bits of the point-major form and
-at most 3 * T * 2^depth point coordinates alive for T triangles.
+loops this package lifts.  The rules of the orders that depth reaches are
+tabulated with numpy's bits, so no flux call at that depth solves an
+eigenvalue problem.
+It evaluates its points component-major, one contiguous row per coordinate,
+with the bits of the point-major form and at most 3 * T * 2^depth point
+coordinates alive for T triangles.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
@@ -224,12 +227,49 @@ def triangles_flux(density: Density, tris: np.ndarray, depth: int = FLUX_DEPTH) 
     return float(np.sum(wt @ (g[:half] + g[::-1][:half])))
 
 
+# (node, weight) pairs of the positive half of numpy's leggauss(n) on
+# [-1, 1], for the orders that FLUX_DEPTH = 4 reaches: 16 radial nodes and
+# 4, 8 or 16 edge nodes.  leggauss symmetrizes its rule, so the negative half
+# is the exact mirror image.
+_LEGGAUSS_HALVES = {
+    4: (
+        (0.33998104358485626, 0.6521451548625464),
+        (0.8611363115940526, 0.34785484513745357),
+    ),
+    8: (
+        (0.18343464249564978, 0.36268378337836166),
+        (0.525532409916329, 0.3137066458778869),
+        (0.7966664774136267, 0.22238103445337443),
+        (0.9602898564975362, 0.10122853629037706),
+    ),
+    16: (
+        (0.09501250983763744, 0.18945061045506864),
+        (0.2816035507792589, 0.18260341504492364),
+        (0.45801677765722737, 0.16915651939500265),
+        (0.6178762444026438, 0.1495959888165767),
+        (0.755404408355003, 0.12462897125553407),
+        (0.8656312023878318, 0.0951585116824926),
+        (0.9445750230732326, 0.062253523938647456),
+        (0.9894009349916499, 0.027152459411754176),
+    ),
+}
+
+
 @functools.lru_cache(maxsize=None)
 def _unit_gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Read-only nodes and weights of the n-node Gauss-Legendre rule on
-    [0, 1], built once per order: numpy's leggauss solves an eigenvalue
-    problem on every call."""
-    x, w = np.polynomial.legendre.leggauss(n)
+    [0, 1], built once per order.
+
+    Orders 4, 8 and 16 are read from ``_LEGGAUSS_HALVES``, which holds the
+    bits of numpy's leggauss; any other order, reached only through an
+    explicit ``depth``, calls leggauss, whose eigenvalue solve (Golub &
+    Welsch 1969) is a LAPACK call.
+    """
+    if n in _LEGGAUSS_HALVES:
+        xh, wh = np.array(_LEGGAUSS_HALVES[n]).T
+        x, w = np.concatenate((-xh[::-1], xh)), np.concatenate((wh[::-1], wh))
+    else:
+        x, w = np.polynomial.legendre.leggauss(n)
     s, ws = 0.5 * (x + 1.0), 0.5 * w
     s.flags.writeable = ws.flags.writeable = False
     return s, ws

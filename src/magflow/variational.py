@@ -231,7 +231,7 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
 
     Raises ``ValleyCollapse`` when the iterate enters the short-loop valley,
     ``NonFiniteAction`` as soon as the action or the gradient norm is not
-    finite, and ``MaxIterations`` (carrying the best iterate) when the budget
+    finite, and ``MaxIterations`` when the line search stalls or the budget
     runs out before the gradient norm reaches ``cfg.tol``.
     """
     tau = valley_tau(sys)
@@ -278,14 +278,11 @@ def find_waist(sys: MagneticSystem, e: float, seed: LiftedLoop, cfg: SolverConfi
                 break
             step *= STEP_SHRINK
         if not accepted:
-            raise MaxIterations(
-                f"line search stalled at gradient norm {dual:.3e}", best=(ll, action, dual)
-            )
+            raise MaxIterations(f"line search stalled at gradient norm {dual:.3e}")
         if in_valley(sys, ll.loop, tau):
             raise ValleyCollapse(f"descent entered the valley at iteration {it}")
 
-    dual = dual_norm(sys, e, ll)
-    raise MaxIterations(f"no convergence in {cfg.max_iter} iterations", best=(ll, action, dual))
+    raise MaxIterations(f"no convergence in {cfg.max_iter} iterations")
 
 
 # ---------------------------------------------------------------------------

@@ -60,14 +60,58 @@ class TestHorner:
             assert f(x, y, z) == float(poly(z))
             assert df(x, y, z)[2] == float(poly.deriv()(z))
 
-    def test_bounds_match_polynomial_roots(self):
-        field = ZONAL["degree-6"]
+    @pytest.mark.parametrize(
+        "field, via_polyroots",
+        [
+            pytest.param(ZONAL["degree-6"], True, id="degree-6"),
+            pytest.param(ZONAL["3z^3-z"], True, id="3z^3-z"),
+            # a constant or linear derivative takes its root without polyroots
+            pytest.param(ScalarField.constant(-3.0), False, id="constant"),
+            pytest.param(ScalarField.height(-1.0, 0.5), False, id="linear"),
+            pytest.param(ScalarField.zonal_poly(0.1, 0.4, -0.7), False, id="quadratic"),
+            # trailing zeros are trimmed first, as polyroots trims them
+            pytest.param(ScalarField.zonal_poly(0.3, 0.5, 0.0), False, id="quadratic-0"),
+            pytest.param(ScalarField.zonal_poly(0.3, 0.5, -0.7, 0.0), False, id="cubic-0"),
+        ],
+    )
+    def test_bounds_match_polynomial_roots(self, monkeypatch, field, via_polyroots):
         poly = np.polynomial.Polynomial(field.zonal_coeffs)
         z = np.concatenate(([-1.0, 1.0], np.clip(poly.deriv().roots().real, -1.0, 1.0)))
         vals = poly(z)
+        calls = []
+        polyroots = np.polynomial.polynomial.polyroots
+        monkeypatch.setattr(
+            np.polynomial.polynomial, "polyroots", lambda c: calls.append(c) or polyroots(c)
+        )
         assert field.bounds() == (float(vals.min()), float(vals.max()))
+        assert bool(calls) == via_polyroots
 
     def test_constant_polynomial_broadcasts(self):
         z = np.linspace(-1.0, 1.0, 5)
         assert horner((2.5,), z).tolist() == [2.5] * 5
         assert horner((2.5,), 0.3) == 2.5
+
+
+COEFF_CASES = {
+    **ZONAL,
+    # the derivative of a constant is c * 0, so -3 gives -0.0
+    "constant(-3)": ScalarField.constant(-3.0),
+    # polyint keeps the zero polynomial as one term
+    "zonal_poly(0.0)": ScalarField.zonal_poly(0.0),
+    "height(-1, 0.5)": ScalarField.height(-1.0, 0.5),
+}
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+@pytest.mark.parametrize("name", list(COEFF_CASES))
+def test_coefficient_calculus_is_numpy_bitwise(name):
+    # the package derives these coefficients itself, by numpy's steps
+    field = COEFF_CASES[name]
+    poly = np.polynomial.polynomial
+    assert hexes(field.zonal_derivative_coeffs) == hexes(poly.polyder(field.zonal_coeffs))
+    assert hexes(field.zonal_antiderivative_coeffs) == hexes(
+        poly.polyint(field.zonal_coeffs, lbnd=-1.0)
+    )

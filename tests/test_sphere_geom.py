@@ -7,6 +7,7 @@ from magflow.loop_space import _choose_apex, perturb_normal
 from magflow.sphere_geom import (
     BASE_POINT,
     EDGE_PHI,
+    _LEGGAUSS_HALVES,
     _edge_nodes,
     _unit_gauss_legendre,
     angular_distance,
@@ -30,6 +31,10 @@ def lhuilier_area(a, b, c):
     excess = 4.0 * np.arctan(np.sqrt(np.clip(t, 0.0, None)))
     det = np.sum(a * np.cross(b, c), axis=-1)
     return np.where(det >= 0.0, excess, -excess)
+
+
+def hexes(values):
+    return [v.hex() for v in values.tolist()]
 
 
 def subdivide_reference(tris, depth):
@@ -217,6 +222,33 @@ class TestEdgeRule:
         assert np.array_equal(s, 0.5 * (x + 1.0)) and np.array_equal(ws, 0.5 * w)
         with pytest.raises(ValueError):
             s[0] = 0.0
+
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_tabulated_rule_holds_leggauss_bits(self, n):
+        # the table holds the positive half, and leggauss's rule mirrors it
+        # exactly
+        x, w = np.polynomial.legendre.leggauss(n)
+        half = n // 2
+        assert [(xk.hex(), wk.hex()) for xk, wk in _LEGGAUSS_HALVES[n]] == [
+            (xk.hex(), wk.hex()) for xk, wk in zip(x[half:].tolist(), w[half:].tolist())
+        ]
+        assert np.array_equal(x[:half], -x[::-1][:half]) and np.array_equal(w[:half], w[::-1][:half])
+
+    @pytest.mark.parametrize("n, tabulated", [(2, False), (4, True), (8, True), (16, True), (32, False)])
+    def test_only_untabulated_orders_call_leggauss(self, monkeypatch, n, tabulated):
+        x, w = np.polynomial.legendre.leggauss(n)
+        calls = []
+        leggauss = np.polynomial.legendre.leggauss
+        monkeypatch.setattr(
+            np.polynomial.legendre, "leggauss", lambda deg: calls.append(deg) or leggauss(deg)
+        )
+        _unit_gauss_legendre.cache_clear()
+        try:
+            s, ws = _unit_gauss_legendre(n)
+        finally:
+            _unit_gauss_legendre.cache_clear()
+        assert calls == ([] if tabulated else [n])
+        assert hexes(s) == hexes(0.5 * (x + 1.0)) and hexes(ws) == hexes(0.5 * w)
 
     def test_thin_cone_takes_four_edge_nodes(self):
         tris = self.thin_cone(512)

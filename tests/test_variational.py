@@ -166,7 +166,7 @@ class TestFindWaist:
         seed = SeedLoop(amplitude=0.08).lift(sys_z, E, 64)
         with pytest.raises(MaxIterations) as err:
             find_waist(sys_z, E, seed, SolverConfig(max_iter=3, tol=1e-12))
-        assert err.value.best is not None
+        assert str(err.value) == "no convergence in 3 iterations"
 
     def test_mesh_robustness(self, sys_z):
         actions = {}
