@@ -203,9 +203,10 @@ class ScalarField:
     @cached_property
     def zonal_antiderivative_coeffs(self) -> tuple[float, ...]:
         """Coefficients of the antiderivative of ``zonal_polynomial`` that
-        vanishes at z = -1, by numpy's ``polyint(lbnd=-1.0)`` steps:
-        c[k] / (k + 1) for k >= 0, then the constant term 0 - (the rest at
-        -1) added to c[0] * 0; the zero polynomial keeps one term, c[0] + 0."""
+        vanishes at z = -1, by numpy's ``polyint(lbnd=-1.0)`` steps: the
+        term c[k] / (k + 1) of degree k + 1, and the constant
+        c[0] * 0 + (0 - the polynomial at z = -1); the zero polynomial keeps
+        its one term, c[0] + 0."""
         c = self.zonal_coeffs
         if len(c) == 1 and c[0] == 0.0:
             return (c[0] + 0,)

@@ -12,10 +12,9 @@ lift, 2^depth for the octant faces of ``total_flux``); for smooth densities
 it converges spectrally, to rounding at depth 4 (``FLUX_DEPTH``) on the
 loops this package lifts.  The rules of the orders that depth reaches are
 tabulated with numpy's bits, so no flux call at that depth solves an
-eigenvalue problem.
-It evaluates its points component-major, one contiguous row per coordinate,
-with the bits of the point-major form and at most 3 * T * 2^depth point
-coordinates alive for T triangles.
+eigenvalue problem.  It evaluates its points component-major, one
+contiguous row per coordinate, with the bits of the point-major form and
+at most 3 * T * 2^depth point coordinates alive for T triangles.
 
 All functions are pure and vectorized over leading array axes; points are
 plain ndarrays of shape (..., 3).
