@@ -31,6 +31,7 @@ that ``load_lifted`` would reject as non-finite.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -62,6 +63,8 @@ VALLEY_TAU_CAP = 0.1
 _APEX_CANDIDATES = np.array(
     [BASE_POINT, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]
 )
+# antipodal margins (rad) within this of the largest tie
+_APEX_TIE = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +229,17 @@ def optimal_period_fourth(sys: MagneticSystem, loop: FreePeriodLoop, e: float) -
 
 def _choose_apex(nodes: np.ndarray) -> np.ndarray:
     """Cone apex for the nodes: the base point when it keeps a 0.2 rad
-    antipodal margin, otherwise the candidate with the largest margin."""
+    antipodal margin, otherwise the first candidate whose margin is within
+    ``_APEX_TIE`` of the largest.
 
+    The tolerance breaks exact ties (an equator seed's first node is the base
+    point's antipode, where the poles tie) in candidate order rather than by
+    rounding, so the canonical sheet does not depend on N.
+    """
     if np.pi - float(np.max(angular_distance(_APEX_CANDIDATES[0], nodes))) >= 0.2:
         return _APEX_CANDIDATES[0]
     margins = np.pi - np.max(angular_distance(_APEX_CANDIDATES[:, None], nodes), axis=1)
-    return _APEX_CANDIDATES[int(np.argmax(margins))]
+    return _APEX_CANDIDATES[int(np.argmax(margins >= np.max(margins) - _APEX_TIE))]
 
 
 def cone_flux(
@@ -299,7 +307,9 @@ def _sweep_once(sys: MagneticSystem, old: np.ndarray, new: np.ndarray) -> float:
     stations = np.stack([A, mab, B, mad, m, mbc, D, mdc, C])
     fvals = sys.round_density(stations)
     weights = np.array([1.0, 4.0, 1.0, 4.0, 16.0, 4.0, 1.0, 4.0, 1.0]) / 36.0
-    fbar = np.einsum("s,sn->n", weights, fvals)
+    # a sum over the outer (station) axis adds the rows in order: einsum's
+    # bits, without the peak memory of einsum's first call
+    fbar = np.sum(weights[:, None] * fvals, axis=0)
     return float(np.sum(omega * fbar))
 
 
@@ -411,20 +421,55 @@ def action_gradient(sys: MagneticSystem, e: float, loop: FreePeriodLoop) -> Loop
     return LoopGradient(tangent_project(nodes, grad), p_grad)
 
 
+@functools.lru_cache(maxsize=None)
+def _h1_factor(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Read-only weights of ``h1_solve``'s two sweeps at n nodes, built once
+    per n: the (n, 1) columns r^-i, r^(n-1-2i) and (r / n^2) r^i, and
+    r^n / (1 - r^n).
+
+    r in (0, 1) solves r + 1/r = 2 + 1/n^2.  It is formed as the inverse of
+    1/r = 1 + h + sqrt(h (2 + h)), h = 1/(2 n^2), which does not cancel.
+    r^n is about 1/e, so no weight exceeds e in size.
+    """
+    h = 0.5 / (n * n)
+    inv_r = 1.0 + h + math.sqrt(h * (2.0 + h))
+    r = 1.0 / inv_r
+    i = np.arange(n, dtype=float)[:, None]
+    up, turn, down = inv_r**i, r ** (n - 1 - 2 * i), (r / (n * n)) * r**i
+    up.flags.writeable = turn.flags.writeable = down.flags.writeable = False
+    r_n = r**n
+    return up, turn, down, r_n / (1.0 - r_n)
+
+
 def h1_solve(node_vecs: np.ndarray) -> np.ndarray:
-    """Apply the inverse of the circulant H^1 node metric I + N^2 D^T D."""
-    n = len(node_vecs)
-    lam = 1.0 + 4.0 * n * n * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
-    spec = np.fft.rfft(node_vecs, axis=0)
-    return np.fft.irfft(spec / lam[:, None], n=n, axis=0)
+    """Apply the inverse of the circulant H^1 node metric M = I + N^2 D^T D.
+
+    With S the cyclic node shift, M = (N^2 / r)(I - r S)(I - r S^T) (r from
+    ``_h1_factor``).  Each factor is the periodic recurrence
+    y_i - r y_{i-1} = b_i, solved by one cumulative sum:
+    y_i = r^i (P_i + r^N (P_{N-1} - P_i)) / (1 - r^N) with
+    P_i = sum_{j <= i} r^-j b_j (Temperton, J. Comput. Phys. 19 (1975)
+    317-323).  The second factor is the same sweep over the reversed rows;
+    its input weight r^-i merges with the first sweep's output weight.
+    """
+    up, turn, down, k = _h1_factor(len(node_vecs))
+    p = node_vecs * up
+    np.add.accumulate(p, axis=0, out=p)
+    p += k * p[-1]
+    q = p[::-1] * turn
+    np.add.accumulate(q, axis=0, out=q)
+    q += k * q[-1]
+    q *= down
+    return q[::-1]
 
 
 def h1_precondition(loop: FreePeriodLoop, grad: LoopGradient) -> tuple[np.ndarray, float]:
     """Solve the discrete H^1 metric for the descent direction and dual norm.
 
-    The node metric is <xi, eta> + N^2 <Delta xi, Delta eta> (circulant, so a
-    real FFT solve), the period block is the identity.  Returns the
-    tangent-projected preconditioned node direction and the dual norm
+    The node metric is <xi, eta> + N^2 <Delta xi, Delta eta> (circulant,
+    inverted by the two cyclic sweeps of ``h1_solve``), the period block is
+    the identity.  Returns the tangent-projected preconditioned node
+    direction and the dual norm
     sqrt(<raw, M^{-1} raw> + p_grad^2) (``h1_dual``).
     """
     sol, dual = h1_dual(grad.node_grads, grad.p_grad)

@@ -735,11 +735,12 @@ def test_import_leaves_scipy_unloaded(tmp_path):
 
 
 @pytest.mark.parametrize("workload", ["waist", "minimax", "critical-values"])
-def test_benchmark_solves_skip_lapack_and_numpy_polynomial(tmp_path, workload):
-    # the flux depth's Gauss-Legendre rules are tabulated and the zonal
-    # coefficients derived in the package, so the benchmark's seed-0 solves
-    # run with numpy's eigenvalue routines raising and never import
-    # numpy.polynomial
+def test_benchmark_solves_skip_lapack_numpy_polynomial_and_fft(tmp_path, workload):
+    # the flux depth's Gauss-Legendre rules are tabulated, the zonal
+    # coefficients derived in the package and the H^1 metric inverted by two
+    # cyclic recurrences, so the benchmark's seed-0 solves run with numpy's
+    # eigenvalue routines raising and never import numpy.polynomial or
+    # numpy.fft
     root = Path(__file__).resolve().parents[1]
     probe = (
         "import contextlib, io, sys\n"
@@ -754,7 +755,7 @@ def test_benchmark_solves_skip_lapack_and_numpy_polynomial(tmp_path, workload):
         "    f.write(workloads.config_text(workload, workloads.amplitude_for(workload, 0)))\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = magflow.cli.main([workload, '--config', cfg, '--out', out])\n"
-        "print(code, 'numpy.polynomial' in sys.modules)"
+        "print(code, 'numpy.polynomial' in sys.modules, 'numpy.fft' in sys.modules)"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root / "perfbench")]))
     out = subprocess.run(
@@ -764,4 +765,4 @@ def test_benchmark_solves_skip_lapack_and_numpy_polynomial(tmp_path, workload):
         text=True,
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "0 False"
+    assert out.stdout.strip() == "0 False False"

@@ -8,6 +8,7 @@ from magflow import (
     LiftedLoop,
     MagneticSystem,
     ScalarField,
+    SeedLoop,
     action_gradient,
     deck_transform,
     deform,
@@ -41,8 +42,10 @@ from magflow.loop_space import (
 from magflow.sphere_geom import (
     BASE_POINT,
     angular_distance,
+    cyclic_shift,
     project_to_sphere,
     slerp,
+    solid_angle,
     tangent_basis,
     triangles_flux,
 )
@@ -90,14 +93,44 @@ def circle_through_base(n=96, radius=0.5):
 
 def all_candidates_apex(nodes):
     """Reference apex rule: the antipodal margin of all six candidates, then
-    the base point when it keeps 0.2 rad, otherwise the largest margin."""
+    the base point when it keeps 0.2 rad, otherwise the first candidate whose
+    margin is within 1e-9 of the largest."""
     candidates = np.array(
         [BASE_POINT, [0.0, 0.0, -1.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 0.0]]
     )
     margins = np.pi - np.array([float(np.max(angular_distance(c, nodes))) for c in candidates])
     if margins[0] >= 0.2:
         return candidates[0]
-    return candidates[int(np.argmax(margins))]
+    return next(c for c, m in zip(candidates, margins) if m >= max(margins) - 1e-9)
+
+
+def sweep_once_reference(sys, old, new):
+    """``_sweep_once`` with its Simpson average by einsum."""
+    n = len(old)
+    A, B, D, C = old, cyclic_shift(old, 1), new, cyclic_shift(new, 1)
+    m, mab, mad, mbc, mdc = project_to_sphere(np.stack([A + B + C + D, A + B, A + D, B + C, D + C]))
+    tri_a = np.concatenate([B, A, D, C])
+    tri_b = np.concatenate([A, D, C, B])
+    tri_m = np.concatenate([m, m, m, m])
+    omega = np.sum(solid_angle(tri_a, tri_b, tri_m).reshape(4, n), axis=0)
+    fvals = sys.round_density(np.stack([A, mab, B, mad, m, mbc, D, mdc, C]))
+    weights = np.array([1.0, 4.0, 1.0, 4.0, 16.0, 4.0, 1.0, 4.0, 1.0]) / 36.0
+    return float(np.sum(omega * np.einsum("s,sn->n", weights, fvals)))
+
+
+def h1_solve_reference(node_vecs):
+    """``h1_solve`` by a real FFT: the circulant metric's eigenvalues are
+    1 + 4 N^2 sin^2(pi k / N)."""
+    n = len(node_vecs)
+    lam = 1.0 + 4.0 * n * n * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 2
+    spec = np.fft.rfft(node_vecs, axis=0)
+    return np.fft.irfft(spec / lam[:, None], n=n, axis=0)
+
+
+def h1_metric(n):
+    """The dense H^1 node metric I + N^2 D^T D, D the forward difference."""
+    d = np.roll(np.eye(n), -1, axis=1) - np.eye(n)
+    return np.eye(n) + n * n * d.T @ d
 
 
 def circle_near_antipode(offset, radius=0.3, n=128):
@@ -256,6 +289,13 @@ class TestLift:
         ll = lift_loop(sys_z, loop)
         assert lifted_action_A(sys_z, E, ll) == pytest.approx(-0.6 * np.pi, abs=5e-3)
 
+    def test_seed_lift_sheet_independent_of_n(self, sys_shifted):
+        # an equator seed's first node is the base point's antipode, where the
+        # two poles tie as fallback apexes; the tie goes to the south pole at
+        # every N, so the lift stays on one sheet (F = 2.51 apart)
+        for n in range(64, 1025, 64):
+            assert SeedLoop().lift(sys_shifted, E, n).flux == pytest.approx(-1.881, abs=1e-3), n
+
     def test_zero_flux_means_plain_action(self, sys_z, rng):
         loop = random_loop(rng)
         ll = LiftedLoop(loop, 0.0)
@@ -364,6 +404,17 @@ class TestSweepFlux:
             assert len(calls) == 1
             assert calls[0][1] is a.nodes and calls[0][2] is b.nodes
             assert flux == sweep_once(sys_shifted, a.nodes, b.nodes)
+
+    @pytest.mark.parametrize("n", [128, 512])
+    def test_simpson_average_is_einsum_bitwise(self, sys_z, sys_shifted, n):
+        # the equator onto the benchmark's seed (f = z is zero on the equator),
+        # then a descent-sized move of the seed
+        seed = SeedLoop().lift(sys_z, E, n).loop
+        moves = [(latitude_loop(0.0, n), seed), (seed, perturb_normal(seed, 0.01, 5))]
+        for sys in (sys_z, sys_shifted):
+            for old, new in moves:
+                mine = loop_space._sweep_once(sys, old.nodes, new.nodes)
+                assert mine.hex() == sweep_once_reference(sys, old.nodes, new.nodes).hex()
 
     def test_long_deform_matches_finer_chain(self, sys_shifted):
         a = latitude_loop(-0.5, 64)
@@ -593,15 +644,47 @@ class TestActionGradient:
         assert np.max(np.abs(dots)) < 1e-12
 
 
+H1_SIZES = [16, 17, 128, 512, 2048, 8192]
+
+
 class TestH1Solve:
     def test_matches_dense_solve(self, rng):
         n = 32
         vecs = rng.normal(size=(n, 3))
-        dense = np.eye(n)
-        d = np.roll(np.eye(n), -1, axis=1) - np.eye(n)
-        m = dense + n * n * d.T @ d
-        expected = np.linalg.solve(m, vecs)
+        expected = np.linalg.solve(h1_metric(n), vecs)
         assert np.allclose(h1_solve(vecs), expected, atol=1e-10)
+
+    @pytest.mark.parametrize("n", H1_SIZES)
+    def test_matches_fft_reference(self, rng, n):
+        vecs = rng.normal(size=(n, 3))
+        ref = h1_solve_reference(vecs)
+        assert np.max(np.abs(h1_solve(vecs) - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", H1_SIZES)
+    def test_residual(self, rng, n):
+        # M x = b, with M applied as its stencil (1 + 2 N^2) x_i - N^2 (x_{i-1} + x_{i+1})
+        vecs = rng.normal(size=(n, 3))
+        x = h1_solve(vecs)
+        mx = (1.0 + 2.0 * n * n) * x - n * n * (np.roll(x, 1, axis=0) + np.roll(x, -1, axis=0))
+        # applying M rounds at about eps * 4 N^2 |x|; the FFT reads up to 0.6 of this
+        bound = 1e-15 * 4 * n * n * np.max(np.abs(x))
+        assert np.max(np.abs(mx - vecs)) <= bound
+        if n <= 512:
+            assert np.max(np.abs(h1_metric(n) @ x - vecs)) <= bound
+
+    @pytest.mark.parametrize("n", H1_SIZES)
+    def test_symmetric(self, rng, n):
+        # MINRES needs a symmetric positive-definite preconditioner
+        x, y = rng.normal(size=(2, n, 3))
+        mx, my = h1_solve(x), h1_solve(y)
+        lhs, rhs = float(np.sum(x * my)), float(np.sum(mx * y))
+        assert abs(lhs - rhs) <= 1e-13 * np.sqrt(np.sum(x * mx) * np.sum(y * my))
+        assert np.sum(x * mx) > 0.0
+
+    @pytest.mark.parametrize("n", H1_SIZES)
+    def test_constant_mode_fixed(self, n):
+        const = np.tile([0.3, -1.7, 2.0], (n, 1))
+        assert np.allclose(h1_solve(const), const, rtol=0.0, atol=1e-13)
 
 
 class TestValley:
